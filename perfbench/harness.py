@@ -12,14 +12,17 @@ One invocation runs, in order:
 5. timed passes on the timed input until they add up to ``seconds``,
    and at least ``MIN_PASSES`` passes and ``MIN_CHUNK_SAMPLES`` chunk
    samples are in (so ten samples lie beyond the pooled p90).  Each must
-   reproduce the warm-up's candidate digest.  After each pass, one more
-   set-up round; ``setup_s`` is the median over the rounds.
+   reproduce the candidate digest of the first pass on the same input
+   (the warm-up, for the first input).  After each pass, one more
+   set-up round; ``setup_s`` is the median over every construction of
+   every round.
 
 On a shared host the same construction runs up to 1.8x slower in
-bursts of a fraction of a second to a few seconds.  A plain median over
-one window of constructions lands in whichever mode the window caught;
-the best of each short round drops the bursts, and the median over
-rounds spread across the run drops the rounds a long burst covered.
+bursts of a fraction of a second to a few seconds.  Rounds spread over
+the whole run sample those bursts in proportion to their share of it,
+so the median over all constructions repeats from run to run; the best
+of each round does not, because how often a round catches a fast moment
+varies from run to run.
 
 With ``trace`` the timed passes are traced passes (:mod:`layers`) and
 the result carries the per-layer numbers of the median traced pass
@@ -28,6 +31,7 @@ instead of the end-to-end metrics.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import platform
@@ -46,7 +50,7 @@ import layers
 from workloads import PARITY_BACKEND, SMOKE_WORKLOADS, WORKLOADS
 
 SETUP_REPEATS = 3
-SETUP_ROUND_SECONDS = 0.1
+SETUP_ROUND_SECONDS = 0.25
 MIN_PASSES = 5
 MIN_CHUNK_SAMPLES = 100
 
@@ -149,11 +153,10 @@ def provenance(root: Path, seed: int, smoke: bool) -> dict:
 # Measurement
 # ----------------------------------------------------------------------
 def setup_round(workload, trace: bool, min_seconds: float):
-    """One round of cold plan constructions: (plan, best seconds, configs).
+    """One round of cold plan constructions: (plan, seconds, configs).
 
     At least ``SETUP_REPEATS`` constructions, and more until they add up
-    to ``min_seconds``.  The round reports its fastest, as ``timeit``
-    does, so a contention burst inside the round does not count.
+    to ``min_seconds``; ``seconds`` lists each construction's time.
     """
     seconds, configs, plan = [], 0, None
     tracer = get_tracer()
@@ -171,7 +174,7 @@ def setup_round(workload, trace: bool, min_seconds: float):
             start = time.perf_counter()
             plan = workload.setup()
             seconds.append(time.perf_counter() - start)
-    return plan, min(seconds), configs
+    return plan, seconds, configs
 
 
 def p90(values: list[float]) -> float:
@@ -190,8 +193,10 @@ def measure(
     workload = (SMOKE_WORKLOADS if smoke else WORKLOADS)[name]
     workload.setup()  # untimed: finishes the package's lazy imports
     round_seconds = 0.0 if smoke else SETUP_ROUND_SECONDS
-    plan, best, tuner_configs = setup_round(workload, trace, round_seconds)
-    setup_seconds = [best]
+    plan, setup_seconds, tuner_configs = setup_round(
+        workload, trace, round_seconds
+    )
+    setup_rounds = 1
     state = workload.prepare(plan, seed)
     problems: dict[str, None] = {}  # insertion-ordered set
 
@@ -205,6 +210,7 @@ def measure(
         problems.setdefault("fused and staged candidates differ")
 
     warm = workload.run_pass(state)
+    digests = {warm.input_key: warm.digest}
     passes, traced, errors = [], [], 0
     min_passes = 2 if smoke else MIN_PASSES
     min_chunks = 0 if smoke else MIN_CHUNK_SAMPLES
@@ -213,6 +219,7 @@ def measure(
         or len(passes) + errors < min_passes
         or sum(len(p.chunk_s) for p in passes) < min_chunks
     ):
+        gc.collect()  # every pass starts from the same collector state
         try:
             if trace:
                 result, per_layer = layers.traced_pass(workload, state)
@@ -224,11 +231,12 @@ def measure(
             problems.setdefault(f"pass raised {type(error).__name__}: {error}")
             break
         passes.append(result)
-        if result.digest != warm.digest:
+        if digests.setdefault(result.input_key, result.digest) != (
+            result.digest
+        ):
             problems.setdefault("a timed pass changed the candidates")
-        setup_seconds.append(
-            setup_round(workload, trace, round_seconds)[1]
-        )
+        setup_seconds += setup_round(workload, trace, round_seconds)[1]
+        setup_rounds += 1
 
     per_pass = warm.attempted
     attempted = per_pass * (len(passes) + errors)
@@ -244,7 +252,8 @@ def measure(
         "workload": name,
         "why": workload.why,
         "trace": trace,
-        "setup_rounds": len(setup_seconds),
+        "setup_rounds": setup_rounds,
+        "setup_constructions": len(setup_seconds),
         "timed_passes": len(passes),
         "pass_wall_s": [p.wall_s for p in passes],
         "chunk_samples": len(chunk_s),

@@ -9,23 +9,30 @@ the stream verdict, sample counts and any correctness problems.
 
 ::
 
-    python3 perfbench/run.py --workload apertif_giant --seed 1 \\
-        --seconds 20 --trace 0
+    python3 perfbench/run.py --workload lofar_rfi --seed 1 \\
+        --seconds 40 --trace 0
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs traced
 passes and reports the per-layer breakdown instead.  ``--smoke`` runs
 the small variants the benchmark's own tests use.  Run from the root of
 a source checkout: the package is imported from its ``src`` directory.
+Numerical libraries are held to one thread, so the run measures one
+process on one core.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Before NumPy is first imported: thread pools are sized at load time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 
 def main(argv=None) -> int:
