@@ -19,6 +19,7 @@ from repro.baselines.cpu_reference import (
 )
 from repro.core.config import KernelConfiguration
 from repro.opencl_sim.codegen import build_kernel
+from repro.run import ExecutionRequest, execute
 
 SETUP = ObservationSetup(
     name="bench",
@@ -70,7 +71,8 @@ def test_reference_blocked(benchmark, data):
 def test_tiled_executor(benchmark, data, table, label, config):
     """The work-group-tiled executor across configuration styles."""
     kernel = build_kernel(config, SETUP.channels, SETUP.samples_per_batch)
-    out = benchmark(kernel.execute, data, table)
+    request = ExecutionRequest(data=data, kernel=kernel, delay_table=table)
+    out = benchmark(execute, request).output
     assert out.shape == (GRID.n_dms, SETUP.samples_per_batch)
 
 

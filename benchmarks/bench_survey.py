@@ -25,7 +25,6 @@ emitted ``BENCH_survey.json`` marks itself accordingly.
 import argparse
 import json
 import time
-import warnings
 from pathlib import Path
 
 from repro.sched import FaultProfile
@@ -147,7 +146,6 @@ def main(argv=None) -> int:
         help=f"output JSON path (default: {DEFAULT_OUT})",
     )
     args = parser.parse_args(argv)
-    warnings.simplefilter("ignore", DeprecationWarning)
 
     beam_counts = SMOKE_SCALING_BEAMS if args.smoke else SCALING_BEAMS
     dm_counts = SMOKE_SCALING_DMS if args.smoke else SCALING_DMS

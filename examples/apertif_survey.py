@@ -21,7 +21,7 @@ from repro.astro.snr import detect_dm
 from repro.astro.telescope import Telescope
 from repro.core.plan import DedispersionPlan
 from repro.experiments.deployment import run_deployment
-from repro.pipeline.streaming import StreamingDedispersion
+from repro.run import ExecutionRequest, execute
 
 
 def survey_demo() -> list[str]:
@@ -51,13 +51,13 @@ def survey_demo() -> list[str]:
 
     # One tuned plan serves every beam: same setup, same DM grid.
     plan = DedispersionPlan.create(setup, grid, hd7970())
-    stream = StreamingDedispersion(plan)
 
     report: list[str] = []
     for beam in telescope.beams:
         chunks = telescope.stream(beam, n_chunks=2, grid=grid)
         best_snr, best_dm = 0.0, 0.0
-        for result in stream.process_stream(chunks):
+        streamed = execute(ExecutionRequest(plan=plan, chunks=chunks))
+        for result in streamed.chunk_results:
             detection = detect_dm(result.output, grid.values)
             if detection.snr > best_snr:
                 best_snr, best_dm = detection.snr, detection.dm

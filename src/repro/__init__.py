@@ -22,17 +22,9 @@ Quickstart::
     output, plan = dedisperse(data, setup, grid)
 
 ``__all__`` below is the curated public surface (the blessed entry
-points; everything in it imports without warnings and is covered by
-``tests/test_public_api.py``).  A few historic top-level aliases —
-``hill_climb``, ``random_search``, ``CPUModel``, ``SubbandPlan``,
-``dedisperse_subband``, ``dedisperse_reference``,
-``best_fixed_configuration`` — still resolve via a module
-``__getattr__`` but emit :class:`DeprecationWarning`; import them from
-their home packages (``repro.core``, ``repro.hardware``) instead.
+points, covered by ``tests/test_public_api.py``).  Everything else is
+imported from its home package (``repro.core``, ``repro.hardware``, …).
 """
-
-import importlib
-import warnings
 
 from repro.constants import (
     DISPERSION_CONSTANT,
@@ -59,7 +51,6 @@ from repro.astro import (
     lofar,
     DMTrialGrid,
     SyntheticPulsar,
-    generate_observation,
     detect_dm,
     build_ddplan,
     search_periodicity,
@@ -178,8 +169,8 @@ from repro.utils import RandomStreams, derive_seed
 __version__ = "1.1.0"
 
 #: The curated public surface.  Everything here is a blessed entry point:
-#: importable from ``repro`` without a deprecation warning, stable across
-#: minor versions, and asserted by ``tests/test_public_api.py``.
+#: importable from ``repro``, stable across minor versions, and asserted
+#: by ``tests/test_public_api.py``.
 __all__ = [
     "__version__",
     # constants
@@ -205,7 +196,6 @@ __all__ = [
     "lofar",
     "DMTrialGrid",
     "SyntheticPulsar",
-    "generate_observation",
     "detect_dm",
     "build_ddplan",
     "search_periodicity",
@@ -313,38 +303,3 @@ __all__ = [
     "RandomStreams",
     "derive_seed",
 ]
-
-#: Deprecated top-level aliases -> (blessed home module, attribute).
-_DEPRECATED_ALIASES: dict[str, tuple[str, str]] = {
-    "hill_climb": ("repro.core.heuristics", "hill_climb"),
-    "random_search": ("repro.core.heuristics", "random_search"),
-    "dedisperse_reference": ("repro.core.dedisperse", "dedisperse_reference"),
-    "best_fixed_configuration": ("repro.core.fixed", "best_fixed_configuration"),
-    "SubbandPlan": ("repro.core.subband", "SubbandPlan"),
-    "dedisperse_subband": ("repro.core.subband", "dedisperse_subband"),
-    "CPUModel": ("repro.hardware.cpu_model", "CPUModel"),
-}
-
-_warned_aliases: set[str] = set()
-
-
-def __getattr__(name: str):
-    # Deprecation shims: old top-level import paths keep working but
-    # point the caller at the blessed home.
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = target
-    if name not in _warned_aliases:
-        _warned_aliases.add(name)
-        warnings.warn(
-            f"importing {name!r} from the top-level 'repro' package is "
-            f"deprecated; use 'from {module_name} import {attribute}'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(_DEPRECATED_ALIASES) | set(globals()))

@@ -21,7 +21,7 @@ from repro.astro.pulse import (
     von_mises_profile,
     scattered_profile,
 )
-from repro.astro.signal_gen import SyntheticPulsar, generate_observation, inject_pulse
+from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.source import (
     BroadbandRFISource,
     BurstSource,
@@ -82,8 +82,6 @@ from repro.astro.sensitivity import (
 )
 from repro.astro.rfi import (
     ChannelMask,
-    inject_broadband_rfi,
-    inject_narrowband_rfi,
     mask_noisy_channels,
     zero_dm_filter,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "von_mises_profile",
     "scattered_profile",
     "SyntheticPulsar",
-    "generate_observation",
-    "inject_pulse",
     "SignalSource",
     "SignalTruth",
     "SignalComponent",
@@ -133,8 +129,6 @@ __all__ = [
     "power_spectrum",
     "search_periodicity",
     "ChannelMask",
-    "inject_broadband_rfi",
-    "inject_narrowband_rfi",
     "mask_noisy_channels",
     "zero_dm_filter",
     "Candidate",

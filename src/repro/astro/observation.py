@@ -109,26 +109,21 @@ class ObservationSetup:
         """
         return self.total_flops(n_dms, self.samples_per_second) / 1e9
 
-    def input_bytes(self, n_dms: int, dm_step: float, samples: int | None = None) -> int:
+    def input_bytes(self, max_dm: float, samples: int | None = None) -> int:
         """Size of the channelised input needed for one batch.
 
         The time dimension must cover the batch plus the maximum delay at
-        the highest trial DM (Sec. III-A: ``t`` is the number of samples
-        necessary to dedisperse one second of data at the highest trial DM).
+        the highest trial DM ``max_dm`` (Sec. III-A: ``t`` is the number of
+        samples necessary to dedisperse one second of data at the highest
+        trial DM).
         """
-        from repro.astro.dispersion import delay_samples  # local: avoid cycle
+        # Local import: repro.astro.dispersion imports this module.
+        from repro.astro.dispersion import max_delay_samples
 
         s = self.samples_per_batch if samples is None else samples
-        max_dm = (n_dms - 1) * dm_step
-        max_delay = int(
-            delay_samples(
-                self.channel_frequencies[0],
-                self.reference_frequency,
-                max_dm,
-                self.samples_per_second,
-            )
+        return BYTES_PER_SAMPLE * self.channels * (
+            s + max_delay_samples(self, max_dm)
         )
-        return BYTES_PER_SAMPLE * self.channels * (s + max_delay)
 
     def output_bytes(self, n_dms: int, samples: int | None = None) -> int:
         """Size of the dedispersed output (d x s single-precision matrix)."""

@@ -19,29 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.deprecation import warn_once
 from repro.utils.validation import require_non_negative, require_positive
-
-
-def inject_broadband_rfi(
-    data: np.ndarray,
-    sample_indices: list[int] | np.ndarray,
-    amplitude: float = 5.0,
-    width: int = 2,
-) -> np.ndarray:
-    """Deprecated: use :class:`repro.astro.source.BroadbandRFISource`.
-
-    Behaviour is unchanged; the first call warns once per process.
-    """
-    warn_once(
-        "inject_broadband_rfi",
-        "inject_broadband_rfi() is deprecated; use the unified "
-        "SignalSource API instead, e.g. BroadbandRFISource(n_events=4)"
-        ".add_to(data, setup, streams) (repro.astro.source)",
-    )
-    return _inject_broadband_rfi(
-        data, sample_indices, amplitude=amplitude, width=width
-    )
 
 
 def _inject_broadband_rfi(
@@ -62,27 +40,6 @@ def _inject_broadband_rfi(
         stop = min(int(start) + width, data.shape[1])
         data[:, int(start):stop] += np.float32(amplitude)
     return data
-
-
-def inject_narrowband_rfi(
-    data: np.ndarray,
-    channel_indices: list[int] | np.ndarray,
-    amplitude: float = 3.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Deprecated: use :class:`repro.astro.source.NarrowbandRFISource`.
-
-    Behaviour is unchanged; the first call warns once per process.
-    """
-    warn_once(
-        "inject_narrowband_rfi",
-        "inject_narrowband_rfi() is deprecated; use the unified "
-        "SignalSource API instead, e.g. NarrowbandRFISource(n_channels=2)"
-        ".add_to(data, setup, streams) (repro.astro.source)",
-    )
-    return _inject_narrowband_rfi(
-        data, channel_indices, amplitude=amplitude, rng=rng
-    )
 
 
 def _inject_narrowband_rfi(

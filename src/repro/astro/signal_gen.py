@@ -18,7 +18,6 @@ from repro.astro.dispersion import delay_table, dispersion_smearing_seconds
 from repro.astro.observation import ObservationSetup
 from repro.astro.pulse import PulseProfile, gaussian_profile
 from repro.errors import ValidationError
-from repro.utils.deprecation import warn_once
 from repro.utils.validation import require_non_negative, require_positive
 
 
@@ -46,26 +45,6 @@ class SyntheticPulsar:
         """
         ref = float(frequencies_mhz[-1])
         return self.amplitude * (frequencies_mhz / ref) ** self.spectral_index
-
-
-def inject_pulse(
-    data: np.ndarray,
-    setup: ObservationSetup,
-    pulsar: SyntheticPulsar,
-    smear: bool = True,
-) -> np.ndarray:
-    """Deprecated: use :class:`repro.astro.source.PulsarSource` instead.
-
-    Behaviour is unchanged (delegates to the same injection physics the
-    source wraps); the first call warns once per process.
-    """
-    warn_once(
-        "inject_pulse",
-        "inject_pulse() is deprecated; use the unified SignalSource API "
-        "instead, e.g. PulsarSource(pulsar).add_to(data, setup, streams) "
-        "(repro.astro.source)",
-    )
-    return _inject_pulse(data, setup, pulsar, smear=smear)
 
 
 def _inject_pulse(
@@ -113,41 +92,6 @@ def _inject_pulse(
             contribution = pulsar.profile.evaluate(phase)
         data[ch] += (amps[ch] * contribution).astype(data.dtype, copy=False)
     return data
-
-
-def generate_observation(
-    setup: ObservationSetup,
-    duration_seconds: float,
-    pulsars: tuple[SyntheticPulsar, ...] | list[SyntheticPulsar] = (),
-    noise_sigma: float = 1.0,
-    max_dm: float | None = None,
-    rng: np.random.Generator | None = None,
-    smear: bool = True,
-) -> np.ndarray:
-    """Deprecated: compose :class:`repro.astro.source.SignalSource` objects.
-
-    Behaviour is unchanged, byte for byte; the first call warns once per
-    process and points at the seeded replacement::
-
-        CompositeSource((NoiseSource(sigma), PulsarSource(pulsar)))
-            .generate(setup, n_samples, streams)
-    """
-    warn_once(
-        "generate_observation",
-        "generate_observation() is deprecated; compose seeded SignalSource "
-        "objects instead, e.g. CompositeSource((NoiseSource(sigma), "
-        "PulsarSource(pulsar))).generate(setup, n_samples, streams) "
-        "(repro.astro.source)",
-    )
-    return _generate_observation(
-        setup,
-        duration_seconds,
-        pulsars=pulsars,
-        noise_sigma=noise_sigma,
-        max_dm=max_dm,
-        rng=rng,
-        smear=smear,
-    )
 
 
 def _generate_observation(

@@ -1,14 +1,6 @@
 """The unified seeded signal-generation API: :class:`SignalSource`.
 
-The injection surface of :mod:`repro.astro` grew organically — free
-functions with incompatible spellings (``generate_observation`` takes a
-bare numpy ``Generator``, ``inject_pulse`` mutates in place and returns
-nothing machine-checkable, the RFI injectors want explicit index lists)
-and none of them reports *what* it injected.  That made scenario-style
-testing impossible: the caller had to hand-maintain ground truth beside
-the data it asked for.
-
-:class:`SignalSource` is the one replacement contract::
+Every injector in :mod:`repro.astro` sits behind one contract::
 
     data, truth = source.generate(setup, n_samples, streams)
 
@@ -21,9 +13,9 @@ the data it asked for.
 * sources compose: :class:`CompositeSource` sums any number of children
   into one observation and merges their truths.
 
-The legacy free functions remain as warn-once deprecation shims in their
-home modules (:mod:`repro.astro.signal_gen`, :mod:`repro.astro.rfi`);
-their behaviour is unchanged, byte for byte.
+The injection physics lives in the private bodies of
+:mod:`repro.astro.signal_gen` and :mod:`repro.astro.rfi`, which the
+sources wrap.
 """
 
 from __future__ import annotations

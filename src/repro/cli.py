@@ -367,8 +367,8 @@ def _service_pipeline_smoke(client, device) -> None:
 
     Proves the service's answer actually executes: a small synthetic
     instance is tuned *through the client*, the resulting plan
-    dedisperses one chunk via the streaming pipeline, and the same
-    launch goes through the mini OpenCL runtime — so one ``repro
+    dedisperses one chunk through the facade's streaming mode, and the
+    same launch goes through the mini OpenCL runtime — so one ``repro
     service`` run populates tuner, service, pipeline, and simulator
     metrics for ``repro obs export``.
     """
@@ -377,7 +377,7 @@ def _service_pipeline_smoke(client, device) -> None:
     from repro.astro.telescope import StreamChunk
     from repro.core.plan import DedispersionPlan
     from repro.opencl_sim import CommandQueue, Context, SimDevice
-    from repro.pipeline.streaming import StreamingDedispersion
+    from repro.run import ExecutionRequest, execute
     from repro.service import TuneRequest
 
     setup = ObservationSetup(
@@ -400,13 +400,13 @@ def _service_pipeline_smoke(client, device) -> None:
     data = rng.normal(
         size=(setup.channels, plan.samples + overlap)
     ).astype(np.float32)
-    stream = StreamingDedispersion(plan)
-    result = stream.process(
-        StreamChunk(
-            beam_index=0, sequence=0, data=data,
-            samples=plan.samples, overlap=overlap,
-        )
+    chunk = StreamChunk(
+        beam_index=0, sequence=0, data=data,
+        samples=plan.samples, overlap=overlap,
     )
+    result = execute(
+        ExecutionRequest(plan=plan, chunks=(chunk,))
+    ).chunk_results[0]
     context = Context(SimDevice(device))
     queue = CommandQueue(context)
     input_buffer = context.alloc(data.shape)
@@ -952,11 +952,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="tuning service replicas behind the shard router",
     )
     service.add_argument(
-        "--tenants", "--clients", type=int, default=4, dest="tenants",
+        "--tenants", type=int, default=4,
         help="concurrent tenant threads (one ServiceClient each)",
     )
     service.add_argument(
-        "--load", "--requests", type=int, default=3, dest="load",
+        "--load", type=int, default=3,
         help="requests per tenant per instance",
     )
     service.add_argument(

@@ -80,33 +80,6 @@ class DedispersionPlan:
         """Minimum input length: batch plus the maximum delay."""
         return self.samples + int(self.delays.max(initial=0))
 
-    def execute(
-        self,
-        input_data: np.ndarray,
-        out: np.ndarray | None = None,
-        backend: str | None = None,
-    ) -> np.ndarray:
-        """Deprecated: route plan execution through :mod:`repro.run`.
-
-        Same contract as before — dedisperse one batch, returning the
-        ``(n_dms, samples)`` matrix — but the blessed spelling is now
-        ``repro.run.execute(ExecutionRequest(data=input_data,
-        plan=plan))``.  Warns once per process.
-        """
-        from repro.utils.deprecation import warn_legacy_execute
-
-        warn_legacy_execute(
-            "DedispersionPlan.execute",
-            "repro.run.execute(ExecutionRequest(data=input_data, plan=plan))",
-        )
-        from repro.run import ExecutionRequest, execute
-
-        return execute(
-            ExecutionRequest(
-                data=input_data, plan=self, out=out, backend=backend
-            )
-        ).output
-
     def enqueue(self, queue, input_buffer, output_buffer):
         """Run the kernel through a mini-runtime command queue.
 

@@ -2,8 +2,8 @@
 
 A span measures one named unit of work.  Spans nest per thread — a span
 opened while another is active becomes its child — so a pipeline run
-yields a tree: ``pipeline.chunk`` containing ``pipeline.dedisperse`` and
-``pipeline.single_pulse``, each with its own wall time.  On exit every
+yields a tree: ``search.chunk`` containing ``search.rfi`` and
+``search.detect``, each with its own wall time.  On exit every
 span also lands in the metrics registry as one observation of
 ``repro_trace_span_seconds{span=<name>}`` plus an increment of
 ``repro_trace_spans_total{span=<name>}``, so exporters see span timing

@@ -38,7 +38,6 @@ from repro.opencl_sim.kernel import DedispersionKernel
 from repro.opencl_sim.batch import (
     BatchedDedispersionKernel,
     build_batched_kernel,
-    execute_sharded,
 )
 from repro.opencl_sim.vectorized import accumulate_channels
 from repro.opencl_sim.channel_tile import (
@@ -56,7 +55,6 @@ __all__ = [
     "accumulate_channel_tiles",
     "channel_blocks",
     "channel_spans",
-    "execute_sharded",
     "NDRange",
     "WorkGroup",
     "Buffer",

@@ -99,33 +99,6 @@ class BatchedDedispersionKernel:
         return out
 
 
-def execute_sharded(
-    config,
-    input_data: np.ndarray,
-    delay_table: np.ndarray,
-    shards,
-    out: np.ndarray | None = None,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Deprecated: route sharded launches through :mod:`repro.run`.
-
-    Same contract as before — one uniform time batch executed shard by
-    shard and stitched bit-identically — but the blessed spelling is now
-    ``repro.run.execute(ExecutionRequest(data=..., config=...,
-    delay_table=..., shards=...))``.  Warns once per process.
-    """
-    from repro.utils.deprecation import warn_legacy_execute
-
-    warn_legacy_execute(
-        "execute_sharded",
-        "repro.run.execute(ExecutionRequest(data=input_data, "
-        "config=config, delay_table=delay_table, shards=shards))",
-    )
-    return _execute_sharded(
-        config, input_data, delay_table, shards, out=out, backend=backend
-    )
-
-
 def _execute_sharded(
     config,
     input_data: np.ndarray,
@@ -147,8 +120,8 @@ def _execute_sharded(
     every shard launch (both executors stitch bit-identically); ``out``,
     when given, must be a float32 ``(beams, n_dms, samples)`` buffer.
 
-    This is the internal, warning-free entrypoint the :mod:`repro.run`
-    facade dispatches to.
+    This is the body the :mod:`repro.run` facade's sharded mode
+    dispatches to.
     """
     from repro.opencl_sim.codegen import build_kernel
 
@@ -161,7 +134,7 @@ def _execute_sharded(
     delay_table = check_delay_table(delay_table, input_data.shape[1])
     shards = tuple(shards)
     if not shards:
-        raise ValidationError("execute_sharded needs at least one shard")
+        raise ValidationError("sharded execution needs at least one shard")
     n_beams = input_data.shape[0]
     n_dms = delay_table.shape[0]
     samples = shards[0].samples
@@ -169,7 +142,7 @@ def _execute_sharded(
     for shard in shards:
         if shard.batch != shards[0].batch or shard.samples != samples:
             raise ValidationError(
-                "execute_sharded covers a single uniform time batch; "
+                "sharded execution covers a single uniform time batch; "
                 f"shard {shard.shard_id} does not match"
             )
         if shard.beam < 0 or shard.dm_start < 0:

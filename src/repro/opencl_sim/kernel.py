@@ -67,32 +67,6 @@ class DedispersionKernel:
         )
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        input_data: np.ndarray,
-        delay_table: np.ndarray,
-        out: np.ndarray | None = None,
-        backend: str | None = None,
-    ) -> np.ndarray:
-        """Deprecated: route launches through the :mod:`repro.run` facade.
-
-        Same contract as before — dedisperse ``input_data`` for every DM
-        row of ``delay_table``, returning ``(n_dms, samples)`` — but the
-        blessed spelling is now
-        ``repro.run.execute(ExecutionRequest(data=..., kernel=self,
-        delay_table=...))``.  Warns once per process.
-        """
-        from repro.utils.deprecation import warn_legacy_execute
-
-        warn_legacy_execute(
-            "DedispersionKernel.execute",
-            "repro.run.execute(ExecutionRequest(data=input_data, "
-            "kernel=kernel, delay_table=delay_table))",
-        )
-        return self._execute(
-            input_data, delay_table, out=out, backend=backend
-        )
-
     def _execute(
         self,
         input_data: np.ndarray,
@@ -112,8 +86,7 @@ class DedispersionKernel:
         silently change the arithmetic).  ``backend`` overrides the
         kernel's default executor for this launch.
 
-        This is the internal, warning-free entrypoint the
-        :mod:`repro.run` facade dispatches to.
+        This is the body the :mod:`repro.run` facade dispatches to.
         """
         input_data = np.asarray(input_data)
         delay_table = np.asarray(delay_table)
@@ -215,7 +188,7 @@ def check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
     Both executors accumulate in float32; writing through a float64 (or
     any other) ``out`` would silently change the arithmetic and break
     the bit-for-bit stitching guarantee of
-    :func:`repro.opencl_sim.batch.execute_sharded`.
+    sharded execution (:func:`repro.opencl_sim.batch._execute_sharded`).
     """
     if not isinstance(out, np.ndarray) or out.shape != shape:
         raise ValidationError(

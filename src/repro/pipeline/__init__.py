@@ -1,8 +1,6 @@
-"""Real-time survey pipeline: streaming, multi-beam scheduling, sizing."""
+"""Real-time survey sizing: multi-beam packing, fleets, deployment."""
 
-from repro.pipeline.streaming import StreamingDedispersion, ChunkResult
 from repro.pipeline.multibeam import BeamAssignment, MultiBeamScheduler
-from repro.pipeline.survey import SurveyPipeline, SurveyReport, BeamResult
 from repro.pipeline.fleet import FleetDevice, FleetPlan, execute_plan, plan_fleet
 from repro.pipeline.realtime import (
     RealtimeReport,
@@ -14,15 +12,10 @@ from repro.pipeline.realtime import (
 )
 
 __all__ = [
-    "SurveyPipeline",
-    "SurveyReport",
-    "BeamResult",
     "FleetDevice",
     "FleetPlan",
     "execute_plan",
     "plan_fleet",
-    "StreamingDedispersion",
-    "ChunkResult",
     "BeamAssignment",
     "MultiBeamScheduler",
     "RealtimeReport",

@@ -18,7 +18,6 @@ from repro.astro.observation import ObservationSetup
 from repro.errors import PipelineError
 from repro.hardware.device import DeviceSpec
 from repro.core.tuner import AutoTuner
-from repro.utils.deprecation import warn_once
 from repro.utils.intmath import ceil_div
 from repro.utils.validation import require_positive_int
 
@@ -63,9 +62,9 @@ class MultiBeamScheduler:
 
     def memory_per_beam(self) -> int:
         """Bytes of device memory one beam needs (input + output)."""
-        return self.setup.input_bytes(
-            self.grid.n_dms, self.grid.step or 0.25
-        ) + self.setup.output_bytes(self.grid.n_dms)
+        return self.setup.input_bytes(self.grid.last) + (
+            self.setup.output_bytes(self.grid.n_dms)
+        )
 
     def assign(self, n_beams: int) -> BeamAssignment:
         """Pack ``n_beams`` onto as few devices as real time allows."""
@@ -93,28 +92,4 @@ class MultiBeamScheduler:
             seconds_per_beam=t_beam,
             memory_per_beam=m_beam,
             limited_by="compute" if by_compute <= by_memory else "memory",
-        )
-
-    def execute(self, n_beams: int, duration_s: float = 1.0, **engine_kwargs):
-        """Run ``n_beams`` on the devices :meth:`assign` sizes.
-
-        Deprecated shim: warns once, then runs the moved body in
-        :func:`repro.survey.legacy.execute_beam_assignment` —
-        identical behaviour (the assignment's ``devices_needed`` units
-        of this device execute the sharded survey through
-        :mod:`repro.sched`; engine keywords pass through).  New code
-        should drive the fleet through
-        :func:`repro.survey.run_survey`, which composes this dispatch
-        with the per-beam search and cross-beam coincidencing.
-        """
-        from repro.survey.legacy import execute_beam_assignment
-
-        warn_once(
-            "MultiBeamScheduler.execute",
-            "MultiBeamScheduler.execute is deprecated; use "
-            "repro.survey.run_survey (fleet dispatch included) or "
-            "repro.sched.ExecutionEngine directly",
-        )
-        return execute_beam_assignment(
-            self, n_beams, duration_s, **engine_kwargs
         )

@@ -2,8 +2,8 @@
 
 One request type (:class:`ExecutionRequest`), one result type
 (:class:`ExecutionResult`), one call (:func:`execute`).  See
-:mod:`repro.run.facade` for the dispatch table and
-``docs/api.md`` for the migration guide from the legacy entrypoints.
+:mod:`repro.run.facade` for the dispatch table and the chunk contract
+(:func:`~repro.run.facade.check_chunk`) both streaming modes enforce.
 
 The fused dedisperse→detect fast path lives in :mod:`repro.run.fused`
 (reached via ``detector=`` / ``mode="fused"`` requests); its
@@ -12,6 +12,7 @@ deterministic peak-memory meter is :class:`repro.run.peak.MemoryAccount`.
 
 from repro.run.facade import (
     EXECUTION_MODES,
+    ChunkResult,
     ExecutionRequest,
     ExecutionResult,
     execute,
@@ -21,6 +22,7 @@ from repro.run.peak import MemoryAccount
 
 __all__ = [
     "EXECUTION_MODES",
+    "ChunkResult",
     "ExecutionRequest",
     "ExecutionResult",
     "FusedChunkResult",

@@ -1,17 +1,8 @@
 """The unified execution facade: one request type, one ``execute`` call.
 
-The repository grew four overlapping ways to launch dedispersion work —
-``DedispersionKernel.execute`` (one beam, one batch),
-``BatchedDedispersionKernel.execute`` / ``execute_sharded`` (multi-beam,
-whole or sharded launches), ``ExecutionEngine.execute_numeric`` (the
-scheduler's own decomposition) and ``DedispersionPlan.execute`` /
-``StreamingDedispersion`` (tuned plans over chunked streams).  Each had
-its own argument spelling and none composed: downstream consumers (the
-candidate search of :mod:`repro.search`, notably) would have had to
-special-case every one.
-
-:class:`ExecutionRequest` normalises all of them into a single value
-object and :func:`execute` dispatches on its resolved *mode*:
+:class:`ExecutionRequest` describes every way to launch dedispersion
+work as a single value object, and :func:`execute` dispatches on its
+resolved *mode*:
 
 =============  ===========================================================
 mode           meaning
@@ -33,10 +24,12 @@ mode           meaning
 
 ``mode="auto"`` (the default) infers the mode from what the request
 carries: chunks imply ``streaming``, shards imply ``sharded``, 3-D input
-implies ``batched``, 2-D input implies ``kernel``.  The legacy
-entrypoints survive as thin warn-once shims that build the equivalent
-request, so old call sites keep working while new code — and everything
-inside this package — speaks only the facade.
+implies ``batched``, 2-D input implies ``kernel``.
+
+Both chunked modes enforce one chunk contract, :func:`check_chunk`: a
+chunk's payload equals the plan batch and its overlap covers the plan's
+maximum delay.  With that overlap, concatenating the streaming outputs
+is bit-identical to dedispersing the whole observation at once.
 
 Every request lands in the metrics registry
 (``repro_run_requests_total{mode=...}`` plus a
@@ -52,7 +45,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import PipelineError, ValidationError
 from repro.obs import get_registry, span
 
 #: The accepted values of :attr:`ExecutionRequest.mode`.
@@ -350,6 +343,37 @@ class ExecutionResult:
         )
 
 
+@dataclass(frozen=True)
+class ChunkResult:
+    """Dedispersed output of one stream chunk (streaming mode)."""
+
+    beam_index: int
+    sequence: int
+    output: np.ndarray  # (n_dms, samples)
+    simulated_seconds: float
+    realtime: bool
+
+
+def check_chunk(plan, chunk) -> None:
+    """Enforce the chunk contract of both chunked modes.
+
+    The payload must equal the plan batch and the overlap must cover the
+    plan's maximum delay.  Checked per chunk, so a misconfigured
+    front-end fails loudly instead of producing silently wrong tails.
+    """
+    if chunk.samples != plan.samples:
+        raise PipelineError(
+            f"chunk payload of {chunk.samples} samples does not match "
+            f"the plan batch of {plan.samples}"
+        )
+    max_delay = int(plan.delays.max(initial=0))
+    if chunk.overlap < max_delay:
+        raise PipelineError(
+            f"chunk overlap {chunk.overlap} < required maximum delay "
+            f"{max_delay}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
@@ -496,17 +520,52 @@ def _resolve_scenario(request: ExecutionRequest):
     )
 
 
-def _run_streaming(request: ExecutionRequest):
-    from repro.pipeline.streaming import StreamingDedispersion
+def _stream_input(request: ExecutionRequest):
+    """The chunks a chunked request streams, plus its result extras."""
+    if request.scenario is None:
+        return request.chunks, {}
+    realized = _resolve_scenario(request)
+    return realized.chunks, {"scenario": realized}
 
-    extras: dict = {}
-    chunks = request.chunks
-    if request.scenario is not None:
-        realized = _resolve_scenario(request)
-        extras["scenario"] = realized
-        chunks = realized.chunks
-    stream = StreamingDedispersion(request.plan, backend=request.backend)
-    results = tuple(stream.process(chunk) for chunk in chunks)
+
+def _dedisperse_chunk(plan, chunk, backend: str | None) -> ChunkResult:
+    """Dedisperse one stream chunk as one ``pipeline.dedisperse`` span.
+
+    The modelled real-time margin (chunk seconds / predicted kernel
+    seconds) lands in the ``repro_pipeline_realtime_margin`` gauge.
+    """
+    check_chunk(plan, chunk)
+    labels = {"device": plan.device.name, "setup": plan.setup.name}
+    with span(
+        "pipeline.dedisperse",
+        beam=chunk.beam_index,
+        sequence=chunk.sequence,
+        **labels,
+    ):
+        output = plan.kernel._execute(chunk.data, plan.delays, backend=backend)
+    seconds = plan.predict().seconds
+    chunk_seconds = plan.samples / plan.setup.samples_per_second
+    registry = get_registry()
+    registry.counter("repro_pipeline_chunks_total", **labels).inc()
+    if seconds > 0.0:
+        registry.gauge(
+            "repro_pipeline_realtime_margin", stage="dedisperse", **labels
+        ).set(chunk_seconds / seconds)
+    return ChunkResult(
+        beam_index=chunk.beam_index,
+        sequence=chunk.sequence,
+        output=output,
+        simulated_seconds=seconds,
+        realtime=seconds <= chunk_seconds,
+    )
+
+
+def _run_streaming(request: ExecutionRequest):
+    chunks, extras = _stream_input(request)
+    results = tuple(
+        _dedisperse_chunk(request.plan, chunk, request.backend)
+        for chunk in chunks
+    )
     if not results:
         raise ValidationError("streaming request carried no chunks")
     output = np.concatenate([r.output for r in results], axis=1)
@@ -516,12 +575,7 @@ def _run_streaming(request: ExecutionRequest):
 def _run_fused(request: ExecutionRequest):
     from repro.run.fused import run_fused_chunk
 
-    extras: dict = {}
-    chunks = request.chunks
-    if request.scenario is not None:
-        realized = _resolve_scenario(request)
-        extras["scenario"] = realized
-        chunks = realized.chunks
+    chunks, extras = _stream_input(request)
     results = tuple(
         run_fused_chunk(
             request.plan,

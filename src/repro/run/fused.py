@@ -24,8 +24,8 @@ Peak working-set bytes are metered by a
 :class:`~repro.run.peak.MemoryAccount` with the same charging rules the
 staged path uses, land in :attr:`FusedChunkResult.peak_bytes`, and are
 exported as the ``repro_run_peak_bytes{path="fused"}`` histogram; each
-chunk also counts toward ``repro_pipeline_chunks_total`` exactly as the
-staged pipeline's chunks do, since a fused chunk is the same pipeline
+chunk also counts toward ``repro_pipeline_chunks_total`` exactly as a
+streaming-mode chunk does, since a fused chunk is the same pipeline
 stage.
 """
 
@@ -34,8 +34,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.errors import PipelineError, ValidationError
+from repro.errors import ValidationError
 from repro.obs import get_registry, span
+from repro.run.facade import check_chunk
 from repro.run.peak import MemoryAccount
 
 
@@ -43,14 +44,15 @@ from repro.run.peak import MemoryAccount
 class FusedChunkResult:
     """What fusing dedispersion and detection over one chunk produced.
 
-    Unlike :class:`~repro.pipeline.streaming.ChunkResult` there is no
-    ``output`` plane — not materialising it is the point.  The chunk's
-    contribution to the search is its ``candidates`` (already shifted
-    onto the global stream timeline and labelled with the beam);
+    Unlike the streaming mode's :class:`~repro.run.facade.ChunkResult`
+    there is no ``output`` plane — not materialising it is the point.
+    The chunk's contribution to the search is its ``candidates``
+    (already shifted onto the global stream timeline and labelled with
+    the beam);
     ``peak_bytes`` is the metered high-water working set of the fused
     dedisperse→detect pass; ``launches`` counts the per-slab kernel
     launches.  ``simulated_seconds`` / ``realtime`` carry the same
-    modelled dedispersion cost the staged pipeline reports, and
+    modelled dedispersion cost a streaming-mode chunk reports, and
     ``detect_seconds`` the measured detection wall time, so the
     streaming search's virtual clock works identically on both paths.
     """
@@ -98,23 +100,11 @@ def run_fused_chunk(
     ``plan`` is a tuned :class:`~repro.core.plan.DedispersionPlan`,
     ``chunk`` a :class:`~repro.astro.telescope.StreamChunk` whose payload
     matches the plan's batch, ``detector`` a
-    :class:`~repro.search.detect.MatchedFilterDetector`.  Chunk
-    validation is identical to the staged pipeline's: payload length
-    must equal the plan batch and the overlap must cover the plan's
-    maximum delay, checked per chunk so a misconfigured front-end fails
-    loudly.
+    :class:`~repro.search.detect.MatchedFilterDetector`.  Each chunk
+    must meet the same contract as in streaming mode
+    (:func:`~repro.run.facade.check_chunk`).
     """
-    if chunk.samples != plan.samples:
-        raise PipelineError(
-            f"chunk payload of {chunk.samples} samples does not match "
-            f"the plan batch of {plan.samples}"
-        )
-    max_delay = int(plan.delays.max(initial=0))
-    if chunk.overlap < max_delay:
-        raise PipelineError(
-            f"chunk overlap {chunk.overlap} < required maximum delay "
-            f"{max_delay}"
-        )
+    check_chunk(plan, chunk)
     n_dms = plan.delays.shape[0]
     tile = resolve_dm_tile(n_dms, plan.config.tile_dms, dm_tile)
     account = MemoryAccount()

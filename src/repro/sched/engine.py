@@ -518,56 +518,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Numeric execution
     # ------------------------------------------------------------------
-    def execute_numeric(
-        self,
-        input_data,
-        config,
-        batch: int = 0,
-        out=None,
-        backend: str | None = None,
-    ):
-        """Deprecated: route numeric execution through :mod:`repro.run`.
-
-        The virtual-clock :meth:`run` models *when* shards finish; this
-        runs the actual arithmetic for time batch ``batch``, pushing the
-        engine's own shard decomposition through the sharded mode of the
-        :mod:`repro.run` facade — so the sharding the scheduler
-        dispatches is exactly the sharding that produces numbers, and
-        the stitched output is bit-identical to an unsharded batched
-        launch.  ``input_data`` is ``(n_beams, channels, t)``; ``config``
-        must tile every shard's DM count (tuned configurations need not
-        tile remainder DM chunks, so the caller chooses it); ``backend``
-        selects the kernel executor per shard launch; ``out``, when
-        given, must be a float32 ``(n_beams, n_dms, samples)`` buffer.
-        Returns ``(n_beams, n_dms, samples)``.
-
-        The blessed spelling is
-        ``repro.run.execute(ExecutionRequest(data=..., config=...,
-        delay_table=..., shards=engine.shards_for_batch(batch)))``.
-        Warns once per process.
-        """
-        from repro.utils.deprecation import warn_legacy_execute
-
-        warn_legacy_execute(
-            "ExecutionEngine.execute_numeric",
-            "repro.run.execute(ExecutionRequest(data=input_data, "
-            "config=config, delay_table=delays, "
-            "shards=engine.shards_for_batch(batch)))",
-        )
-        from repro.run import ExecutionRequest, execute
-
-        result = execute(
-            ExecutionRequest(
-                data=input_data,
-                config=config,
-                delay_table=self.delay_table(),
-                shards=self.shards_for_batch(batch),
-                out=out,
-                backend=backend,
-            )
-        )
-        return result.output
-
     def shards_for_batch(self, batch: int = 0):
         """The engine's shard decomposition for one time batch.
 

@@ -64,7 +64,7 @@ def shard_memory_bytes(
     trial DM (a conservative bound that holds for every sub-range), the
     output only the shard's own trials.
     """
-    return setup.input_bytes(grid.n_dms, grid.step, samples=samples) + (
+    return setup.input_bytes(grid.last, samples=samples) + (
         setup.output_bytes(dm_count, samples=samples)
     )
 

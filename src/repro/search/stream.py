@@ -67,8 +67,8 @@ class SearchConfig:
     ``snr_threshold`` / ``widths`` parameterise the detector;
     ``sift_policy`` the clustering and RFI vetoes; ``rfi_mitigation``
     runs channel masking and the zero-DM filter on a copy of each chunk
-    before dedispersion (requires a grid starting above DM 0, exactly as
-    :class:`repro.pipeline.survey.SurveyPipeline` does).
+    before dedispersion (requires a grid starting above DM 0: the
+    zero-DM filter nulls the DM-0 series).
 
     ``queue_capacity`` bounds the arrival queue (chunks waiting while
     the worker is busy); ``deadline_factor`` scales the per-chunk
@@ -322,8 +322,8 @@ class StreamingSearch:
             and grid.first == 0.0
             and not grid.is_degenerate
         ):
-            # Same guard as SurveyPipeline: the zero-DM filter nulls the
-            # DM-0 series, so searching it would amplify float residue.
+            # The zero-DM filter nulls the DM-0 series, so searching it
+            # would amplify float residue.
             raise PipelineError(
                 "RFI mitigation uses the zero-DM filter: start the trial "
                 "grid above DM 0 (e.g. first=grid.step)"

@@ -23,11 +23,8 @@ request path, in order:
    flagged ``degraded`` and never cached; the authoritative sweep, if one
    is running, still completes in the background and lands in the cache.
 
-Since the fleet redesign the blessed request surface is
-:meth:`TuningService.resolve` taking a
-:class:`~repro.service.TuneRequest`; the original keyword surface
-:meth:`TuningService.get` survives as a warn-once deprecation shim over
-it.  Every step is metered through
+The request surface is :meth:`TuningService.resolve`, taking a
+:class:`~repro.service.TuneRequest`.  Every step is metered through
 :class:`~repro.service.stats.ServiceStats`, which since the
 :mod:`repro.obs` consolidation is a view over ``repro_service_*`` series
 of the process-wide metrics registry — so the same counters surface in
@@ -55,17 +52,12 @@ from repro.service.keys import InstanceKey
 from repro.service.request import ServiceResponse, TuneRequest, TuneResponse
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.service.warmstart import warm_start_tune
-from repro.utils.deprecation import warn_once
 
 __all__ = ["ServiceResponse", "TuningService"]
 
 #: Factory signature the service uses to build tuners (injectable so
 #: tests can count or stall sweeps without monkey-patching).
 TunerFactory = Callable[[DeviceSpec, ObservationSetup, dict], AutoTuner]
-
-#: Sentinel distinguishing "no per-request timeout" from "use default".
-_USE_DEFAULT = object()
-
 
 class TuningService:
     """Thread-safe tuning frontend with caching, dedup, and degradation.
@@ -222,37 +214,6 @@ class TuningService:
             self.stats.incr("degraded_timeout")
             return self._degrade(request, key, "timeout", started)
         return self._respond(request, key, result, source, started)
-
-    def get(
-        self,
-        device: DeviceSpec,
-        setup: ObservationSetup,
-        grid: DMTrialGrid | int,
-        timeout_s: float | None | object = _USE_DEFAULT,
-    ) -> TuneResponse:
-        """Deprecated keyword surface; use :meth:`resolve` instead.
-
-        ``grid`` may be a full :class:`DMTrialGrid` or a bare DM count
-        (which uses the paper's default grid geometry).  ``timeout_s``
-        overrides the service default for this request only
-        (``None`` = wait indefinitely, which the request API spells
-        ``budget=math.inf``).
-        """
-        warn_once(
-            "TuningService.get",
-            "TuningService.get(device, setup, grid) is deprecated; build "
-            "a TuneRequest and resolve it, e.g. ServiceClient(service)"
-            ".resolve(TuneRequest(setup=setup, n_dms=grid, device=device))",
-        )
-        if timeout_s is _USE_DEFAULT:
-            budget = None
-        elif timeout_s is None:
-            budget = math.inf
-        else:
-            budget = timeout_s
-        return self.resolve(
-            TuneRequest(setup=setup, n_dms=grid, device=device, budget=budget)
-        )
 
     def warm_up(
         self,

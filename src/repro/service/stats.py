@@ -19,7 +19,6 @@ same numbers that back :meth:`snapshot` are visible to every exporter
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -184,25 +183,3 @@ class ServiceStats:
             p50_latency_s=quantiles[0.50],
             p95_latency_s=quantiles[0.95],
         )
-
-
-_DEPRECATED = {"_percentile"}
-_warned: set[str] = set()
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the percentile helper moved to repro.obs — the
-    # one shared implementation behind every percentile in the repo.
-    if name in _DEPRECATED:
-        if name not in _warned:
-            _warned.add(name)
-            warnings.warn(
-                f"repro.service.stats.{name} is deprecated; use "
-                f"repro.obs.percentile instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro.obs.registry import percentile
-
-        return percentile
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,5 @@
 """Shared utility helpers: validation, integer math, units, seeded RNG."""
 
-from repro.utils.deprecation import (
-    reset_deprecation_warning,
-    warn_legacy_execute,
-    warn_once,
-)
 from repro.utils.rng import RandomStreams, derive_seed
 from repro.utils.validation import (
     require,
@@ -35,9 +30,6 @@ from repro.utils.units import (
 __all__ = [
     "RandomStreams",
     "derive_seed",
-    "reset_deprecation_warning",
-    "warn_legacy_execute",
-    "warn_once",
     "require",
     "require_positive",
     "require_positive_int",

@@ -10,6 +10,7 @@ from repro.astro.candidates import (
     sift,
 )
 from repro.errors import ValidationError
+from tests.conftest import make_observation
 
 
 def make_plane(rng, n_dms=16, n=2000):
@@ -121,7 +122,7 @@ class TestSift:
     def test_end_to_end_with_real_dedispersion(self, toy_low, rng):
         from repro.astro.dm_trials import DMTrialGrid
         from repro.astro.pulse import gaussian_profile
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
@@ -133,9 +134,7 @@ class TestSift:
             amplitude=2.0,
             profile=gaussian_profile(width=0.004, centre=0.25),
         )
-        data = generate_observation(
-            toy_low, 1.0, pulsars=[burst], max_dm=grid.last, rng=rng,
-        )
+        data = make_observation(toy_low, [burst], max_dm=grid.last)
         plane = dedisperse_vectorized(data, toy_low, grid, 400)
         sifted = search_and_sift(plane, grid.values, snr_threshold=6.0)
         assert sifted

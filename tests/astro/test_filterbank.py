@@ -9,6 +9,7 @@ from repro.astro.filterbank import (
     write_filterbank,
 )
 from repro.errors import ValidationError
+from tests.conftest import make_observation
 
 
 @pytest.fixture
@@ -82,17 +83,16 @@ class TestPipelineIntegration:
         # Export a synthetic pulsar observation, read it back, rebuild the
         # setup from the header alone, dedisperse, detect.
         from repro.astro.dm_trials import DMTrialGrid
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
         from repro.astro.snr import detect_dm
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
-        data = generate_observation(
+        data = make_observation(
             toy_low,
-            1.0,
-            pulsars=[SyntheticPulsar(0.25, dm=7.0, amplitude=1.5)],
+            [SyntheticPulsar(0.25, dm=7.0, amplitude=1.5)],
             max_dm=grid.last,
-            rng=np.random.default_rng(2),
+            seed=2,
         )
         path = tmp_path / "pulsar.fil"
         write_filterbank(path, data, toy_low)

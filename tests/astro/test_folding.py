@@ -5,6 +5,7 @@ import pytest
 
 from repro.astro.folding import fold_candidate, folded_snr
 from repro.errors import ValidationError
+from tests.conftest import make_observation
 
 
 FS = 1000
@@ -94,16 +95,16 @@ class TestFoldCandidate:
         # Fourier search finds it; the fold confirms it.
         from repro.astro.dm_trials import DMTrialGrid
         from repro.astro.periodicity import search_periodicity
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
-        data = generate_observation(
+        data = make_observation(
             toy_low,
-            4.0,
-            pulsars=[SyntheticPulsar(0.1, dm=7.0, amplitude=0.8)],
+            [SyntheticPulsar(0.1, dm=7.0, amplitude=0.8)],
+            seconds=4.0,
             max_dm=grid.last,
-            rng=np.random.default_rng(14),
+            seed=14,
         )
         plane = dedisperse_vectorized(data, toy_low, grid, 1600)
         candidates = search_periodicity(

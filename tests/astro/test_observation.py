@@ -82,11 +82,11 @@ class TestWorkloadAccounting:
     def test_input_bytes_includes_max_delay(self):
         setup = lofar()
         base = setup.channels * setup.samples_per_batch * 4
-        assert setup.input_bytes(256, 0.25) > base
+        assert setup.input_bytes(63.75) > base
 
     def test_input_bytes_no_delay_at_single_zero_dm(self):
         setup = lofar()
-        assert setup.input_bytes(1, 0.25) == setup.channels * 4 * (
+        assert setup.input_bytes(0.0) == setup.channels * 4 * (
             setup.samples_per_batch
         )
 

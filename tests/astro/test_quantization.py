@@ -11,6 +11,7 @@ from repro.astro.quantization import (
     snr_efficiency,
 )
 from repro.errors import ValidationError
+from tests.conftest import make_observation
 
 
 class TestQuantize:
@@ -106,16 +107,13 @@ class TestEndToEnd:
         # Quantise the telescope data to 8 bits, dedisperse the recovered
         # stream, and confirm the pulsar is still found with ~full S/N.
         from repro.astro.dm_trials import DMTrialGrid
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
         from repro.astro.snr import detect_dm
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
         pulsar = SyntheticPulsar(period_seconds=0.25, dm=9.0, amplitude=1.5)
-        data = generate_observation(
-            toy_low, 1.0, pulsars=[pulsar], max_dm=grid.last,
-            rng=np.random.default_rng(6),
-        )
+        data = make_observation(toy_low, [pulsar], max_dm=grid.last, seed=6)
         exact = detect_dm(
             dedisperse_vectorized(data, toy_low, grid, 400), grid.values
         )

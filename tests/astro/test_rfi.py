@@ -1,15 +1,21 @@
-"""Unit tests for repro.astro.rfi."""
+"""Unit tests for repro.astro.rfi.
+
+The injection tests pin explicit sample positions and channels, which
+the seeded RFI sources draw for themselves, so they call the injection
+bodies those sources wrap.
+"""
 
 import numpy as np
 import pytest
 
 from repro.astro.rfi import (
-    inject_broadband_rfi,
-    inject_narrowband_rfi,
+    _inject_broadband_rfi,
+    _inject_narrowband_rfi,
     mask_noisy_channels,
     zero_dm_filter,
 )
 from repro.errors import ValidationError
+from tests.conftest import make_observation
 
 
 @pytest.fixture
@@ -20,31 +26,31 @@ def noise(rng):
 class TestInjection:
     def test_broadband_hits_all_channels(self, noise):
         before = noise[:, 500].copy()
-        inject_broadband_rfi(noise, [500], amplitude=10.0, width=1)
+        _inject_broadband_rfi(noise, [500], amplitude=10.0, width=1)
         assert np.all(noise[:, 500] - before == pytest.approx(10.0))
 
     def test_broadband_width(self, noise):
-        inject_broadband_rfi(noise, [100], amplitude=10.0, width=5)
+        _inject_broadband_rfi(noise, [100], amplitude=10.0, width=5)
         assert noise[0, 100:105].mean() > 5
         assert noise[0, 106] < 5
 
     def test_broadband_bounds_checked(self, noise):
         with pytest.raises(ValidationError):
-            inject_broadband_rfi(noise, [5000])
+            _inject_broadband_rfi(noise, [5000])
 
     def test_narrowband_raises_one_channel(self, noise):
-        inject_narrowband_rfi(noise, [3], amplitude=5.0)
+        _inject_narrowband_rfi(noise, [3], amplitude=5.0)
         variances = noise.var(axis=1)
         assert np.argmax(variances) == 3
 
     def test_narrowband_bounds_checked(self, noise):
         with pytest.raises(ValidationError):
-            inject_narrowband_rfi(noise, [99])
+            _inject_narrowband_rfi(noise, [99])
 
 
 class TestChannelMask:
     def test_masks_contaminated_channel(self, noise):
-        inject_narrowband_rfi(noise, [7], amplitude=8.0)
+        _inject_narrowband_rfi(noise, [7], amplitude=8.0)
         mask = mask_noisy_channels(noise)
         assert not mask.mask[7]
         assert mask.n_masked == 1
@@ -55,7 +61,7 @@ class TestChannelMask:
         assert mask.n_masked == 0
 
     def test_multiple_channels(self, noise):
-        inject_narrowband_rfi(noise, [2, 9], amplitude=8.0)
+        _inject_narrowband_rfi(noise, [2, 9], amplitude=8.0)
         mask = mask_noisy_channels(noise)
         assert not mask.mask[2] and not mask.mask[9]
 
@@ -66,7 +72,7 @@ class TestChannelMask:
 
 class TestZeroDMFilter:
     def test_kills_broadband_rfi(self, noise):
-        inject_broadband_rfi(noise, [300], amplitude=20.0, width=2)
+        _inject_broadband_rfi(noise, [300], amplitude=20.0, width=2)
         zero_dm_filter(noise)
         # The undispersed spike is annihilated to the noise level.
         assert abs(float(noise[:, 300].mean())) < 1e-4
@@ -79,15 +85,13 @@ class TestZeroDMFilter:
         # A dispersed pulse occupies few channels per sample, so the filter
         # keeps most of its energy — while an *undispersed* pulse of the
         # same shape is annihilated.
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
 
         def filtered_energy(dm: float) -> tuple[float, float]:
             pulsar = SyntheticPulsar(
                 period_seconds=0.5, dm=dm, amplitude=2.0
             )
-            data = generate_observation(
-                toy_low, 1.0, pulsars=[pulsar], noise_sigma=0.0, max_dm=8.0,
-            )
+            data = make_observation(toy_low, [pulsar], max_dm=8.0, sigma=0.0)
             before = float((data ** 2).sum())
             zero_dm_filter(data)
             return float((data ** 2).sum()), before
@@ -97,20 +101,18 @@ class TestZeroDMFilter:
         assert dispersed_after > 0.5 * dispersed_before
         assert flat_after < 0.05 * flat_before
 
-    def test_detection_robust_to_rfi_with_filter(self, toy_low, rng):
+    def test_detection_robust_to_rfi_with_filter(self, toy_low):
         # The survey-grade workflow: RFI in, filter, dedisperse, detect the
         # true pulsar rather than the DM-0 interference.
         from repro.astro.dm_trials import DMTrialGrid
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
         from repro.astro.snr import detect_dm
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
         pulsar = SyntheticPulsar(period_seconds=0.25, dm=9.0, amplitude=1.5)
-        data = generate_observation(
-            toy_low, 1.0, pulsars=[pulsar], max_dm=grid.last, rng=rng
-        )
-        inject_broadband_rfi(
+        data = make_observation(toy_low, [pulsar], max_dm=grid.last)
+        _inject_broadband_rfi(
             data, [50, 180, 310], amplitude=8.0, width=3
         )
         # Without mitigation the brightest candidate sits at DM ~0.

@@ -1,6 +1,4 @@
-"""The unified SignalSource API and its deprecation shims."""
-
-import warnings
+"""The unified SignalSource API."""
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.astro.source import (
     stream_chunks,
 )
 from repro.errors import ValidationError
-from repro.utils.deprecation import reset_deprecation_warning
 from repro.utils.rng import RandomStreams
 
 SETUP = ObservationSetup(
@@ -240,68 +237,17 @@ class TestStreamChunks:
         assert np.array_equal(stitched, whole[:, :stitched.shape[1]])
 
 
-class TestDeprecationShims:
-    def test_inject_pulse_warns_once_and_matches(self):
-        from repro.astro.signal_gen import _inject_pulse, inject_pulse
-
-        pulsar = SyntheticPulsar(
-            period_seconds=0.5, dm=4.0, amplitude=2.0
-        )
-        old = np.zeros((SETUP.channels, 400), dtype=np.float32)
-        new = np.zeros_like(old)
-        reset_deprecation_warning("inject_pulse")
-        with pytest.warns(DeprecationWarning, match="SignalSource"):
-            inject_pulse(old, SETUP, pulsar)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            inject_pulse(old, SETUP, pulsar)  # second call is silent
-        _inject_pulse(new, SETUP, pulsar)
-        _inject_pulse(new, SETUP, pulsar)
-        assert np.array_equal(old, new)
-
-    def test_generate_observation_matches_impl(self):
-        from repro.astro.signal_gen import (
-            _generate_observation,
-            generate_observation,
-        )
-
-        pulsar = SyntheticPulsar(
-            period_seconds=0.5, dm=4.0, amplitude=2.0
-        )
-        reset_deprecation_warning("generate_observation")
-        with pytest.warns(DeprecationWarning):
-            old = generate_observation(
-                SETUP, 2.0, pulsars=(pulsar,),
-                rng=np.random.default_rng(7),
-            )
-        new = _generate_observation(
-            SETUP, 2.0, pulsars=(pulsar,), rng=np.random.default_rng(7)
-        )
-        assert np.array_equal(old, new)
-
-    def test_rfi_shims_warn_once(self):
-        from repro.astro.rfi import (
-            _inject_broadband_rfi,
-            inject_broadband_rfi,
-        )
-
-        old = np.zeros((4, 100), dtype=np.float32)
-        new = np.zeros_like(old)
-        reset_deprecation_warning("inject_broadband_rfi")
-        with pytest.warns(DeprecationWarning, match="BroadbandRFISource"):
-            inject_broadband_rfi(old, [10, 40])
-        _inject_broadband_rfi(new, [10, 40])
-        assert np.array_equal(old, new)
-
-    def test_pulsar_source_equals_legacy_injection(self):
-        pulsar = SyntheticPulsar(
-            period_seconds=0.5, dm=4.0, amplitude=2.0
-        )
+class TestPulsarSource:
+    def test_equals_injection_body(self):
+        # PulsarSource wraps the classic injection physics byte for byte.
         from repro.astro.signal_gen import _inject_pulse
 
-        legacy = np.zeros((SETUP.channels, 400), dtype=np.float32)
-        _inject_pulse(legacy, SETUP, pulsar)
+        pulsar = SyntheticPulsar(
+            period_seconds=0.5, dm=4.0, amplitude=2.0
+        )
+        direct = np.zeros((SETUP.channels, 400), dtype=np.float32)
+        _inject_pulse(direct, SETUP, pulsar)
         data, _ = _generate(
             CompositeSource((NoiseSource(sigma=0.0), PulsarSource(pulsar)))
         )
-        assert np.array_equal(data, legacy)
+        assert np.array_equal(data, direct)

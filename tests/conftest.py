@@ -98,3 +98,48 @@ def make_input(
     s = samples or setup.samples_per_batch
     t = s + max_delay_samples(setup, grid.last)
     return rng.normal(size=(setup.channels, t)).astype(np.float32)
+
+
+def make_observation(
+    setup: ObservationSetup,
+    pulsars=(),
+    seconds: float = 1.0,
+    max_dm: float | None = None,
+    seed: int = 0,
+    sigma: float = 1.0,
+) -> np.ndarray:
+    """Seeded noise plus pulsars, composed through the SignalSource API.
+
+    Covers ``seconds`` of data plus, when ``max_dm`` is given, the
+    maximum dispersion delay at ``max_dm``, so every output sample of a
+    dedispersion up to that DM has valid input.
+    """
+    from repro.astro.dispersion import max_delay_samples
+    from repro.astro.source import CompositeSource, NoiseSource, PulsarSource
+    from repro.utils.rng import RandomStreams
+
+    n_samples = int(round(seconds * setup.samples_per_second))
+    if max_dm is not None:
+        n_samples += max_delay_samples(setup, max_dm)
+    source = CompositeSource(
+        (NoiseSource(sigma), *(PulsarSource(p) for p in pulsars))
+    )
+    data, _ = source.generate(setup, n_samples, RandomStreams(seed))
+    return data
+
+
+def run_kernel(kernel, data, table, **kwargs) -> np.ndarray:
+    """Dedisperse one batch with ``kernel`` through the facade."""
+    from repro.run import ExecutionRequest, execute
+
+    request = ExecutionRequest(
+        data=data, kernel=kernel, delay_table=table, mode="kernel", **kwargs
+    )
+    return execute(request).output
+
+
+def run_plan(plan, data, **kwargs) -> np.ndarray:
+    """Dedisperse one batch with a tuned plan through the facade."""
+    from repro.run import ExecutionRequest, execute
+
+    return execute(ExecutionRequest(data=data, plan=plan, **kwargs)).output

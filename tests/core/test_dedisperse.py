@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.snr import detect_dm
 from repro.core.dedisperse import dedisperse, dedisperse_reference
 from repro.errors import ValidationError
 from repro.hardware.catalog import gtx680
-from tests.conftest import make_input
+from tests.conftest import make_input, make_observation, run_plan
 
 
 class TestDedisperse:
@@ -48,7 +48,7 @@ class TestDedisperse:
         data = make_input(toy_low, toy_grid, rng)
         out1, plan = dedisperse(data, toy_low, toy_grid, samples=400)
         data2 = make_input(toy_low, toy_grid, rng)
-        out2 = plan.execute(data2)
+        out2 = run_plan(plan, data2)
         assert out2.shape == out1.shape
         assert not np.array_equal(out1, out2)
 
@@ -60,13 +60,7 @@ class TestEndToEndRecovery:
         pulsar = SyntheticPulsar(
             period_seconds=0.25, dm=true_dm, amplitude=1.5
         )
-        data = generate_observation(
-            toy_low,
-            1.0,
-            pulsars=[pulsar],
-            max_dm=grid.last,
-            rng=np.random.default_rng(3),
-        )
+        data = make_observation(toy_low, [pulsar], max_dm=grid.last, seed=3)
         out, _ = dedisperse(data, toy_low, grid, samples=400)
         detection = detect_dm(out, grid.values)
         assert abs(detection.dm - true_dm) <= grid.step

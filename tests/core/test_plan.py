@@ -8,7 +8,7 @@ from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import hd7970
-from tests.conftest import make_input
+from tests.conftest import make_input, run_plan
 
 
 @pytest.fixture
@@ -50,13 +50,15 @@ class TestExecution:
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         data = make_input(toy_low, toy_grid, rng)
-        out = plan.execute(data)
+        out = run_plan(plan, data)
         ref = dedisperse_vectorized(data, toy_low, toy_grid, 400)
         np.testing.assert_allclose(out, ref, rtol=1e-5)
 
     def test_repeatable(self, plan, toy_low, toy_grid, rng):
         data = make_input(toy_low, toy_grid, rng)
-        np.testing.assert_array_equal(plan.execute(data), plan.execute(data))
+        np.testing.assert_array_equal(
+            run_plan(plan, data), run_plan(plan, data)
+        )
 
 
 class TestPrediction:
@@ -93,7 +95,7 @@ class TestEnqueue:
         queue = CommandQueue(context)
         event = plan.enqueue(queue, input_buf, output_buf)
         assert event.simulated_seconds == plan.predict().seconds
-        expected = plan.execute(data[:, : plan.required_input_samples])
+        expected = run_plan(plan, data[:, : plan.required_input_samples])
         import numpy as np
 
         np.testing.assert_array_equal(output_buf.array, expected)

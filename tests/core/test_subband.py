@@ -7,7 +7,7 @@ from repro.astro.dispersion import delay_table
 from repro.astro.dm_trials import DMTrialGrid
 from repro.core.subband import SubbandPlan, dedisperse_subband
 from repro.errors import ValidationError
-from tests.conftest import make_input
+from tests.conftest import make_input, make_observation, run_kernel
 
 
 @pytest.fixture
@@ -129,7 +129,7 @@ class TestExecution:
         kernel = build_kernel(
             KernelConfiguration(20, 2, 5, 2), toy_low.channels, 400
         )
-        expected = kernel.execute(data, plan.effective_delay_table)
+        expected = run_kernel(kernel, data, plan.effective_delay_table)
         np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-4)
 
     def test_close_to_exact_dedispersion(self, toy_low, toy_grid, rng):
@@ -170,15 +170,12 @@ class TestExecution:
     def test_detection_survives_subbanding(self, toy_low):
         # End to end: a pulsar found by brute force is still found after
         # the two-step approximation.
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
         from repro.astro.snr import detect_dm
 
         grid = DMTrialGrid(16, step=1.0)
         pulsar = SyntheticPulsar(period_seconds=0.25, dm=7.0, amplitude=1.5)
-        data = generate_observation(
-            toy_low, 1.0, pulsars=[pulsar], max_dm=grid.last,
-            rng=np.random.default_rng(4),
-        )
+        data = make_observation(toy_low, [pulsar], max_dm=grid.last, seed=4)
         out, plan = dedisperse_subband(
             data, toy_low, grid, n_subbands=4, coarse_factor=2,
         )

@@ -10,7 +10,8 @@ from repro.astro.snr import detect_dm, folded_profile
 from repro.astro.telescope import Telescope
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import gtx_titan, hd7970
-from repro.pipeline.streaming import StreamingDedispersion
+from repro.run import ExecutionRequest, execute
+from tests.conftest import run_plan
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +44,9 @@ class TestSurveyPipeline:
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
-        stream = StreamingDedispersion(plan)
-        results = stream.process_stream(telescope.stream(beam, 3, grid))
+        results = execute(
+            ExecutionRequest(plan=plan, chunks=telescope.stream(beam, 3, grid))
+        ).chunk_results
         assert len(results) == 3
         for result in results:
             detection = detect_dm(result.output, grid.values)
@@ -67,7 +69,7 @@ class TestSurveyPipeline:
             survey_setup, grid, gtx_titan(), samples=1000
         )
         chunk = next(iter(telescope.stream(beam, 1, grid)))
-        output = plan.execute(chunk.data)
+        output = run_plan(plan, chunk.data)
         trial = grid.index_of(4.0)
         profile = folded_profile(
             output[trial], survey_setup.samples_per_second, period, n_bins=20
@@ -90,7 +92,7 @@ class TestSurveyPipeline:
             survey_setup, grid, hd7970(), samples=1000
         )
         chunk = next(iter(telescope.stream(beam, 1, grid)))
-        detection = detect_dm(plan.execute(chunk.data), grid.values)
+        detection = detect_dm(run_plan(plan, chunk.data), grid.values)
         per_trial = detection.snr_per_trial
         best = per_trial[detection.dm_index]
         far = max(per_trial[0], per_trial[-1])
@@ -109,8 +111,8 @@ class TestSurveyPipeline:
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
-        stream = StreamingDedispersion(plan)
         for beam, expected_dm in ((beam_a, 3.0), (beam_b, 9.0)):
-            chunk = next(iter(telescope.stream(beam, 1, grid)))
-            detection = detect_dm(stream.process(chunk).output, grid.values)
+            chunks = telescope.stream(beam, 1, grid)
+            output = execute(ExecutionRequest(plan=plan, chunks=chunks)).output
+            detection = detect_dm(output, grid.values)
             assert abs(detection.dm - expected_dm) <= grid.step

@@ -6,7 +6,6 @@ sifting -> fold confirmation, plus the planning layers (DDplan + fleet)
 agreeing with each other.
 """
 
-import numpy as np
 import pytest
 
 from repro.astro.candidates import search_and_sift
@@ -16,9 +15,10 @@ from repro.astro.folding import fold_candidate
 from repro.astro.observation import ObservationSetup
 from repro.astro.periodicity import search_periodicity
 from repro.astro.pulse import gaussian_profile
-from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+from repro.astro.signal_gen import SyntheticPulsar
 from repro.baselines.cpu_reference import dedisperse_vectorized
 from repro.core.subband import dedisperse_subband
+from tests.conftest import make_observation
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +42,8 @@ class TestFileToConfirmation:
     def test_full_chain(self, setup, grid, tmp_path):
         """.fil on disk -> dedisperse -> Fourier search -> fold confirm."""
         pulsar = SyntheticPulsar(0.1, dm=7.0, amplitude=0.9)
-        data = generate_observation(
-            setup, 4.0, pulsars=[pulsar], max_dm=grid.last,
-            rng=np.random.default_rng(3),
+        data = make_observation(
+            setup, [pulsar], seconds=4.0, max_dm=grid.last, seed=3
         )
         path = tmp_path / "obs.fil"
         write_filterbank(path, data, setup)
@@ -74,10 +73,7 @@ class TestFileToConfirmation:
             2.0, dm=9.0, amplitude=2.0,
             profile=gaussian_profile(width=0.004, centre=0.25),
         )
-        data = generate_observation(
-            setup, 1.0, pulsars=[burst], max_dm=grid.last,
-            rng=np.random.default_rng(8),
-        )
+        data = make_observation(setup, [burst], max_dm=grid.last, seed=8)
         brute = dedisperse_vectorized(data, setup, grid, 1000)
         two_step, plan = dedisperse_subband(
             data, setup, grid, n_subbands=8, coarse_factor=2, samples=1000

@@ -18,10 +18,11 @@ from repro.hardware.catalog import hd7970
 from repro.obs.registry import use_registry
 from repro.opencl_sim.runtime import CommandQueue, Context, SimDevice
 from repro.pipeline.realtime import realtime_report
-from repro.pipeline.streaming import StreamingDedispersion
-from repro.service import TuningService
+from repro.run import ExecutionRequest, execute
+from repro.service import ServiceClient, TuneRequest, TuningService
 
 DEVICE = hd7970()
+REQUEST = TuneRequest(setup=apertif(), n_dms=16, device=DEVICE)
 
 
 class TestTunerInstrumentation:
@@ -48,8 +49,9 @@ class TestServiceInstrumentation:
     def test_cache_tiers_and_latency_reach_registry(self):
         with use_registry() as reg:
             with TuningService(warm_start=False) as service:
-                service.get(DEVICE, apertif(), 16)
-                service.get(DEVICE, apertif(), 16)
+                client = ServiceClient(service)
+                client.resolve(REQUEST)
+                client.resolve(REQUEST)
                 instance = service.stats.instance
             assert reg.counter(
                 "repro_service_requests_total", instance=instance
@@ -73,7 +75,7 @@ class TestServiceInstrumentation:
     def test_snapshot_and_registry_agree(self):
         with use_registry() as reg:
             with TuningService(warm_start=False) as service:
-                service.get(DEVICE, apertif(), 16)
+                ServiceClient(service).resolve(REQUEST)
                 snap = service.snapshot()
                 instance = service.stats.instance
             assert snap.requests == reg.counter(
@@ -110,7 +112,9 @@ class TestPipelineInstrumentation:
         beam = telescope.add_beam()
         chunk = next(iter(telescope.stream(beam, 1, toy_grid)))
         with use_registry() as reg:
-            result = StreamingDedispersion(plan).process(chunk)
+            (result,) = execute(
+                ExecutionRequest(plan=plan, chunks=(chunk,))
+            ).chunk_results
             labels = {"device": DEVICE.name, "setup": toy_low.name}
             assert reg.counter(
                 "repro_pipeline_chunks_total", **labels

@@ -11,7 +11,7 @@ from repro.errors import ValidationError
 from repro.hardware.catalog import hd7970
 from repro.hardware.multibeam_metrics import simulate_multibeam
 from repro.opencl_sim.batch import build_batched_kernel
-from tests.conftest import make_input
+from tests.conftest import make_input, run_kernel
 
 
 CONFIG = KernelConfiguration(20, 2, 5, 2)
@@ -31,7 +31,7 @@ class TestBatchedKernel:
         out = batched.execute(beams, table)
         assert out.shape == (3, toy_grid.n_dms, 400)
         for b in range(3):
-            expected = batched.kernel.execute(beams[b], table)
+            expected = run_kernel(batched.kernel, beams[b], table)
             np.testing.assert_array_equal(out[b], expected)
 
     def test_beams_independent(self, toy_low, toy_grid, batch_inputs):

@@ -19,7 +19,7 @@ from repro.opencl_sim.channel_tile import (
     channel_spans,
 )
 from repro.opencl_sim.codegen import build_kernel
-from tests.conftest import make_input
+from tests.conftest import make_input, run_kernel
 
 
 def config(wt=20, wd=2, et=5, ed=2) -> KernelConfiguration:
@@ -79,8 +79,8 @@ class TestBitIdentity:
         table = delay_table(setup, toy_grid.values)
         # tile_samples=80 divides both toy batches (400 and 480).
         kernel = build_kernel(config(wt=16), setup.channels, samples)
-        tiled = kernel.execute(data, table, backend="tiled")
-        reuse = kernel.execute(data, table, backend="channel_tile")
+        tiled = run_kernel(kernel, data, table, backend="tiled")
+        reuse = run_kernel(kernel, data, table, backend="channel_tile")
         assert np.array_equal(tiled, reuse)
         assert reuse.dtype == np.float32
 
@@ -90,7 +90,7 @@ class TestBitIdentity:
         data = make_input(toy_low, toy_grid, rng)
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
-        reference = kernel.execute(data, table, backend="vectorized")
+        reference = run_kernel(kernel, data, table, backend="vectorized")
         out = np.zeros((toy_grid.n_dms, 400), dtype=np.float32)
         accumulate_channel_tiles(data, table, out, budget_bytes=64)
         assert np.array_equal(reference, out)
@@ -101,8 +101,8 @@ class TestBitIdentity:
         table = np.zeros((4, toy_low.channels), dtype=np.int64)
         kernel = build_kernel(config(), toy_low.channels, 400)
         assert np.array_equal(
-            kernel.execute(data, table, backend="tiled"),
-            kernel.execute(data, table, backend="channel_tile"),
+            run_kernel(kernel, data, table, backend="tiled"),
+            run_kernel(kernel, data, table, backend="channel_tile"),
         )
 
 
@@ -156,7 +156,7 @@ class TestAutoSelection:
         kernel = build_kernel(config(wt=16), toy_high.channels, samples)
         assert kernel.ndrange(toy_grid.n_dms).n_work_groups > 1
         with use_registry() as registry:
-            kernel.execute(data, table)
+            run_kernel(kernel, data, table)
             assert registry.counter(
                 "repro_kernel_launches_total", backend="channel_tile"
             ).value == 1
@@ -166,4 +166,4 @@ class TestAutoSelection:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         with pytest.raises(ValidationError, match="unknown kernel backend"):
-            kernel.execute(data, table, backend="block")
+            run_kernel(kernel, data, table, backend="block")

@@ -21,7 +21,8 @@ from repro.opencl_sim.backend import (
 )
 from repro.opencl_sim.batch import build_batched_kernel
 from repro.opencl_sim.codegen import build_kernel
-from tests.conftest import make_input
+from repro.run import ExecutionRequest, execute
+from tests.conftest import make_input, run_kernel
 
 
 def config(wt=20, wd=2, et=5, ed=2) -> KernelConfiguration:
@@ -78,8 +79,8 @@ class TestBitIdentity:
         data = make_input(toy_low, toy_grid, rng)
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
-        tiled = kernel.execute(data, table, backend="tiled")
-        fast = kernel.execute(data, table, backend="vectorized")
+        tiled = run_kernel(kernel, data, table, backend="tiled")
+        fast = run_kernel(kernel, data, table, backend="vectorized")
         assert np.array_equal(tiled, fast)
         assert fast.dtype == np.float32
 
@@ -90,8 +91,8 @@ class TestBitIdentity:
             config(), toy_low.channels, 400, use_local_staging=False
         )
         assert np.array_equal(
-            kernel.execute(data, table, backend="tiled"),
-            kernel.execute(data, table, backend="vectorized"),
+            run_kernel(kernel, data, table, backend="tiled"),
+            run_kernel(kernel, data, table, backend="vectorized"),
         )
 
     @pytest.mark.parametrize("setup_fixture", ["toy_low", "toy_high"])
@@ -115,8 +116,8 @@ class TestBitIdentity:
         table = delay_table(setup, toy_grid.values)
         for cfg in sampled:
             kernel = build_kernel(cfg, setup.channels, setup.samples_per_batch)
-            tiled = kernel.execute(data, table, backend="tiled")
-            fast = kernel.execute(data, table, backend="vectorized")
+            tiled = run_kernel(kernel, data, table, backend="tiled")
+            fast = run_kernel(kernel, data, table, backend="vectorized")
             assert np.array_equal(tiled, fast), f"diverged at {cfg}"
 
     def test_single_work_group_case(self, toy_low, rng):
@@ -130,8 +131,8 @@ class TestBitIdentity:
         kernel = build_kernel(cfg, toy_low.channels, 400)
         assert kernel.ndrange(8).n_work_groups == 1
         assert np.array_equal(
-            kernel.execute(data, table, backend="tiled"),
-            kernel.execute(data, table, backend="vectorized"),
+            run_kernel(kernel, data, table, backend="tiled"),
+            run_kernel(kernel, data, table, backend="vectorized"),
         )
 
     def test_out_parameter_reused_and_identical(self, toy_low, toy_grid, rng):
@@ -139,9 +140,10 @@ class TestBitIdentity:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         out = np.full((toy_grid.n_dms, 400), 3.0, dtype=np.float32)
-        result = kernel.execute(data, table, out=out, backend="vectorized")
+        result = run_kernel(kernel, data, table, out=out, backend="vectorized")
         assert result is out
-        assert np.array_equal(out, kernel.execute(data, table, backend="tiled"))
+        tiled = run_kernel(kernel, data, table, backend="tiled")
+        assert np.array_equal(out, tiled)
 
 
 class TestBackendPlumbing:
@@ -175,10 +177,12 @@ class TestBackendPlumbing:
             samples=toy_low.samples_per_second,
         )
         data = make_input(toy_low, toy_grid, rng)
-        assert np.array_equal(
-            plan.execute(data, backend="tiled"),
-            plan.execute(data, backend="vectorized"),
-        )
+
+        def run(backend):
+            request = ExecutionRequest(data=data, plan=plan, backend=backend)
+            return execute(request).output
+
+        assert np.array_equal(run("tiled"), run("vectorized"))
 
     def test_env_var_reaches_kernel(self, toy_low, toy_grid, rng, monkeypatch):
         data = make_input(toy_low, toy_grid, rng)
@@ -186,7 +190,7 @@ class TestBackendPlumbing:
         kernel = build_kernel(config(), toy_low.channels, 400)
         monkeypatch.setenv(BACKEND_ENV_VAR, "tiled")
         with use_registry() as registry:
-            kernel.execute(data, table)
+            run_kernel(kernel, data, table)
             assert registry.counter(
                 "repro_kernel_launches_total", backend="tiled"
             ).value == 1
@@ -198,9 +202,9 @@ class TestKernelMetrics:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         with use_registry() as registry:
-            kernel.execute(data, table, backend="tiled")
-            kernel.execute(data, table, backend="vectorized")
-            kernel.execute(data, table, backend="vectorized")
+            run_kernel(kernel, data, table, backend="tiled")
+            run_kernel(kernel, data, table, backend="vectorized")
+            run_kernel(kernel, data, table, backend="vectorized")
             assert registry.counter(
                 "repro_kernel_launches_total", backend="tiled"
             ).value == 1

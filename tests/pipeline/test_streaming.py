@@ -1,15 +1,26 @@
-"""Unit tests for repro.pipeline.streaming."""
+"""Streaming dedispersion: a tuned plan driven over a chunked stream.
+
+The chunks go through the facade's streaming mode,
+``repro.run.execute(ExecutionRequest(plan=..., chunks=...))``; the chunk
+contract both chunked modes enforce is tested in
+``tests/run/test_chunk_contract.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import StreamChunk, Telescope
+from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
-from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
-from repro.pipeline.streaming import StreamingDedispersion
+from repro.run import ChunkResult, ExecutionRequest, execute
+from tests.conftest import run_plan
+
+
+def stream(plan, chunks) -> tuple:
+    """Per-chunk results of one streaming request."""
+    return execute(ExecutionRequest(plan=plan, chunks=chunks)).chunk_results
 
 
 @pytest.fixture
@@ -31,14 +42,12 @@ def telescope(toy_low):
 class TestProcess:
     def test_chunk_result_fields(self, plan, telescope, toy_grid):
         beam = telescope.add_beam()
-        chunk = next(iter(telescope.stream(beam, 1, toy_grid)))
-        stream = StreamingDedispersion(plan)
-        result = stream.process(chunk)
+        (result,) = stream(plan, telescope.stream(beam, 1, toy_grid))
+        assert isinstance(result, ChunkResult)
         assert result.beam_index == beam.index
         assert result.sequence == 0
         assert result.output.shape == (toy_grid.n_dms, plan.samples)
         assert result.simulated_seconds > 0
-        assert stream.processed == 1
 
     def test_streaming_equals_batch(self, plan, telescope, toy_grid, toy_low):
         # Concatenated chunk outputs must be bit-identical to dedispersing
@@ -48,9 +57,7 @@ class TestProcess:
         )
         n_chunks = 3
         chunks = list(telescope.stream(beam, n_chunks, toy_grid))
-        stream = StreamingDedispersion(plan)
-        outputs = [stream.process(c).output for c in chunks]
-        streamed = np.concatenate(outputs, axis=1)
+        streamed = execute(ExecutionRequest(plan=plan, chunks=chunks)).output
 
         # Rebuild the full observation from chunk payloads + final overlap.
         payload = np.concatenate(
@@ -63,38 +70,11 @@ class TestProcess:
         for i in range(n_chunks):
             start = i * plan.samples
             stop = start + plan.samples + chunks[0].overlap
-            batch_outputs.append(plan.execute(full[:, start:stop]))
+            batch_outputs.append(run_plan(plan, full[:, start:stop]))
         batch = np.concatenate(batch_outputs, axis=1)
         np.testing.assert_array_equal(streamed, batch)
 
     def test_process_stream_orders_results(self, plan, telescope, toy_grid):
         beam = telescope.add_beam()
-        results = StreamingDedispersion(plan).process_stream(
-            telescope.stream(beam, 4, toy_grid)
-        )
+        results = stream(plan, telescope.stream(beam, 4, toy_grid))
         assert [r.sequence for r in results] == [0, 1, 2, 3]
-
-
-class TestValidation:
-    def test_rejects_wrong_payload(self, plan, toy_low):
-        bad = StreamChunk(
-            beam_index=0,
-            sequence=0,
-            data=np.zeros((toy_low.channels, 300), dtype=np.float32),
-            samples=200,
-            overlap=100,
-        )
-        with pytest.raises(PipelineError, match="does not match"):
-            StreamingDedispersion(plan).process(bad)
-
-    def test_rejects_insufficient_overlap(self, plan, toy_low):
-        s = plan.samples
-        bad = StreamChunk(
-            beam_index=0,
-            sequence=0,
-            data=np.zeros((toy_low.channels, s + 1), dtype=np.float32),
-            samples=s,
-            overlap=1,
-        )
-        with pytest.raises(PipelineError, match="overlap"):
-            StreamingDedispersion(plan).process(bad)

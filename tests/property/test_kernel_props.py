@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import KernelConfiguration
 from repro.opencl_sim.codegen import build_kernel
+from tests.conftest import run_kernel
 
 
 @st.composite
@@ -69,7 +70,7 @@ class TestKernelEquivalence:
     def test_tiled_execution_matches_reference(self, problem):
         channels, samples, n_dms, config, delays, data = problem
         kernel = build_kernel(config, channels, samples)
-        out = kernel.execute(data, delays, backend="tiled")
+        out = run_kernel(kernel, data, delays, backend="tiled")
         expected = reference(data, delays, samples)
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
@@ -80,8 +81,8 @@ class TestKernelEquivalence:
         # allclose: both executors add the channels in the same order.
         channels, samples, n_dms, config, delays, data = problem
         kernel = build_kernel(config, channels, samples)
-        tiled = kernel.execute(data, delays, backend="tiled")
-        fast = kernel.execute(data, delays, backend="vectorized")
+        tiled = run_kernel(kernel, data, delays, backend="tiled")
+        fast = run_kernel(kernel, data, delays, backend="vectorized")
         np.testing.assert_array_equal(tiled, fast)
 
     @settings(max_examples=60, deadline=None)
@@ -96,7 +97,7 @@ class TestKernelEquivalence:
 
         channels, samples, n_dms, config, delays, data = problem
         kernel = build_kernel(config, channels, samples)
-        tiled = kernel.execute(data, delays, backend="tiled")
+        tiled = run_kernel(kernel, data, delays, backend="tiled")
         out = np.zeros((n_dms, samples), dtype=np.float32)
         accumulate_channel_tiles(data, delays, out, budget_bytes=budget)
         np.testing.assert_array_equal(tiled, out)
@@ -105,13 +106,14 @@ class TestKernelEquivalence:
     @given(problem=problems())
     def test_staged_equals_direct(self, problem):
         channels, samples, n_dms, config, delays, data = problem
-        staged = build_kernel(config, channels, samples).execute(
-            data, delays, backend="tiled"
-        )
+        staged = build_kernel(config, channels, samples)
         direct = build_kernel(
             config, channels, samples, use_local_staging=False
-        ).execute(data, delays, backend="tiled")
-        np.testing.assert_array_equal(staged, direct)
+        )
+        np.testing.assert_array_equal(
+            run_kernel(staged, data, delays, backend="tiled"),
+            run_kernel(direct, data, delays, backend="tiled"),
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(problem=problems(), scale=st.floats(min_value=0.1, max_value=8.0))
@@ -119,9 +121,9 @@ class TestKernelEquivalence:
         # Dedispersion is linear: kernel(a*x) == a*kernel(x).
         channels, samples, n_dms, config, delays, data = problem
         kernel = build_kernel(config, channels, samples)
-        base = kernel.execute(data, delays)
-        scaled = kernel.execute(
-            (data * np.float32(scale)).astype(np.float32), delays
+        base = run_kernel(kernel, data, delays)
+        scaled = run_kernel(
+            kernel, (data * np.float32(scale)).astype(np.float32), delays
         )
         np.testing.assert_allclose(
             scaled, base * np.float32(scale), rtol=1e-4, atol=1e-4

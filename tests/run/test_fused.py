@@ -7,7 +7,7 @@ from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
-from repro.errors import PipelineError, ValidationError
+from repro.errors import ValidationError
 from repro.hardware.catalog import hd7970
 from repro.obs import use_registry
 from repro.run import ExecutionRequest, MemoryAccount, execute
@@ -82,20 +82,6 @@ class TestRequestValidation:
             execute(
                 ExecutionRequest(plan=plan, chunks=(), detector=detector)
             )
-
-    def test_chunk_validation_matches_staged_pipeline(
-        self, plan, toy_low, toy_grid, detector
-    ):
-        chunk = make_chunks(toy_low, toy_grid)[0]
-        bad = type(chunk)(
-            beam_index=chunk.beam_index,
-            sequence=chunk.sequence,
-            data=chunk.data[:, : chunk.samples],
-            samples=chunk.samples,
-            overlap=0,
-        )
-        with pytest.raises(PipelineError, match="overlap"):
-            run_fused_chunk(plan, bad, detector)
 
 
 class TestDmTile:

@@ -265,7 +265,7 @@ class TestObservability:
 
 
 class TestNumericExecution:
-    """execute_numeric: the engine's own sharding produces real numbers."""
+    """The engine's own sharding produces real numbers via the facade."""
 
     def test_matches_unsharded_batched_launch(self, service, rng):
         import numpy as np
@@ -273,6 +273,7 @@ class TestNumericExecution:
         from repro.astro.dispersion import delay_table
         from repro.core.config import KernelConfiguration
         from repro.opencl_sim.batch import build_batched_kernel
+        from repro.run import ExecutionRequest, execute
 
         engine = make_engine(service, n_beams=2, duration_s=1.0)
         config = KernelConfiguration(
@@ -281,24 +282,26 @@ class TestNumericExecution:
         table = delay_table(SETUP, GRID.values)
         t = SETUP.samples_per_batch + int(table.max())
         batch = rng.normal(size=(2, SETUP.channels, t)).astype(np.float32)
-        stitched = engine.execute_numeric(batch, config)
+        def run(backend=None):
+            return execute(
+                ExecutionRequest(
+                    data=batch,
+                    config=config,
+                    delay_table=engine.delay_table(),
+                    shards=engine.shards_for_batch(0),
+                    backend=backend,
+                )
+            ).output
+
+        stitched = run()
         reference = build_batched_kernel(
             config, SETUP.channels, SETUP.samples_per_batch, 2
         ).execute(batch, table)
         assert np.array_equal(stitched, reference)
         # Both executors stitch to the same bits.
-        fast = engine.execute_numeric(batch, config, backend="vectorized")
-        assert np.array_equal(stitched, fast)
+        assert np.array_equal(stitched, run(backend="vectorized"))
 
-    def test_unknown_batch_rejected(self, service, rng):
-        import numpy as np
-
-        from repro.core.config import KernelConfiguration
-
+    def test_unknown_batch_rejected(self, service):
         engine = make_engine(service, n_beams=1, duration_s=1.0)
-        config = KernelConfiguration(
-            work_items_time=4, work_items_dm=2, elements_time=2, elements_dm=1
-        )
-        data = np.zeros((1, SETUP.channels, 10), dtype=np.float32)
         with pytest.raises(SchedulerError, match="no shards"):
-            engine.execute_numeric(data, config, batch=99)
+            engine.shards_for_batch(99)

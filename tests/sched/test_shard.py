@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 
 from repro.astro.dispersion import delay_table
+from repro.astro.dm_trials import DMTrialGrid
+from repro.astro.observation import apertif, lofar
 from repro.core.config import KernelConfiguration
 from repro.errors import ShardError, ValidationError
-from repro.opencl_sim.batch import build_batched_kernel, execute_sharded
+from repro.opencl_sim.batch import build_batched_kernel
+from repro.run import ExecutionRequest, execute
+from repro.scenarios import setup_by_key
 from repro.sched.shard import (
     Shard,
     dm_chunk_for_memory,
     shard_memory_bytes,
     shard_survey,
 )
+
+
+def run_sharded(config, batch, table, shards, **kwargs):
+    """Run one time batch shard by shard through the facade."""
+    request = ExecutionRequest(
+        data=batch, config=config, delay_table=table, shards=shards, **kwargs
+    )
+    return execute(request).output
 
 
 class TestShard:
@@ -42,9 +54,29 @@ class TestShardSizing:
     def test_memory_bytes_consistent_with_setup(self, toy_low, toy_grid):
         bytes_ = shard_memory_bytes(toy_low, toy_grid, 4, 400)
         expected = toy_low.input_bytes(
-            toy_grid.n_dms, toy_grid.step, samples=400
+            toy_grid.last, samples=400
         ) + toy_low.output_bytes(4, samples=400)
         assert bytes_ == expected
+
+    @pytest.mark.parametrize(
+        "setup,grid",
+        [
+            (apertif(), DMTrialGrid(256, first=100.0, step=0.25)),
+            (apertif(), DMTrialGrid(1, first=500.0)),
+            (lofar(), DMTrialGrid(64, first=0.01, step=0.01)),
+            (setup_by_key("high").setup, setup_by_key("high").grid),
+        ],
+        ids=["apertif-from-dm100", "apertif-one-trial", "lofar", "high"],
+    )
+    def test_input_covers_delay_at_highest_trial(self, setup, grid):
+        # Regression: the input was sized as if the grid started at DM 0
+        # and truncated the delay, so shards were packed too tightly.
+        samples = setup.samples_per_batch
+        input_part = shard_memory_bytes(
+            setup, grid, 1, samples
+        ) - setup.output_bytes(1, samples=samples)
+        max_delay = int(delay_table(setup, grid.values).max())
+        assert input_part == 4 * setup.channels * (samples + max_delay)
 
     def test_chunk_is_largest_fitting(self, toy_low, toy_grid):
         budget = shard_memory_bytes(
@@ -116,7 +148,7 @@ class TestShardedExecutionIsLossless:
         shards = shard_survey(
             toy_low, toy_grid, n_beams=3, duration_s=1.0, max_dms_per_shard=2
         )
-        stitched = execute_sharded(config, batch, table, shards)
+        stitched = run_sharded(config, batch, table, shards)
         assert np.array_equal(reference, stitched)
 
     def test_rejects_incomplete_cover(self, toy_low, toy_grid, rng):
@@ -130,7 +162,7 @@ class TestShardedExecutionIsLossless:
             toy_low, toy_grid, n_beams=1, duration_s=1.0, max_dms_per_shard=2
         )
         with pytest.raises(ValidationError, match="cover"):
-            execute_sharded(config, batch, table, shards[:-1])
+            run_sharded(config, batch, table, shards[:-1])
 
     def test_rejects_overlapping_shards(self, toy_low, toy_grid, rng):
         table = delay_table(toy_low, toy_grid.values)
@@ -143,13 +175,13 @@ class TestShardedExecutionIsLossless:
             toy_low, toy_grid, n_beams=1, duration_s=1.0, max_dms_per_shard=2
         )
         with pytest.raises(ValidationError, match="overlap"):
-            execute_sharded(config, batch, table, list(shards) + [shards[0]])
+            run_sharded(config, batch, table, list(shards) + [shards[0]])
 
     def test_rejects_negative_shard_coordinates(self, toy_low, toy_grid, rng):
         # Regression: a duck-typed shard with beam=-1 or dm_start=-2 used
         # to slice from the end of the arrays and double-cover rows
         # without tripping the coverage check (Shard itself rejects
-        # negatives, but execute_sharded must not rely on that).
+        # negatives, but sharded execution must not rely on that).
         import dataclasses
 
         table = delay_table(toy_low, toy_grid.values)
@@ -182,9 +214,9 @@ class TestShardedExecutionIsLossless:
             return [raw] + list(shards[1:])
 
         with pytest.raises(ValidationError, match="negative"):
-            execute_sharded(config, batch, table, with_raw(-1, 0))
+            run_sharded(config, batch, table, with_raw(-1, 0))
         with pytest.raises(ValidationError, match="negative"):
-            execute_sharded(config, batch, table, with_raw(0, -2))
+            run_sharded(config, batch, table, with_raw(0, -2))
 
     def test_backend_choice_stitches_identically(self, toy_low, toy_grid, rng):
         table = delay_table(toy_low, toy_grid.values)
@@ -196,8 +228,8 @@ class TestShardedExecutionIsLossless:
         shards = shard_survey(
             toy_low, toy_grid, n_beams=2, duration_s=1.0, max_dms_per_shard=2
         )
-        tiled = execute_sharded(config, batch, table, shards, backend="tiled")
-        fast = execute_sharded(
+        tiled = run_sharded(config, batch, table, shards, backend="tiled")
+        fast = run_sharded(
             config, batch, table, shards, backend="vectorized"
         )
         assert np.array_equal(tiled, fast)

@@ -1,71 +1,23 @@
 """ServiceClient: one entrypoint over single service and fleet.
 
-Pins the API-redesign acceptance criteria: ``resolve(TuneRequest)``
-returns answers identical to the legacy ``TuningService.get(...)``, the
-legacy path warns exactly once per process, and the same client code
-works unchanged against a :class:`TuningFleet`.
+Pins the API-redesign acceptance criterion that the same
+``resolve(TuneRequest)`` client code works unchanged against a single
+:class:`TuningService` and a :class:`TuningFleet`.
 """
-
-import warnings
 
 import pytest
 
-from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import apertif
 from repro.errors import PipelineError
-from repro.hardware.catalog import hd7970
 from repro.service import (
     ServiceClient,
     TuneRequest,
-    TuneResponse,
     TuningFleet,
     TuningService,
 )
-from repro.utils.deprecation import reset_deprecation_warning
-from tests.service.test_service import counting_factory
-
-DEVICE = hd7970()
 
 
 def request_32(**kwargs):
     return TuneRequest(setup="apertif", n_dms=32, device="HD7970", **kwargs)
-
-
-class TestResolveVersusLegacyGet:
-    def test_resolve_equals_get_and_shares_one_sweep(self):
-        calls = []
-        with TuningService(
-            tuner_factory=counting_factory(calls), warm_start=False
-        ) as service:
-            via_resolve = ServiceClient(service).resolve(request_32())
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                via_get = service.get(DEVICE, apertif(), DMTrialGrid(32))
-        assert len(calls) == 1  # the second path was a cache hit
-        assert via_resolve.key == via_get.key
-        assert via_resolve.best.config == via_get.best.config
-        assert via_resolve.best.gflops == via_get.best.gflops
-        assert not via_resolve.degraded and not via_get.degraded
-
-    def test_legacy_get_warns_exactly_once(self):
-        reset_deprecation_warning("TuningService.get")
-        with TuningService(warm_start=False, max_workers=1) as service:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                service.get(DEVICE, apertif(), DMTrialGrid(16))
-                service.get(DEVICE, apertif(), DMTrialGrid(16))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "resolve" in str(deprecations[0].message)
-
-    def test_legacy_get_returns_a_tune_response(self):
-        with TuningService(warm_start=False, max_workers=1) as service:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                response = service.get(DEVICE, apertif(), DMTrialGrid(16))
-        assert isinstance(response, TuneResponse)
 
 
 class TestClientSurface:

@@ -2,7 +2,7 @@
 
 Covers the PR's acceptance criteria directly:
 
-* a repeated ``get()`` for the same instance performs exactly one sweep
+* a repeated request for the same instance performs exactly one sweep
   (verified by a sweep-invocation counter), and
 * warm-start returns the same optimum as a cold full sweep on the
   Apertif and LOFAR reference instances,
@@ -22,9 +22,21 @@ from repro.astro.observation import apertif, lofar
 from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
-from repro.service import InstanceKey, TuningService
+from repro.service import (
+    InstanceKey,
+    ServiceClient,
+    TuneRequest,
+    TuningService,
+)
 
 DEVICE = hd7970()
+
+
+def resolve(service, n_dms):
+    """Resolve one Apertif request for ``DEVICE`` through a client."""
+    return ServiceClient(service).resolve(
+        TuneRequest(setup=apertif(), n_dms=n_dms, device=DEVICE)
+    )
 
 
 def counting_factory(calls: list):
@@ -72,7 +84,7 @@ class TestSingleSweepPerInstance:
             tuner_factory=counting_factory(calls), warm_start=False
         ) as service:
             responses = [
-                service.get(DEVICE, apertif(), 32) for _ in range(5)
+                resolve(service, 32) for _ in range(5)
             ]
         assert len(calls) == 1
         snap = service.snapshot()
@@ -84,8 +96,8 @@ class TestSingleSweepPerInstance:
 
     def test_int_and_grid_requests_share_one_entry(self):
         with TuningService() as service:
-            first = service.get(DEVICE, apertif(), 16)
-            second = service.get(DEVICE, apertif(), DMTrialGrid(16))
+            first = resolve(service, 16)
+            second = resolve(service, DMTrialGrid(16))
         assert second.source == "memory"
         assert first.best.config == second.best.config
 
@@ -123,7 +135,7 @@ class TestDeduplication:
             threads = [
                 threading.Thread(
                     target=lambda: results.append(
-                        service.get(DEVICE, apertif(), 32)
+                        resolve(service, 32)
                     )
                 )
                 for _ in range(n_clients)
@@ -149,9 +161,9 @@ class TestDeduplication:
 class TestDiskTier:
     def test_sweeps_survive_restart(self, tmp_path):
         with TuningService(store_dir=tmp_path) as first:
-            original = first.get(DEVICE, apertif(), 32)
+            original = resolve(first, 32)
         with TuningService(store_dir=tmp_path) as reborn:
-            revived = reborn.get(DEVICE, apertif(), 32)
+            revived = resolve(reborn, 32)
         assert revived.source == "disk"
         assert revived.best.config == original.best.config
         snap = reborn.snapshot()
@@ -161,13 +173,13 @@ class TestDiskTier:
     def test_stale_document_invalidated_and_reswept(self, tmp_path):
         key = InstanceKey.for_instance(DEVICE, apertif(), DMTrialGrid(16))
         with TuningService(store_dir=tmp_path) as first:
-            first.get(DEVICE, apertif(), 16)
+            resolve(first, 16)
             path = first.store.path_for(key)
         document = json.loads(path.read_text())
         document["samples"][0]["gflops"] *= 3.0  # simulate model drift
         path.write_text(json.dumps(document))
         with TuningService(store_dir=tmp_path) as reborn:
-            response = reborn.get(DEVICE, apertif(), 16)
+            response = resolve(reborn, 16)
         assert response.source == "sweep"
         snap = reborn.snapshot()
         assert snap.invalidations == 1
@@ -181,7 +193,7 @@ class TestDegradation:
             tuner_factory=gated_factory(started, release),
             timeout_s=0.05,
         ) as service:
-            degraded = service.get(DEVICE, apertif(), 32)
+            degraded = resolve(service, 32)
             assert degraded.degraded
             assert degraded.source == "degraded-timeout"
             # The heuristic answer is usable but never cached.
@@ -191,7 +203,7 @@ class TestDegradation:
             assert service.cache.get(key) is None
             release.set()
             assert wait_until(lambda: service.cache.get(key) is not None)
-            settled = service.get(DEVICE, apertif(), 32)
+            settled = resolve(service, 32)
         assert settled.source == "memory"
         assert not settled.degraded
         # Budgeted heuristic can at best tie the exhaustive optimum.
@@ -208,11 +220,11 @@ class TestDegradation:
             queue_limit=0,
         ) as service:
             blocker = threading.Thread(
-                target=lambda: service.get(DEVICE, apertif(), 32)
+                target=lambda: resolve(service, 32)
             )
             blocker.start()
             assert started.wait(timeout=10)
-            rejected = service.get(DEVICE, apertif(), 64)
+            rejected = resolve(service, 64)
             release.set()
             blocker.join(timeout=10)
         assert rejected.degraded
@@ -227,14 +239,14 @@ class TestDegradation:
         service = TuningService()
         service.close()
         with pytest.raises(PipelineError):
-            service.get(DEVICE, apertif(), 8)
+            resolve(service, 8)
 
 
 class TestSearchStrategies:
     def test_cold_miss_uses_configured_strategy(self):
         with TuningService(strategy="model-guided") as service:
-            response = service.get(DEVICE, apertif(), 32)
-            again = service.get(DEVICE, apertif(), 32)
+            response = resolve(service, 32)
+            again = resolve(service, 32)
         assert response.source == "strategy-model-guided"
         assert not response.degraded
         assert response.best.gflops > 0
@@ -248,16 +260,16 @@ class TestSearchStrategies:
 
     def test_strategy_matches_exhaustive_optimum_end_to_end(self):
         with TuningService() as exhaustive_service:
-            swept = exhaustive_service.get(DEVICE, apertif(), 64)
+            swept = resolve(exhaustive_service, 64)
         with TuningService(strategy="model-guided") as service:
-            guided = service.get(DEVICE, apertif(), 64)
+            guided = resolve(service, 64)
         assert guided.best.gflops >= swept.best.gflops - 1e-9
 
     def test_strategy_instance_accepted(self):
         from repro.tune import SuccessiveHalving
 
         with TuningService(strategy=SuccessiveHalving(seed=1)) as service:
-            response = service.get(DEVICE, apertif(), 32)
+            response = resolve(service, 32)
         assert response.source == "strategy-halving"
 
     def test_unknown_strategy_name_rejected(self):
@@ -273,7 +285,7 @@ class TestSearchStrategies:
             timeout_s=0.05,
             degraded_strategy="model-guided",
         ) as service:
-            degraded = service.get(DEVICE, apertif(), 32)
+            degraded = resolve(service, 32)
             release.set()
         assert degraded.degraded
         assert degraded.source == "degraded-timeout"
@@ -288,7 +300,7 @@ class TestSearchStrategies:
             tuner_factory=gated_factory(started, release),
             timeout_s=0.05,
         ) as service:
-            degraded = service.get(DEVICE, apertif(), 32)
+            degraded = resolve(service, 32)
             release.set()
         assert degraded.degraded
         snap = service.snapshot()
@@ -306,7 +318,7 @@ class TestConcurrencyStress:
             def client(client_id: int):
                 rng = random.Random(client_id)
                 return [
-                    service.get(DEVICE, apertif(), rng.choice(instances))
+                    resolve(service, rng.choice(instances))
                     for _ in range(n_requests)
                 ]
 

@@ -124,16 +124,22 @@ class TestService:
         assert "16 DMs" in out and "32 DMs" in out
         assert "tenant tenant0" in out and "tenant tenant1" in out
 
-    def test_legacy_client_flags_still_parse(self, capsys):
+    def test_single_tenant_single_request(self, capsys):
         code = main([
             "service",
             "--instances", "16",
-            "--clients", "1",
-            "--requests", "1",
+            "--tenants", "1",
+            "--load", "1",
             "--no-smoke",
         ])
         assert code == 0
         assert "sweeps executed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--clients", "--requests"])
+    def test_retired_flag_spellings_rejected(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["service", "--instances", "16", flag, "1", "--no-smoke"])
+        assert excinfo.value.code == 2
 
     def test_replicas_run_as_a_fleet(self, capsys):
         code = main([

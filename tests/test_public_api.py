@@ -1,9 +1,9 @@
 """The curated public surface of the ``repro`` package.
 
 Guards the API contract: everything in ``repro.__all__`` is importable
-without a warning, the deprecated top-level aliases warn exactly once
-(and still work), and the blessed observability/service entry points are
-the same objects as their home-module definitions.
+without a warning, the retired top-level aliases raise
+``AttributeError``, and the blessed observability/service entry points
+are the same objects as their home-module definitions.
 """
 
 import importlib
@@ -54,12 +54,25 @@ class TestCuratedAll:
         assert repro.percentile is percentile
         assert repro.TuningService is TuningService
 
-    def test_dir_covers_all_and_aliases(self):
+    def test_dir_covers_all(self):
         listing = dir(repro)
         for name in repro.__all__:
             assert name in listing
-        for name in repro._DEPRECATED_ALIASES:
-            assert name in listing
+
+
+#: Top-level aliases and helpers that used to resolve through a
+#: deprecation shim, as (module, attribute).
+RETIRED = (
+    ("repro", "CPUModel"),
+    ("repro", "SubbandPlan"),
+    ("repro", "best_fixed_configuration"),
+    ("repro", "dedisperse_reference"),
+    ("repro", "dedisperse_subband"),
+    ("repro", "generate_observation"),
+    ("repro", "hill_climb"),
+    ("repro", "random_search"),
+    ("repro.service.stats", "_percentile"),
+)
 
 
 class TestDeprecatedTopLevelAliases:
@@ -67,50 +80,20 @@ class TestDeprecatedTopLevelAliases:
         with pytest.raises(AttributeError, match="no attribute"):
             repro.definitely_not_a_thing
 
-    @pytest.mark.parametrize("name", sorted(repro._DEPRECATED_ALIASES))
-    def test_alias_resolves_to_home_definition(self, name):
-        module_name, attribute = repro._DEPRECATED_ALIASES[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_alias = getattr(repro, name)
-        home = importlib.import_module(module_name)
-        assert via_alias is getattr(home, attribute)
-
-    def test_alias_warns_once_then_stays_quiet(self):
-        repro._warned_aliases.discard("hill_climb")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.hill_climb
-            repro.hill_climb
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.core.heuristics" in str(deprecations[0].message)
+    @pytest.mark.parametrize(
+        "module_name,name", RETIRED, ids=[".".join(r) for r in RETIRED]
+    )
+    def test_retired_alias_raises(self, module_name, name):
+        module = importlib.import_module(module_name)
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
     def test_aliases_are_not_in_all(self):
-        assert not set(repro._DEPRECATED_ALIASES) & set(repro.__all__)
+        retired = {name for module, name in RETIRED if module == "repro"}
+        assert not retired & set(repro.__all__)
 
 
 class TestDeprecatedStatsPercentile:
-    def test_percentile_shim_warns_once_and_works(self):
-        from repro.service import stats
-
-        stats._warned.discard("_percentile")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            helper = stats._percentile
-            helper_again = stats._percentile
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.obs.percentile" in str(deprecations[0].message)
-        assert helper is helper_again is repro.percentile
-        assert helper([1.0, 2.0, 3.0], 0.5) == 2.0
-
     def test_stats_module_rejects_other_privates(self):
         from repro.service import stats
 

@@ -12,15 +12,17 @@ inconsistency the redesign removed.
 Two checks:
 
 * every pinned entrypoint (``PINNED``) carries exactly the agreed
-  parameter list, in order;
-* no ``execute``/``generate``/``add_to``-family function in the pinned
-  files reintroduces a banned alias (``ALIASES``) for one of the
-  agreed names.
+  parameter list, in order.  The pins are the facade's ``execute``,
+  the executor bodies it dispatches to, the :class:`SignalSource`
+  protocol and the tuning service's ``resolve`` entrypoints; a pinned
+  file or name that goes missing is an error;
+* no ``execute``/``generate``/``add_to``/``resolve``-family function in
+  the pinned files reintroduces a banned alias (``ALIASES``) for one
+  of the agreed names.
 
-The signal-source redesign (``repro.astro.source``) rides the same
-pin: every :class:`SignalSource` speaks
-``generate(setup, n_samples, streams)`` — seeding always flows through
-a :class:`~repro.utils.rng.RandomStreams`, never loose ``seed``/``rng``
+Every :class:`SignalSource` speaks ``generate(setup, n_samples,
+streams)``: seeding always flows through a
+:class:`~repro.utils.rng.RandomStreams`, never loose ``seed``/``rng``
 parameters.
 
 Run from the repository root (CI does)::
@@ -39,10 +41,11 @@ SRC = ROOT / "src"
 
 #: qualified name -> (file, exact parameter names, in order, sans self).
 PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
-    "DedispersionKernel.execute": (
-        "repro/opencl_sim/kernel.py",
-        ("input_data", "delay_table", "out", "backend"),
+    "execute": (
+        "repro/run/facade.py",
+        ("request",),
     ),
+    # The executor bodies the facade dispatches to.
     "DedispersionKernel._execute": (
         "repro/opencl_sim/kernel.py",
         ("input_data", "delay_table", "out", "backend"),
@@ -51,25 +54,9 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/opencl_sim/batch.py",
         ("input_data", "delay_table", "out", "backend"),
     ),
-    "execute_sharded": (
-        "repro/opencl_sim/batch.py",
-        ("config", "input_data", "delay_table", "shards", "out", "backend"),
-    ),
     "_execute_sharded": (
         "repro/opencl_sim/batch.py",
         ("config", "input_data", "delay_table", "shards", "out", "backend"),
-    ),
-    "ExecutionEngine.execute_numeric": (
-        "repro/sched/engine.py",
-        ("input_data", "config", "batch", "out", "backend"),
-    ),
-    "DedispersionPlan.execute": (
-        "repro/core/plan.py",
-        ("input_data", "out", "backend"),
-    ),
-    "execute": (
-        "repro/run/facade.py",
-        ("request",),
     ),
     "SignalSource.generate": (
         "repro/astro/source.py",
@@ -79,23 +66,8 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/astro/source.py",
         ("data", "setup", "streams"),
     ),
-    # The PR-8 deprecation shims: the legacy survey entrypoints keep
-    # their exact signatures while delegating to repro.survey.legacy.
-    "SurveyPipeline.run": (
-        "repro/pipeline/survey.py",
-        ("n_chunks",),
-    ),
-    "MultiBeamScheduler.execute": (
-        "repro/pipeline/multibeam.py",
-        ("n_beams", "duration_s"),
-    ),
-    # The PR-10 service API redesign: resolve(request) is the one
-    # blessed entrypoint at both scales; the legacy keyword get() is a
-    # warn-once shim frozen at exactly this surface.
-    "TuningService.get": (
-        "repro/service/service.py",
-        ("device", "setup", "grid", "timeout_s"),
-    ),
+    # resolve(request) is the one request entrypoint of the tuning
+    # service, at both scales.
     "TuningService.resolve": (
         "repro/service/service.py",
         ("request",),
