@@ -1,10 +1,10 @@
 """Fused dedisperse→detect execution of one stream chunk.
 
 The staged streaming path materialises each chunk's full ``(n_dms,
-samples)`` dedispersion plane, hands it to the detector, and lets the
-detector build its own float64 copy — three plane-scale arrays alive at
-once before a single S/N is computed.  At Apertif scale that working set
-is what decides whether a beam fits on a node, not arithmetic.
+samples)`` dedispersion plane and hands it to the detector, whose two
+float64 scratch buffers are plane-sized too — three plane-scale arrays
+alive at once.  At Apertif scale that working set is what decides
+whether a beam fits on a node, not arithmetic.
 
 This module fuses the two stages instead: the chunk is dedispersed one
 *DM-tile slab* at a time, and each freshly-computed slab is folded
@@ -165,25 +165,8 @@ def run_fused_chunk(
     )
 
 
-def staged_peak_bytes(n_dms: int, samples: int) -> int:
-    """The staged path's *modelled* plane-scale peak, for comparison.
-
-    float32 kernel plane + the detector's float64 plane, centred copy
-    and cumulative sum, plus one width's boxcar sums and S/N — the
-    arrays a staged chunk holds live simultaneously under the same
-    accounting rules the fused path meters.  ``bench_fused.py`` prints
-    the measured number; this closed form documents where it comes from.
-    """
-    f32 = 4 * n_dms * samples
-    f64 = 8 * n_dms * samples
-    csum = 8 * n_dms * (samples + 1)
-    per_width = 2 * 8 * n_dms * samples  # sums + snr (width-1 bound)
-    return f32 + f64 + f64 + csum + per_width
-
-
 __all__ = [
     "FusedChunkResult",
     "resolve_dm_tile",
     "run_fused_chunk",
-    "staged_peak_bytes",
 ]

@@ -58,16 +58,6 @@ class MemoryAccount:
             self.release(nbytes)
 
 
-@contextmanager
-def transient(account: MemoryAccount | None, nbytes: int):
-    """:meth:`MemoryAccount.transient`, tolerating ``account=None``."""
-    if account is None:
-        yield
-        return
-    with account.transient(nbytes):
-        yield
-
-
 def charge(account: MemoryAccount | None, array: np.ndarray) -> np.ndarray:
     """Charge ``array`` to ``account`` if one is given; returns it."""
     if account is not None:

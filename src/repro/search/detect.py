@@ -14,7 +14,19 @@ The numbers are the point, not just the speed: for any width,
 ``boxcar_snr_plane(plane, w)[i]`` equals
 ``repro.astro.snr.boxcar_snr(plane[i], w)`` exactly (same float64
 median/MAD normalisation, same cumulative-sum filter), so the detector
-inherits the scalar path's test oracle.
+inherits the scalar path's test oracle.  The work behind that contract
+is kept small:
+
+* The plane is never copied to float64.  Each row's median and MAD come
+  from one single-``kth`` partition each, and the median is selected on
+  the plane's own float32 values: widening to float64 is exact and
+  monotone, so it preserves order statistics.
+* The centred rows are written straight into the cumulative-sum buffer,
+  and one second buffer holds the absolute deviations and then every
+  width's boxcar sums and S/N.  Scratch is those two float64 buffers.
+* The width bank runs over row blocks of at most :data:`BLOCK_BYTES` of
+  cumulative sums, so each block is re-read from cache once per width
+  instead of from memory.
 
 Every per-row statistic here — median/MAD, the centred cumulative sum,
 the per-width S/N — depends on that row alone, so the plane can be
@@ -36,7 +48,7 @@ import numpy as np
 
 from repro.astro.candidates import Candidate
 from repro.errors import ValidationError
-from repro.run.peak import charge, release, transient
+from repro.run.peak import charge, release
 from repro.utils.intmath import powers_of_two
 from repro.utils.validation import require_positive
 
@@ -44,63 +56,83 @@ from repro.utils.validation import require_positive
 #: :func:`repro.astro.snr.best_boxcar_snr` scans for short series.
 DEFAULT_WIDTHS = (1, 2, 4, 8, 16, 32)
 
+#: Cumulative-sum bytes per row block of the width loop (at least one
+#: row).  A block is re-read once per width, so it should stay resident
+#: in a core's L2 cache.
+BLOCK_BYTES = 128 * 1024
 
-def _robust_stats_rows(
-    plane: np.ndarray, account=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row median / MAD ``(mean, sigma)``, row-vectorized.
 
-    Mirrors :func:`repro.astro.snr._robust_stats` exactly, including the
-    fallback chain for degenerate rows: MAD of zero falls back to the
-    row's standard deviation, and a zero standard deviation falls back
-    to 1.0 (so constant rows yield zero S/N instead of NaN).
+def _median_rows(values: np.ndarray) -> np.ndarray:
+    """Float64 row medians of ``values``, which is partitioned in place.
+
+    Equal to ``np.median(values.astype(np.float64), axis=1)`` bit for
+    bit, with one single-``kth`` partition per row instead of
+    ``np.median``'s two ``kth`` values plus a NaN sentinel (which fall
+    off NumPy's SIMD selection path).  For an even row the lower middle
+    value is the largest of the lower partition block.  ``np.median``
+    averages the middle values through a sum that starts at +0.0, which
+    turns a -0.0 median into +0.0; the same start keeps that sign.
     """
-    median = np.median(plane, axis=1, keepdims=True)
-    with transient(account, 2 * plane.nbytes):
-        # (plane - median) and its absolute value both live while the
-        # row medians of the deviations are taken.
-        mad = np.median(np.abs(plane - median), axis=1)
-    sigma = 1.4826 * mad
-    flat = mad <= 0
-    if flat.any():
-        std = np.std(plane[flat], axis=1)
-        std[std == 0.0] = 1.0
-        sigma[flat] = std
-    return median[:, 0], sigma
+    n = values.shape[1]
+    k = n // 2
+    values.partition(k, axis=1)
+    upper = values[:, k].astype(np.float64)
+    if n % 2:
+        return 0.0 + upper
+    lower = values[:, :k].max(axis=1).astype(np.float64)
+    return (0.0 + lower + upper) / 2
 
 
 def _centred_cumsum(
-    plane: np.ndarray, account=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-prefixed cumulative sum of the mean-centred rows, plus sigma.
+    slab: np.ndarray, account=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero-prefixed cumulative sum of the median-centred rows.
 
-    The robust statistics and the cumulative sum are width-independent,
-    so the detector computes them once and reuses them across the whole
-    boxcar bank — the dominant cost of the scalar path is exactly this
-    recomputation per width.  ``plane`` may be the full DM×time plane or
-    any DM-tile slab of it: every row is normalised against itself, so
-    the result is identical either way.
+    Returns ``(csum, scratch, sigma)``: ``csum`` is the float64
+    ``(rows, samples + 1)`` cumulative sum, ``scratch`` a float64
+    ``(rows, samples)`` buffer the caller may overwrite, and ``sigma``
+    the per-row noise.  Mirrors :func:`repro.astro.snr._robust_stats`
+    exactly, including the fallback chain for degenerate rows: MAD of
+    zero falls back to the row's standard deviation, and a zero standard
+    deviation falls back to 1.0 (so constant rows yield zero S/N
+    instead of NaN).  The two buffers are charged to ``account``; the
+    caller releases them.
     """
-    mean, sigma = _robust_stats_rows(plane, account)
-    centred = charge(account, plane - mean[:, None])
-    csum = charge(
-        account,
-        np.concatenate(
-            (np.zeros((plane.shape[0], 1)), np.cumsum(centred, axis=1)),
-            axis=1,
-        ),
-    )
-    release(account, centred)
-    return csum, sigma
+    rows, samples = slab.shape
+    csum = charge(account, np.empty((rows, samples + 1)))
+    scratch = charge(account, np.empty((rows, samples)))
+    # The slab belongs to the caller, so the median is selected on a
+    # copy held in the scratch buffer's memory.  Widening float32 to
+    # float64 keeps every order statistic, so float32 input is selected
+    # as float32, the faster partition.
+    if slab.dtype == np.float32:
+        values = scratch.view(np.float32)[:, :samples]
+    else:
+        values = scratch
+    np.copyto(values, slab)
+    median = _median_rows(values)
+    csum[:, 0] = 0.0
+    centred = csum[:, 1:]
+    np.subtract(slab, median[:, None], out=centred)
+    np.abs(centred, out=scratch)
+    mad = _median_rows(scratch)
+    np.cumsum(centred, axis=1, out=centred)
+    sigma = 1.4826 * mad
+    flat = mad <= 0
+    if flat.any():
+        std = np.std(np.asarray(slab[flat], dtype=np.float64), axis=1)
+        std[std == 0.0] = 1.0
+        sigma[flat] = std
+    return csum, scratch, sigma
 
 
-def _snr_from_cumsum(
-    csum: np.ndarray, sigma: np.ndarray, width: int, account=None
+def _boxcar_snr(
+    csum: np.ndarray, sigma: np.ndarray, width: int, out: np.ndarray
 ) -> np.ndarray:
-    """Boxcar S/N for one width from the precomputed cumulative sum."""
-    sums = charge(account, csum[:, width:] - csum[:, :-width])
-    snr = charge(account, sums / (sigma[:, None] * np.sqrt(width)))
-    release(account, sums)
+    """Boxcar S/N for one width from the cumulative sum, built in ``out``."""
+    snr = out[:, : csum.shape[1] - width]
+    np.subtract(csum[:, width:], csum[:, :-width], out=snr)
+    np.divide(snr, sigma[:, None] * np.sqrt(width), out=snr)
     return snr
 
 
@@ -110,16 +142,21 @@ def boxcar_snr_plane(dedispersed: np.ndarray, width: int) -> np.ndarray:
     ``dedispersed`` is the ``(n_dms, samples)`` output of the kernel;
     the result has shape ``(n_dms, samples - width + 1)`` and matches
     :func:`repro.astro.snr.boxcar_snr` applied row by row, bit for bit.
+    A row holding NaN is the one exception: the scalar path turns the
+    whole row into NaN, while this one may leave the offsets before the
+    first window that reaches the NaN finite.  ``np.argmax`` stops at
+    the first NaN, so the detector's best for such a row is
+    ``(-inf, 1, 0)`` on both paths.
     """
-    plane = np.asarray(dedispersed, dtype=np.float64)
+    plane = np.asarray(dedispersed)
     if plane.ndim != 2:
         raise ValidationError("dedispersed must be (n_dms, samples)")
     if width <= 0 or width > plane.shape[1]:
         raise ValidationError(
             f"width must be in [1, {plane.shape[1]}], got {width}"
         )
-    csum, sigma = _centred_cumsum(plane)
-    return _snr_from_cumsum(csum, sigma, width)
+    csum, scratch, sigma = _centred_cumsum(plane)
+    return _boxcar_snr(csum, sigma, width, scratch)
 
 
 @dataclass(frozen=True)
@@ -182,37 +219,48 @@ class MatchedFilterDetector:
         self, dedispersed: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-trial best ``(snr, width, offset)`` arrays over the bank."""
-        plane = np.asarray(dedispersed, dtype=np.float64)
+        plane = np.asarray(dedispersed)
         if plane.ndim != 2:
             raise ValidationError("dedispersed must be (n_dms, samples)")
         return self._best_of_slab(plane)
 
     def _best_of_slab(
-        self, plane: np.ndarray, account=None
+        self, slab: np.ndarray, account=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The bank's best per row of one float64 ``(rows, samples)`` slab.
+        """The bank's best per row of one ``(rows, samples)`` slab.
 
         Row statistics are row-local, so running this over DM-tile
         slabs and concatenating gives bit-identical results to one
-        whole-plane call — the property the fused path rests on.
+        whole-plane call — the property the fused path rests on.  The
+        width loop runs over row blocks of at most :data:`BLOCK_BYTES`
+        of cumulative sums, and every width of a block builds its S/N
+        in the same rows of the scratch buffer.
         """
-        n_rows, samples = plane.shape
+        n_rows, samples = slab.shape
         self._check_bank(samples)
+        widths = [width for width in self.widths if width <= samples]
         best_snr = np.full(n_rows, -np.inf)
         best_width = np.ones(n_rows, dtype=np.int64)
         best_offset = np.zeros(n_rows, dtype=np.int64)
-        csum, sigma = _centred_cumsum(plane, account)
-        for width in self.widths:
-            if width > samples:
-                continue
-            snr = _snr_from_cumsum(csum, sigma, width, account)
-            offsets = np.argmax(snr, axis=1)
-            peaks = snr[np.arange(n_rows), offsets]
-            release(account, snr)
-            better = peaks > best_snr
-            best_snr[better] = peaks[better]
-            best_width[better] = width
-            best_offset[better] = offsets[better]
+        csum, scratch, sigma = _centred_cumsum(slab, account)
+        step = max(1, BLOCK_BYTES // (csum.itemsize * csum.shape[1]))
+        for r0 in range(0, n_rows, step):
+            block = slice(r0, r0 + step)
+            block_snr = best_snr[block]
+            block_width = best_width[block]
+            block_offset = best_offset[block]
+            rows = np.arange(block_snr.size)
+            for width in widths:
+                snr = _boxcar_snr(
+                    csum[block], sigma[block], width, scratch[block]
+                )
+                offsets = np.argmax(snr, axis=1)
+                peaks = snr[rows, offsets]
+                better = peaks > block_snr
+                block_snr[better] = peaks[better]
+                block_width[better] = width
+                block_offset[better] = offsets[better]
+        release(account, scratch)
         release(account, csum)
         return best_snr, best_width, best_offset
 
@@ -255,23 +303,20 @@ class MatchedFilterDetector:
         ``beam`` labels every candidate with its telescope beam so
         multi-beam consumers keep provenance through sifting.
 
-        The input is converted to float64 exactly once; every
-        downstream stage works on that one plane (the pre-facade
-        spelling converted a second time inside
-        :meth:`best_per_trial`, doubling the peak working set for
-        float32 kernel output).  ``account``, when given, meters the
-        detection working set (see :mod:`repro.run.peak`).
+        The plane is read in its own dtype and never copied to float64:
+        float32 kernel output is widened only where a statistic or sum
+        needs it, into the detector's two float64 scratch buffers.
+        ``account``, when given, meters those buffers (see
+        :mod:`repro.run.peak`); the plane itself belongs to the caller,
+        who charges it.
         """
-        plane = charge(
-            account, np.asarray(dedispersed, dtype=np.float64)
-        )
+        plane = np.asarray(dedispersed)
         if plane.ndim != 2 or plane.shape[0] != len(dms):
             raise ValidationError(
                 "dedispersed must be (n_dms, samples) with one row per "
                 "trial DM"
             )
         snrs, widths, offsets = self._best_of_slab(plane, account)
-        release(account, plane)
         return self._candidates(
             snrs, widths, offsets, dms, time_offset, beam
         )
@@ -287,29 +332,40 @@ class MatchedFilterDetector:
         """:meth:`detect`, fed DM-tile slabs instead of a whole plane.
 
         ``slabs`` yields consecutive ``(rows_i, samples)`` arrays
-        covering the trial axis in order (``sum(rows_i) == len(dms)``).
-        Each slab is converted to float64, folded through the bank, and
-        dropped before the next one is requested, so the peak working
-        set is one slab's — not the plane's.  The candidate list is
-        bit-identical to a whole-plane :meth:`detect` because every
-        per-row statistic is row-local.
+        covering the trial axis in order (``sum(rows_i) == len(dms)``),
+        all with the same ``samples``.  Each slab is folded through the
+        bank in its own dtype and dropped before the next one is
+        requested, so the peak working set is one slab's — not the
+        plane's.  The candidate list is bit-identical to a whole-plane
+        :meth:`detect` because every per-row statistic is row-local; an
+        empty grid fed no slabs detects nothing, as :meth:`detect` does
+        on a 0-row plane.
         """
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         rows_seen = 0
+        samples = None
         for slab in slabs:
-            plane = charge(account, np.asarray(slab, dtype=np.float64))
+            plane = np.asarray(slab)
             if plane.ndim != 2:
                 raise ValidationError(
                     "every slab must be 2-D (rows, samples)"
                 )
+            if samples is None:
+                samples = plane.shape[1]
+            elif plane.shape[1] != samples:
+                raise ValidationError(
+                    f"slab {len(parts)} has {plane.shape[1]} samples; "
+                    f"the slabs before it had {samples}"
+                )
             parts.append(self._best_of_slab(plane, account))
             rows_seen += plane.shape[0]
-            release(account, plane)
         if rows_seen != len(dms):
             raise ValidationError(
                 f"slabs covered {rows_seen} trial rows; the DM grid has "
                 f"{len(dms)}"
             )
+        if not parts:
+            return []
         snrs = np.concatenate([p[0] for p in parts])
         widths = np.concatenate([p[1] for p in parts])
         offsets = np.concatenate([p[2] for p in parts])

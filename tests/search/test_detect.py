@@ -6,22 +6,104 @@ import pytest
 from repro.astro.snr import best_boxcar_snr, boxcar_snr
 from repro.errors import ValidationError
 from repro.search import DEFAULT_WIDTHS, MatchedFilterDetector, boxcar_snr_plane
+from repro.search.detect import BLOCK_BYTES
 from repro.utils.intmath import powers_of_two
 
 
-@pytest.fixture
-def plane(rng):
-    plane = rng.normal(size=(6, 256)).astype(np.float32)
+def pulse_plane(rng, dtype=np.float32, samples=256):
+    plane = rng.normal(size=(6, samples)).astype(dtype)
     # One clean injected pulse: 8 samples of amplitude 10 in row 3.
     plane[3, 100:108] += 10.0
     return plane
 
 
+@pytest.fixture
+def plane(rng):
+    return pulse_plane(rng)
+
+
+def _ties(rng):
+    # Small integers: equal samples, equal medians and equal S/N values.
+    return rng.integers(-3, 4, size=(6, 256)).astype(np.float32)
+
+
+def _zero_mad(rng):
+    # More than half of every row is one value, so the MAD is zero and
+    # sigma falls back to the row's standard deviation.
+    plane = np.zeros((6, 256), dtype=np.float32)
+    for row in plane:
+        row[rng.choice(256, size=20, replace=False)] = rng.normal(size=20)
+    return plane
+
+
+def _constant(rng):
+    # MAD and standard deviation both zero: sigma falls back to 1.0.
+    return np.repeat(
+        np.array([[0.0], [-0.0], [1.5], [-2.0]], dtype=np.float32), 256, 1
+    )
+
+
+def _infinite(rng):
+    plane = rng.normal(size=(6, 256))
+    plane[0, 50] = np.inf
+    plane[1, 0] = -np.inf
+    plane[2, -1] = np.inf
+    plane[3, [10, 200]] = (np.inf, -np.inf)
+    plane[4, :200] = np.inf
+    return plane
+
+
+def _nan(rng):
+    plane = rng.normal(size=(5, 256)).astype(np.float32)
+    plane[0, 100] = np.nan
+    plane[1, 0] = np.nan
+    plane[2, -1] = np.nan
+    plane[3, :200] = np.nan
+    return plane
+
+
+def _tall(rng):
+    # Enough rows for the detector's width loop to span three row blocks.
+    rows_per_block = BLOCK_BYTES // (8 * 257)
+    return rng.normal(size=(2 * rows_per_block + 3, 256)).astype(np.float32)
+
+
+#: Planes for the scalar-parity tests, one per corner of the robust
+#: statistics the vectorized path must reproduce bit for bit.
+PARITY_PLANES = {
+    "pulse": pulse_plane,
+    "float32-odd": lambda rng: pulse_plane(rng, np.float32, 255),
+    "float64-even": lambda rng: pulse_plane(rng, np.float64),
+    "float64-odd": lambda rng: pulse_plane(rng, np.float64, 257),
+    "ties": _ties,
+    "zero-mad": _zero_mad,
+    "constant": _constant,
+    "inf": _infinite,
+    "nan": _nan,
+    "tall": _tall,
+}
+
+#: ``(kind, width)`` cases of the plane-level parity test.  NaN rows are
+#: left out: ``boxcar_snr_plane`` may leave the offsets before the NaN
+#: finite where the scalar path gives NaN (see its docstring).  The
+#: pulse plane's cases keep width-only ids, so their names stay stable.
+PLANE_PARITY_CASES = [
+    pytest.param(
+        kind, width, id=str(width) if kind == "pulse" else f"{kind}-{width}"
+    )
+    for kind in PARITY_PLANES
+    if kind != "nan"
+    for width in DEFAULT_WIDTHS
+]
+
+
 class TestPlaneParity:
     """The whole-plane filter matches the scalar oracle bit for bit."""
 
-    @pytest.mark.parametrize("width", DEFAULT_WIDTHS)
-    def test_rows_match_scalar_boxcar(self, plane, width):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind, width", PLANE_PARITY_CASES)
+    def test_rows_match_scalar_boxcar(self, rng, kind, width):
+        plane = PARITY_PLANES[kind](rng)
         vector = boxcar_snr_plane(plane, width)
         for row in range(plane.shape[0]):
             np.testing.assert_array_equal(
@@ -86,14 +168,23 @@ class TestDetection:
         assert len(found) <= 6
         assert len({c.dm_index for c in found}) == len(found)
 
-    def test_agrees_with_scalar_best_boxcar(self, plane):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", PARITY_PLANES)
+    def test_agrees_with_scalar_best_boxcar(self, rng, kind):
+        plane = PARITY_PLANES[kind](rng)
         detector = MatchedFilterDetector.for_samples(plane.shape[1])
         snrs, widths, offsets = detector.best_per_trial(plane)
         for row in range(plane.shape[0]):
             snr, width, offset = best_boxcar_snr(plane[row])
             assert snrs[row] == pytest.approx(snr)
+            assert snrs[row] == snr
             assert widths[row] == width
             assert offsets[row] == offset
+        if kind == "nan":
+            # Every row holding a NaN reports no detection.
+            assert snrs[:4].tolist() == [-np.inf] * 4
+            assert widths[:4].tolist() == [1] * 4
+            assert offsets[:4].tolist() == [0] * 4
 
     def test_time_offset_shifts_reports(self, plane):
         detector = MatchedFilterDetector(snr_threshold=6.0)
@@ -196,6 +287,19 @@ class TestSlabDetection:
         dms = np.arange(plane.shape[0], dtype=np.float64)
         with pytest.raises(ValidationError, match="covered"):
             detector.detect_slabs((plane[0:2],), dms)
+
+    def test_empty_grid_without_slabs_detects_nothing(self, plane):
+        detector = MatchedFilterDetector()
+        no_dms = np.arange(0, dtype=np.float64)
+        assert detector.detect(plane[:0], no_dms) == []
+        assert detector.detect_slabs((), no_dms) == []
+
+    def test_slabs_must_share_sample_count(self, plane, rng):
+        detector = MatchedFilterDetector()
+        dms = np.arange(4, dtype=np.float64)
+        other = rng.normal(size=(2, 200)).astype(np.float32)
+        with pytest.raises(ValidationError, match="200 samples.*256"):
+            detector.detect_slabs((plane[0:2], other), dms)
 
     def test_slab_peak_below_whole_plane_peak(self, plane):
         from repro.run.peak import MemoryAccount
