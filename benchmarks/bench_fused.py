@@ -13,9 +13,8 @@ the three numbers that justify it, per setup and per kernel backend:
   chunks; fused must be no slower than staged beyond a small tolerance
   (it does the same arithmetic, just tiled).
 * **candidate parity** — accepted/vetoed candidate lists must be
-  bit-identical across fused/staged *and* across the
-  tiled/vectorized/channel_tile executors; any divergence fails the
-  run.
+  bit-identical across fused/staged *and* across the tiled/vectorized
+  executors; any divergence fails the run.
 
 ::
 
@@ -58,7 +57,7 @@ SMOKE_SCALES = [
 ]
 
 #: Every kernel executor must produce the same candidates either way.
-BACKENDS = ("tiled", "vectorized", "channel_tile")
+BACKENDS = ("tiled", "vectorized")
 
 #: Fused may not be slower than staged by more than this factor (same
 #: arithmetic, tiled differently; the slack absorbs timer noise).

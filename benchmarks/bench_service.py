@@ -1,23 +1,23 @@
-"""Benchmark the multi-tenant tuning fleet under closed-loop load.
+"""Benchmark the multi-tenant tuning service under closed-loop load.
 
 A seeded closed-loop load generator (each tenant thread issues its next
-request as soon as the previous answer lands) drives a
-:class:`repro.service.TuningFleet` at 1, 2, and 4 replicas over a fixed
-instance mix, recording:
+request as soon as the previous answer lands) drives one
+:class:`repro.service.TuningService` over a fixed instance mix,
+recording:
 
-* **latency** — client-observed p50/p95/p99 per replica count;
+* **latency** — client-observed p50/p95/p99;
 * **saturation throughput** — completed requests per wall-clock second
   of the closed loop;
-* **cache-hit and coalesce ratios** — how much of the load never reached
-  a sweep;
-* **warm sharing** — an instance tuned once via its routed replica must
-  be a cache hit from *every other* replica of a store-sharing fleet;
+* **sweeps and cache-hit ratio** — how much of the load never reached
+  a sweep (every instance must be swept exactly once);
+* **restart from the store** — a fresh service on the same sweep store
+  must answer an instance from disk, without re-sweeping;
 * **fairness** — an aggressor tenant blowing through its token bucket
   must degrade only itself: every victim answer stays authoritative.
 
-The acceptance claims asserted in ``BENCH_service.json``: warm sharing
-holds on every replica, the aggressor is throttled while no victim is,
-and every closed-loop request is answered.
+The acceptance claims asserted in ``BENCH_service.json``: one sweep per
+instance, the restarted service answers from disk, the aggressor is
+throttled while no victim is, and every closed-loop request is answered.
 
 ::
 
@@ -36,14 +36,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.obs import MetricsRegistry, percentile
-from repro.service import TenantAdmission, TuneRequest, TuningFleet
+from repro.service import TenantAdmission, TuneRequest, TuningService
 from repro.utils.rng import RandomStreams
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_service.json"
-
-#: Replica counts the scaling sweep records (fixed by the acceptance
-#: criteria: 1, 2, and 4).
-REPLICA_COUNTS = (1, 2, 4)
 
 FULL = {"tenants": 8, "load": 12, "n_dms": (32, 64, 128, 256)}
 SMOKE = {"tenants": 3, "load": 4, "n_dms": (16, 32)}
@@ -55,7 +51,7 @@ AGGRESSOR_LOAD = 40
 VICTIM_LOAD = 5
 
 
-def tenant_loop(fleet, tenant, load, n_dms_mix, seed):
+def tenant_loop(service, tenant, load, n_dms_mix, seed):
     """One closed-loop tenant; returns its per-request latencies."""
     rng = RandomStreams(seed).python(f"load-{tenant}")
     latencies = []
@@ -67,24 +63,21 @@ def tenant_loop(fleet, tenant, load, n_dms_mix, seed):
             tenant=tenant,
         )
         started = time.perf_counter()
-        fleet.resolve(request)
+        service.resolve(request)
         latencies.append(time.perf_counter() - started)
     return latencies
 
 
-def run_closed_loop(replicas, tenants, load, n_dms_mix, store_dir):
-    """Drive one fleet to saturation; return the scaling-row dict."""
-    with TuningFleet(
-        replicas=replicas,
-        store_dir=store_dir,
-        registry=MetricsRegistry(),
-        max_workers=2,
-    ) as fleet:
+def run_closed_loop(tenants, load, n_dms_mix, store_dir):
+    """Drive one service to saturation; return the closed-loop row."""
+    with TuningService(
+        store_dir=store_dir, registry=MetricsRegistry(), max_workers=2
+    ) as service:
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=tenants) as pool:
             futures = [
                 pool.submit(
-                    tenant_loop, fleet, f"tenant{i}", load, n_dms_mix, i
+                    tenant_loop, service, f"tenant{i}", load, n_dms_mix, i
                 )
                 for i in range(tenants)
             ]
@@ -92,47 +85,47 @@ def run_closed_loop(replicas, tenants, load, n_dms_mix, store_dir):
                 lat for future in futures for lat in future.result()
             )
         elapsed = time.perf_counter() - started
-        snap = fleet.snapshot()
+        snap = service.snapshot()
     total = tenants * load
     return {
-        "replicas": replicas,
         "requests": total,
         "wall_s": round(elapsed, 4),
         "throughput_rps": round(total / elapsed, 2),
         "p50_latency_ms": round(1e3 * percentile(latencies, 0.50), 3),
         "p95_latency_ms": round(1e3 * percentile(latencies, 0.95), 3),
         "p99_latency_ms": round(1e3 * percentile(latencies, 0.99), 3),
-        "sweeps": snap.aggregate.sweeps,
-        "cache_hit_ratio": round(snap.aggregate.hit_rate, 4),
-        "coalesce_ratio": round(snap.coalesce_ratio, 4),
-        "all_answered": bool(snap.requests == total),
+        "sweeps": snap.sweeps,
+        "one_sweep_per_instance": bool(snap.sweeps == len(n_dms_mix)),
+        "cache_hit_ratio": round(snap.hit_rate, 4),
+        "all_answered": bool(
+            len(latencies) == total and snap.requests == total
+        ),
     }
 
 
-def run_warm_sharing(n_dms, store_dir):
-    """Tune once via the routed replica; read from every other one."""
-    with TuningFleet(
-        replicas=4, store_dir=store_dir, registry=MetricsRegistry()
-    ) as fleet:
-        request = TuneRequest(
-            setup="apertif", n_dms=n_dms, device="HD7970", tenant="seeder"
-        )
-        routed = fleet.resolve(request)
-        others = {}
-        for name in fleet.replica_names():
-            if name == routed.replica:
-                continue
-            others[name] = fleet.replica(name).resolve(request).source
-        sweeps = fleet.snapshot().aggregate.sweeps
+def run_restart(n_dms, store_dir):
+    """Tune once, then ask a fresh service on the same store."""
+    request = TuneRequest(
+        setup="apertif", n_dms=n_dms, device="HD7970", tenant="seeder"
+    )
+    with TuningService(
+        store_dir=store_dir, registry=MetricsRegistry()
+    ) as first:
+        tuned = first.resolve(request)
+    with TuningService(
+        store_dir=store_dir, registry=MetricsRegistry()
+    ) as reborn:
+        revived = reborn.resolve(request)
+        sweeps = reborn.snapshot().sweeps
     return {
         "n_dms": n_dms,
-        "tuned_by": routed.replica,
-        "first_source": routed.source,
-        "other_replica_sources": others,
-        "sweeps": sweeps,
-        "all_hits": bool(
-            sweeps == 1
-            and all(source == "disk" for source in others.values())
+        "first_source": tuned.source,
+        "restart_source": revived.source,
+        "restart_sweeps": sweeps,
+        "from_disk": bool(
+            revived.source == "disk"
+            and sweeps == 0
+            and revived.best.config == tuned.best.config
         ),
     }
 
@@ -140,20 +133,16 @@ def run_warm_sharing(n_dms, store_dir):
 def run_fairness(n_dms_mix):
     """Aggressor vs victims under one shared token-bucket policy."""
     admission = TenantAdmission(capacity=FAIRNESS_BUCKET, refill_per_s=1.0)
-    with TuningFleet(
-        replicas=2, admission=admission, registry=MetricsRegistry()
-    ) as fleet:
+    with TuningService(
+        admission=admission, registry=MetricsRegistry()
+    ) as service:
         # Warm the mix so the scenario measures admission, not sweeps.
-        fleet.warm_up(
-            "HD7970", "apertif", [TuneRequest(
-                setup="apertif", n_dms=n, device="HD7970"
-            ).resolved_grid() for n in n_dms_mix],
-        )
+        service.warm_up("HD7970", "apertif", n_dms_mix)
 
         def loop(tenant, load, seed):
             rng = RandomStreams(seed).python("mix")
             return [
-                fleet.resolve(TuneRequest(
+                service.resolve(TuneRequest(
                     setup="apertif", n_dms=rng.choice(n_dms_mix),
                     device="HD7970", tenant=tenant,
                 ))
@@ -170,7 +159,11 @@ def run_fairness(n_dms_mix):
             victim_responses = [
                 r for future in victims for r in future.result()
             ]
-        snap = fleet.snapshot()
+    throttled_by_tenant: dict[str, int] = {}
+    for response in aggressor_responses + victim_responses:
+        throttled_by_tenant[response.tenant] = throttled_by_tenant.get(
+            response.tenant, 0
+        ) + (response.source == "degraded-admission")
     aggressor_degraded = sum(r.degraded for r in aggressor_responses)
     victim_degraded = sum(r.degraded for r in victim_responses)
     return {
@@ -179,10 +172,7 @@ def run_fairness(n_dms_mix):
         "victim_requests": len(victim_responses),
         "aggressor_degraded": aggressor_degraded,
         "victim_degraded": victim_degraded,
-        "throttled_by_tenant": {
-            tenant: usage.rejected
-            for tenant, usage in snap.tenants.items()
-        },
+        "throttled_by_tenant": dict(sorted(throttled_by_tenant.items())),
         "isolated": bool(aggressor_degraded > 0 and victim_degraded == 0),
     }
 
@@ -203,26 +193,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     profile = SMOKE if args.smoke else FULL
 
-    # Each replica count gets a fresh store: the sweep compares cold
-    # fleets, not one fleet inheriting another's disk tier.
-    scaling = []
-    for replicas in REPLICA_COUNTS:
-        with tempfile.TemporaryDirectory(prefix="bench-fleet-") as store:
-            scaling.append(run_closed_loop(
-                replicas, profile["tenants"], profile["load"],
-                profile["n_dms"], store,
-            ))
-
-    with tempfile.TemporaryDirectory(prefix="bench-warm-") as store:
-        warm_sharing = run_warm_sharing(max(profile["n_dms"]), store)
+    with tempfile.TemporaryDirectory(prefix="bench-service-") as store:
+        closed_loop = run_closed_loop(
+            profile["tenants"], profile["load"], profile["n_dms"], store
+        )
+    with tempfile.TemporaryDirectory(prefix="bench-restart-") as store:
+        restart = run_restart(max(profile["n_dms"]), store)
     fairness = run_fairness(profile["n_dms"])
 
     acceptance = {
-        "warm_sharing_ok": warm_sharing["all_hits"],
+        "one_sweep_per_instance_ok": closed_loop["one_sweep_per_instance"],
+        "restart_from_store_ok": restart["from_disk"],
         "fairness_ok": fairness["isolated"],
-        "all_answered_ok": bool(
-            all(row["all_answered"] for row in scaling)
-        ),
+        "all_answered_ok": closed_loop["all_answered"],
     }
     acceptance["passed"] = bool(all(acceptance.values()))
     report = {
@@ -233,14 +216,14 @@ def main(argv=None) -> int:
             "requests_per_tenant": profile["load"],
             "n_dms_mix": list(profile["n_dms"]),
         },
-        "scaling": scaling,
-        "warm_sharing": warm_sharing,
+        "closed_loop": closed_loop,
+        "restart": restart,
         "fairness": fairness,
         "acceptance": acceptance,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(
-        {k: report[k] for k in ("scaling", "warm_sharing", "fairness",
+        {k: report[k] for k in ("closed_loop", "restart", "fairness",
                                 "acceptance")},
         indent=2,
     ))

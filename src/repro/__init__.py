@@ -114,13 +114,11 @@ from repro.tune import (
 )
 from repro.service import (
     TuningService,
-    TuningFleet,
     ServiceClient,
     ServiceResponse,
     TuneRequest,
     TuneResponse,
     TenantAdmission,
-    FleetSnapshot,
     ServiceStats,
     StatsSnapshot,
 )
@@ -262,13 +260,11 @@ __all__ = [
     "AblationReport",
     # serving layer
     "TuningService",
-    "TuningFleet",
     "ServiceClient",
     "ServiceResponse",
     "TuneRequest",
     "TuneResponse",
     "TenantAdmission",
-    "FleetSnapshot",
     "ServiceStats",
     "StatsSnapshot",
     # execution engine

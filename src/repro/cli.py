@@ -245,14 +245,13 @@ def _cmd_ddplan(args: argparse.Namespace) -> int:
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
-    import tempfile
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.service import (
         ServiceClient,
         TenantAdmission,
         TuneRequest,
-        TuningFleet,
+        TuningService,
     )
     from repro.utils.rng import RandomStreams
 
@@ -271,10 +270,10 @@ def _cmd_service(args: argparse.Namespace) -> int:
             ) from None
     if not instances:
         raise ReproError("no instances given (use --instances N,N,...)")
-    if args.replicas < 1:
-        raise ReproError("--replicas must be >= 1")
     if args.tenants < 1:
         raise ReproError("--tenants must be >= 1")
+    if args.load < 1:
+        raise ReproError("--load must be >= 1")
 
     admission = None
     if args.admission_rate is not None:
@@ -282,77 +281,70 @@ def _cmd_service(args: argparse.Namespace) -> int:
             capacity=args.admission_burst, refill_per_s=args.admission_rate
         )
 
-    store_ctx = None
-    store_dir = args.store or None
-    if store_dir is None and args.replicas > 1:
-        # Warm sharing needs the shared disk tier; give the run one.
-        store_ctx = tempfile.TemporaryDirectory(prefix="repro-fleet-")
-        store_dir = store_ctx.name
-        print(f"(sharing sweeps across replicas via {store_dir})")
-
-    fleet = TuningFleet(
-        replicas=args.replicas,
-        store_dir=store_dir,
+    with TuningService(
+        store_dir=args.store or None,
         admission=admission,
         max_workers=args.workers,
         timeout_s=args.timeout,
-    )
-    try:
-        with fleet:
-            if args.warm_up:
-                for response in fleet.warm_up(device, setup, instances):
-                    print(f"warm-up  {response.describe()}")
+    ) as service:
+        if args.warm_up:
+            for response in service.warm_up(device, setup, instances):
+                print(f"warm-up  {response.describe()}")
 
-            def tenant_worker(tenant_id: int) -> list:
-                client = ServiceClient(fleet, tenant=f"tenant{tenant_id}")
-                streams = RandomStreams(seed=tenant_id)
-                wanted = instances * args.load
-                streams.python("order").shuffle(wanted)
-                return [
-                    client.resolve(
-                        TuneRequest(
-                            setup=setup,
-                            n_dms=n,
-                            device=device,
-                            priority=args.priority,
-                            strategy=args.strategy or None,
-                        )
+        def tenant_worker(tenant_id: int) -> list:
+            client = ServiceClient(service, tenant=f"tenant{tenant_id}")
+            streams = RandomStreams(seed=tenant_id)
+            wanted = instances * args.load
+            streams.python("order").shuffle(wanted)
+            return [
+                client.resolve(
+                    TuneRequest(
+                        setup=setup,
+                        n_dms=n,
+                        device=device,
+                        priority=args.priority,
+                        strategy=args.strategy or None,
                     )
-                    for n in wanted
-                ]
+                )
+                for n in wanted
+            ]
 
-            with ThreadPoolExecutor(max_workers=args.tenants) as pool:
-                all_responses = [
-                    response
-                    for worker in pool.map(
-                        tenant_worker, range(args.tenants)
-                    )
-                    for response in worker
-                ]
+        with ThreadPoolExecutor(max_workers=args.tenants) as pool:
+            per_tenant = list(pool.map(tenant_worker, range(args.tenants)))
+        all_responses = [r for responses in per_tenant for r in responses]
 
+        print(
+            f"\n{args.tenants} tenants x "
+            f"{len(instances) * args.load} requests against "
+            f"{device.name}/{setup.name}:"
+        )
+        for n in instances:
+            best = next(r.best for r in all_responses if r.key.n_dms == n)
             print(
-                f"\n{args.tenants} tenants x "
-                f"{len(instances) * args.load} requests against "
-                f"{args.replicas} replica(s) of {device.name}/{setup.name}:"
+                f"  {n:>6} DMs -> {best.config.describe()} "
+                f"{best.gflops:.1f} GFLOP/s"
             )
-            for n in instances:
-                best = next(
-                    r.best for r in all_responses if r.key.n_dms == n
-                )
-                print(
-                    f"  {n:>6} DMs -> {best.config.describe()} "
-                    f"{best.gflops:.1f} GFLOP/s"
-                )
-            print()
-            print(fleet.snapshot().render())
+        print()
+        print(service.snapshot().render())
 
-            if args.smoke:
-                _service_pipeline_smoke(
-                    ServiceClient(fleet, tenant="smoke"), device
-                )
-    finally:
-        if store_ctx is not None:
-            store_ctx.cleanup()
+        def throttled(responses) -> int:
+            return sum(r.source == "degraded-admission" for r in responses)
+
+        print(
+            f"tenants: {len(all_responses)} requests, "
+            f"{throttled(all_responses)} throttled; "
+            f"{sum(r.degraded for r in all_responses)} degraded"
+        )
+        for responses in per_tenant:
+            print(
+                f"  tenant {responses[0].tenant}: {len(responses)} requests, "
+                f"{throttled(responses)} throttled"
+            )
+
+        if args.smoke:
+            _service_pipeline_smoke(
+                ServiceClient(service, tenant="smoke"), device
+            )
 
     from repro.obs import get_registry, render_table
 
@@ -939,17 +931,13 @@ def build_parser() -> argparse.ArgumentParser:
     ddplan.set_defaults(func=_cmd_ddplan)
 
     service = sub.add_parser(
-        "service", help="multi-tenant tuning fleet with cache statistics"
+        "service", help="multi-tenant tuning service with cache statistics"
     )
     service.add_argument("--device", default="HD7970")
     service.add_argument("--setup", default="apertif")
     service.add_argument(
         "--instances", default="32,64,128,256",
         help="comma-separated DM counts tenants will request",
-    )
-    service.add_argument(
-        "--replicas", type=int, default=1,
-        help="tuning service replicas behind the shard router",
     )
     service.add_argument(
         "--tenants", type=int, default=4,
@@ -961,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--workers", type=int, default=2,
-        help="tuning worker threads per replica",
+        help="tuning worker threads",
     )
     service.add_argument(
         "--timeout", type=float, default=None,
@@ -985,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--store", metavar="DIR", default="",
-        help="directory for the persistent sweep tier (shared by replicas)",
+        help="directory for the persistent sweep tier",
     )
     service.add_argument(
         "--warm-up", action="store_true",
@@ -1068,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--setup", default="apertif")
     search.add_argument(
         "--backend",
-        choices=["tiled", "vectorized", "channel_tile", "auto", "both"],
+        choices=["tiled", "vectorized", "auto", "both"],
         default="both",
         help="kernel executor(s); 'both' runs tiled then vectorized",
     )

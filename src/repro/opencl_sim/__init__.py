@@ -9,13 +9,11 @@ executor that performs the *same tiled decomposition* a work-group grid
 would — so the correctness of every point of the tuning space is testable
 against the sequential reference.
 
-Three executors implement each kernel (see
-:mod:`~repro.opencl_sim.backend`): the tiled reference, the
+Two executors implement each kernel (see
+:mod:`~repro.opencl_sim.backend`): the tiled reference and the
 bit-identical vectorized fast path of
-:mod:`~repro.opencl_sim.vectorized`, and the reuse-tiled channel-block
-path of :mod:`~repro.opencl_sim.channel_tile`, selected per launch via
-``backend="tiled"|"vectorized"|"channel_tile"|"auto"`` or
-``$REPRO_KERNEL_BACKEND``.
+:mod:`~repro.opencl_sim.vectorized`, selected per launch via
+``backend="tiled"|"vectorized"|"auto"`` or ``$REPRO_KERNEL_BACKEND``.
 """
 
 from repro.opencl_sim.backend import (
@@ -40,11 +38,6 @@ from repro.opencl_sim.batch import (
     build_batched_kernel,
 )
 from repro.opencl_sim.vectorized import accumulate_channels
-from repro.opencl_sim.channel_tile import (
-    accumulate_channel_tiles,
-    channel_blocks,
-    channel_spans,
-)
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -52,9 +45,6 @@ __all__ = [
     "normalize_backend",
     "resolve_backend",
     "accumulate_channels",
-    "accumulate_channel_tiles",
-    "channel_blocks",
-    "channel_spans",
     "NDRange",
     "WorkGroup",
     "Buffer",

@@ -1,26 +1,20 @@
 """Kernel executor backend selection.
 
-Three functionally identical executors implement a configured kernel:
+Two functionally identical executors implement a configured kernel:
 
 * ``"tiled"`` — :class:`~repro.opencl_sim.kernel.DedispersionKernel`'s
   work-group replay of the generated OpenCL source, the reference the
   property tests trust;
 * ``"vectorized"`` — :mod:`~repro.opencl_sim.vectorized`'s whole-array
   fast path, bit-identical to the tiled executor (float32, exact
-  equality) because both accumulate channels in the same order;
-* ``"channel_tile"`` — :mod:`~repro.opencl_sim.channel_tile`'s
-  reuse-tiled path: channels are staged in compact blocks sized off the
-  paper's Eq. 3 reuse span, bit-identical for the same reason.
+  equality) because both accumulate channels in the same order.
 
 ``"auto"`` (the default everywhere) resolves the choice at launch time:
 the :envvar:`REPRO_KERNEL_BACKEND` environment variable pins a backend
 process-wide; otherwise the heuristic keeps the tiled reference for
-single-work-group launches (where its Python overhead is negligible),
-picks the reuse-tiled path when the launch's delay span says the
-working set is compact (``2 * reuse_span <= samples`` — the
-high-frequency, heavy-reuse Apertif regime), and the vectorized path
-for everything else.  An explicit ``backend=`` argument always wins
-over the environment.
+single-work-group launches (where its Python overhead is negligible)
+and picks the vectorized path for everything else.  An explicit
+``backend=`` argument always wins over the environment.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ import os
 from repro.errors import ValidationError
 
 #: The accepted values of every ``backend=`` parameter.
-KERNEL_BACKENDS = ("tiled", "vectorized", "channel_tile", "auto")
+KERNEL_BACKENDS = ("tiled", "vectorized", "auto")
 
 #: Environment variable pinning the backend for a whole process.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -61,25 +55,14 @@ def backend_from_env() -> str | None:
     return None if value == "auto" else value
 
 
-def resolve_backend(
-    backend: str | None,
-    n_work_groups: int,
-    reuse_span: int | None = None,
-    samples: int | None = None,
-) -> str:
+def resolve_backend(backend: str | None, n_work_groups: int) -> str:
     """The executor to run one launch with.
 
     Resolution order: an explicit argument, then the environment pin,
-    then the size heuristic.  The heuristic keeps the tiled reference
-    for single-work-group launches (its per-work-group Python overhead
-    only matters when it scales with the launch); for larger launches it
-    consults the launch's maximum per-channel delay span when the
-    caller supplies one (``reuse_span`` / ``samples``): a compact span
-    (``2 * reuse_span <= samples``) means the Eq. 3 working set fits a
-    staged block, so the reuse-tiled executor wins — the Apertif
-    regime — and otherwise the whole-stream vectorized path does — the
-    LOFAR regime, where spans dwarf the batch and staging would copy
-    most of the stream per block.
+    then the size heuristic, which keeps the tiled reference for
+    single-work-group launches (its per-work-group Python overhead only
+    matters when it scales with the launch) and runs everything larger
+    on the vectorized path.
     """
     choice = normalize_backend(backend)
     if choice != "auto":
@@ -87,12 +70,4 @@ def resolve_backend(
     pinned = backend_from_env()
     if pinned is not None:
         return pinned
-    if n_work_groups <= 1:
-        return "tiled"
-    if (
-        reuse_span is not None
-        and samples is not None
-        and 2 * reuse_span <= samples
-    ):
-        return "channel_tile"
-    return "vectorized"
+    return "tiled" if n_work_groups <= 1 else "vectorized"

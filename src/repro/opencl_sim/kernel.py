@@ -1,7 +1,7 @@
 """Functional execution of a configured dedispersion kernel.
 
 :class:`DedispersionKernel` carries two interchangeable executors behind
-one ``execute`` call:
+one ``_execute`` body, the one the :mod:`repro.run` facade dispatches to:
 
 * the **tiled** path replays the *same tiled decomposition* the
   generated OpenCL source describes — work-group by work-group, staging
@@ -35,7 +35,6 @@ from repro.core.config import KernelConfiguration
 from repro.errors import ValidationError
 from repro.obs import get_registry
 from repro.opencl_sim.backend import resolve_backend
-from repro.opencl_sim.channel_tile import accumulate_channel_tiles
 from repro.opencl_sim.ndrange import NDRange
 from repro.opencl_sim.vectorized import accumulate_channels
 
@@ -46,7 +45,7 @@ class DedispersionKernel:
 
     Built by :func:`repro.opencl_sim.codegen.build_kernel`; carries the
     generated OpenCL source for inspection alongside the executor.
-    ``backend`` is the default executor for :meth:`execute` (overridable
+    ``backend`` is the default executor for :meth:`_execute` (overridable
     per launch).
     """
 
@@ -116,26 +115,12 @@ class DedispersionKernel:
             out[...] = 0.0
 
         ndr = self.ndrange(n_dms)
-        reuse_span = (
-            int(
-                (delay_table.max(axis=0) - delay_table.min(axis=0)).max(
-                    initial=0
-                )
-            )
-            if n_dms
-            else 0
-        )
         choice = resolve_backend(
-            self.backend if backend is None else backend,
-            ndr.n_work_groups,
-            reuse_span=reuse_span,
-            samples=self.samples,
+            self.backend if backend is None else backend, ndr.n_work_groups
         )
         start = time.perf_counter()
         if choice == "vectorized":
             accumulate_channels(input_data, delay_table, out)
-        elif choice == "channel_tile":
-            accumulate_channel_tiles(input_data, delay_table, out)
         else:
             tile_t = self.config.tile_samples
             for wg in ndr.work_groups():

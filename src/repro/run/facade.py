@@ -87,8 +87,7 @@ class ExecutionRequest:
     streamed exactly as if they had been passed via ``chunks=``.
     ``out``, when given, must be a float32 array of the output shape —
     the same contract every executor in the stack enforces.  ``backend``
-    selects the kernel executor
-    (``"tiled"``/``"vectorized"``/``"channel_tile"``/``"auto"``,
+    selects the kernel executor (``"tiled"``/``"vectorized"``/``"auto"``,
     ``None`` meaning auto) for every launch of the request.
 
     ``detector`` — a

@@ -1,30 +1,23 @@
-"""A multi-tenant tuning service, from one process to a routed fleet.
+"""A multi-tenant tuning service.
 
 The paper's auto-tuner is an offline exhaustive sweep per (device, setup,
 DM-count) instance; production surveys tune once and reuse the result for
 months (Sclocco et al., arXiv:1601.01165).  This package is the serving
-layer that makes reuse automatic, at two scales:
+layer that makes reuse automatic: :class:`TuningService` is a
+thread-safe, in-process front to :class:`~repro.core.tuner.AutoTuner`
+with an in-memory LRU over the on-disk JSON store, in-flight request
+deduplication, warm-start tuning seeded from neighbouring instances,
+per-tenant token-bucket admission (:class:`TenantAdmission`), and
+graceful degradation to budgeted heuristics under load.
 
-* :class:`TuningService` — a thread-safe, in-process front to
-  :class:`~repro.core.tuner.AutoTuner` with an in-memory LRU over the
-  on-disk JSON store, in-flight request deduplication, warm-start tuning
-  seeded from neighbouring instances, and graceful degradation to
-  budgeted heuristics under load.
-* :class:`TuningFleet` — N replicated services behind a deterministic
-  consistent-hash router, sharing sweeps through the on-disk store,
-  coalescing identical requests across tenants, and isolating hostile
-  tenants with per-tenant token-bucket admission.
-
-Both are driven through one request vocabulary — build a
+It is driven through one request vocabulary — build a
 :class:`TuneRequest`, hand it to :meth:`ServiceClient.resolve`, read the
-:class:`TuneResponse` — so code written against a single service scales
-to the fleet without changes.
+:class:`TuneResponse`.
 """
 
 from repro.service.admission import TenantAdmission, TokenBucket
 from repro.service.cache import DiskSweepStore, SweepLRUCache
 from repro.service.client import ServiceClient
-from repro.service.fleet import FleetSnapshot, TenantUsage, TuningFleet
 from repro.service.keys import InstanceKey
 from repro.service.request import (
     PRIORITIES,
@@ -32,7 +25,6 @@ from repro.service.request import (
     TuneRequest,
     TuneResponse,
 )
-from repro.service.router import ConsistentHashRouter
 from repro.service.service import TuningService
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.service.warmstart import (
@@ -43,9 +35,7 @@ from repro.service.warmstart import (
 
 __all__ = [
     "PRIORITIES",
-    "ConsistentHashRouter",
     "DiskSweepStore",
-    "FleetSnapshot",
     "InstanceKey",
     "ServiceClient",
     "ServiceResponse",
@@ -53,11 +43,9 @@ __all__ = [
     "StatsSnapshot",
     "SweepLRUCache",
     "TenantAdmission",
-    "TenantUsage",
     "TokenBucket",
     "TuneRequest",
     "TuneResponse",
-    "TuningFleet",
     "TuningService",
     "WarmStartReport",
     "pruned_candidates",

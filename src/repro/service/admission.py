@@ -1,12 +1,13 @@
-"""Per-tenant token-bucket admission for the tuning fleet.
+"""Per-tenant token-bucket admission for the tuning service.
 
 A multi-tenant service is only as good as its isolation: one tenant
 replaying an unbounded request loop must not push every other tenant
-into the degradation path.  The fleet therefore charges each request one
-token from *its own tenant's* bucket before routing; a tenant whose
-bucket is empty is answered immediately by the replica's existing
-degradation path (budgeted heuristic, never cached) while everyone
-else's buckets — and latencies — are untouched.
+into the degradation path.  :class:`~repro.service.TuningService`
+therefore charges each request one token from *its own tenant's* bucket
+before any cache tier; a tenant whose bucket is empty is answered
+immediately by the service's existing degradation path (budgeted
+heuristic, never cached) while everyone else's buckets — and
+latencies — are untouched.
 
 The bucket is the classic leaky/token design: ``capacity`` tokens of
 burst, refilled continuously at ``refill_per_s``.  The clock is
@@ -15,11 +16,29 @@ injectable so tests can drive admission decisions deterministically.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Callable
 
 from repro.errors import PipelineError
+
+
+def _check_rates(capacity: float, refill_per_s: float) -> None:
+    """Reject out-of-range bucket settings when the bucket is built.
+
+    NaN compares false against everything, so a NaN capacity or refill
+    rate would never throttle, and an infinite one never runs dry:
+    either would switch admission off silently.
+    """
+    if not (math.isfinite(capacity) and capacity > 0):
+        raise PipelineError(
+            f"token bucket capacity must be finite and > 0, got {capacity!r}"
+        )
+    if not (math.isfinite(refill_per_s) and refill_per_s >= 0):
+        raise PipelineError(
+            f"token refill rate must be finite and >= 0, got {refill_per_s!r}"
+        )
 
 
 class TokenBucket:
@@ -32,10 +51,7 @@ class TokenBucket:
         refill_per_s: float,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if capacity <= 0:
-            raise PipelineError("token bucket capacity must be > 0")
-        if refill_per_s < 0:
-            raise PipelineError("token refill rate must be >= 0")
+        _check_rates(capacity, refill_per_s)
         self.capacity = float(capacity)
         self.refill_per_s = float(refill_per_s)
         self._clock = clock
@@ -73,10 +89,10 @@ class TenantAdmission:
     """Lazily created per-tenant :class:`TokenBucket` map.
 
     Every tenant gets the same ``capacity``/``refill_per_s`` — fairness
-    here means equal budgets, not weighted shares.  The fleet consults
-    :meth:`try_acquire` once per request; a ``False`` verdict routes the
-    request to the degradation path of the replica that would have
-    served it, so a hostile tenant degrades only itself.
+    here means equal budgets, not weighted shares.  The service consults
+    :meth:`try_acquire` once per request; a ``False`` verdict sends the
+    request down its degradation path, so a hostile tenant degrades
+    only itself.
     """
 
     def __init__(
@@ -85,8 +101,7 @@ class TenantAdmission:
         refill_per_s: float = 16.0,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if capacity <= 0:
-            raise PipelineError("admission capacity must be > 0")
+        _check_rates(capacity, refill_per_s)
         self.capacity = float(capacity)
         self.refill_per_s = float(refill_per_s)
         self._clock = clock

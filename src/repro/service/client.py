@@ -1,17 +1,14 @@
-"""The one client surface over a single service or the whole fleet.
+"""The one client surface over the tuning service.
 
-Callers should not care whether tuned configurations come from an
-in-process :class:`~repro.service.TuningService` or a routed
-:class:`~repro.service.TuningFleet`: both speak
-``resolve(TuneRequest) -> TuneResponse``, and :class:`ServiceClient`
-wraps either behind exactly that call — plus a default tenant so
-subsystem code (the scheduler's workers, the survey driver) can tag all
-its traffic without threading tenancy through every call site.
+:class:`ServiceClient` wraps a :class:`~repro.service.TuningService` (or
+any object speaking ``resolve(TuneRequest) -> TuneResponse``) behind
+exactly that call, plus a default tenant so subsystem code (the
+scheduler's workers, the survey driver) can tag all its traffic without
+threading tenancy through every call site.  One client per tenant is
+the usual shape::
 
-::
-
-    client = ServiceClient(TuningFleet(replicas=4, store_dir=...),
-                           tenant="apertif-survey")
+    service = TuningService(store_dir=..., admission=TenantAdmission())
+    client = ServiceClient(service, tenant="apertif-survey")
     response = client.resolve(TuneRequest(setup="apertif", n_dms=256,
                                           device="HD7970"))
 """
@@ -30,8 +27,7 @@ class ServiceClient:
     Parameters
     ----------
     backend:
-        A :class:`~repro.service.TuningService`,
-        :class:`~repro.service.TuningFleet`, or any object exposing
+        A :class:`~repro.service.TuningService`, or any object exposing
         ``resolve(TuneRequest) -> TuneResponse``.
     tenant:
         Default tenant stamped on requests that carry the dataclass
@@ -43,7 +39,7 @@ class ServiceClient:
         if not callable(resolve):
             raise PipelineError(
                 f"backend {type(backend).__name__} does not expose "
-                "resolve(request); pass a TuningService or TuningFleet"
+                "resolve(request); pass a TuningService"
             )
         self.backend = backend
         self.tenant = tenant

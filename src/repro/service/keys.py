@@ -78,20 +78,6 @@ class InstanceKey:
             f"__{grid_digest}__{self.fingerprint}.json"
         )
 
-    def routing_token(self) -> str:
-        """The stable identity string the fleet router hashes.
-
-        Covers every field — device, setup, grid geometry, and the model
-        fingerprint — so a key routes to the same replica from any
-        client process, and a model revision moves an instance to a
-        (deterministically) fresh routing point instead of reusing a
-        stale replica assignment.
-        """
-        return (
-            f"{self.device}|{self.setup}|{self.n_dms}"
-            f"|{self.dm_first!r}|{self.dm_step!r}|{self.fingerprint}"
-        )
-
     def describe(self) -> str:
         """One-line human identity (fingerprint abbreviated)."""
         return (

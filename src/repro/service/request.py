@@ -1,32 +1,27 @@
 """The request/response vocabulary of the tuning service.
 
-The service's original surface was a keyword-argument ``get(device,
-setup, grid, timeout_s)`` call — fine for one process, but unable to
-express who is asking (tenancy), how the answer may be produced
-(strategy), how long the caller will wait (budget), or how urgent the
-request is (priority).  The fleet redesign replaces that surface with two
-frozen dataclasses:
+Two frozen dataclasses make up the service's surface:
 
 * :class:`TuneRequest` — everything a caller can say about one tuning
-  request, resolvable against a single :class:`~repro.service.TuningService`
-  or a whole :class:`~repro.service.TuningFleet` through the one blessed
-  entrypoint ``ServiceClient.resolve(request)``.
-* :class:`TuneResponse` — the answer plus full provenance: which cache
-  tier or sweep produced it (``source``), which replica served it
-  (``replica``), whether it piggybacked on another tenant's identical
-  in-flight request (``coalesced``), and whether it is a degraded
+  request: which instance, who is asking (``tenant``), how the answer
+  may be produced (``strategy``), how long the caller will wait
+  (``budget``) and how urgent it is (``priority``).  It is resolved
+  against a :class:`~repro.service.TuningService` through the one
+  blessed entrypoint ``ServiceClient.resolve(request)``.
+* :class:`TuneResponse` — the answer plus its provenance: which cache
+  tier or sweep produced it (``source``), which tenant asked, which
+  named service served it (``replica``), and whether it is a degraded
   heuristic answer rather than the authoritative optimum (``degraded``).
 
-:class:`ServiceResponse` (the pre-fleet response type) lives here too and
-is the base class of :class:`TuneResponse`, so every legacy call site —
-``response.best``, ``response.source``, ``response.degraded`` — keeps
-working unchanged on the richer object.
+:class:`ServiceResponse` is the base class of :class:`TuneResponse` and
+carries the tenant-independent part — ``response.best``,
+``response.source``, ``response.degraded``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup, apertif, lofar
@@ -73,15 +68,15 @@ class TuneRequest:
     device:
         The target accelerator, or its catalogue name.
     tenant:
-        Who is asking.  Tenancy drives fleet admission (each tenant has
-        its own token bucket) and labels every fleet metric; it is *not*
-        part of the cache identity — one tenant's sweep warms every
-        other tenant of the same instance.
+        Who is asking.  Tenancy drives the service's admission (each
+        tenant has its own token bucket); it is *not* part of the cache
+        identity — one tenant's sweep warms every other tenant of the
+        same instance.
     strategy:
         Optional per-request :class:`~repro.tune.SearchStrategy` (or its
         registry name) for a cold sweep, overriding the service-level
-        strategy.  When concurrent requests coalesce, the leader's
-        strategy wins.
+        strategy.  When concurrent requests share one sweep, the
+        leader's strategy wins.
     budget:
         Seconds the caller will wait for an authoritative answer before
         degrading to the budgeted heuristic.  ``None`` uses the service
@@ -147,12 +142,12 @@ class TuneRequest:
         return DMTrialGrid(n_dms=self.n_dms)
 
     def key(self) -> InstanceKey:
-        """The cache/routing identity of this request's instance.
+        """The cache identity of this request's instance.
 
         Tenant, strategy, budget, and priority are deliberately *not*
         part of the key: they describe how to produce and account for
         the answer, not which answer is correct — that is what lets the
-        fleet share one cache entry across every tenant.
+        service share one cache entry across every tenant.
         """
         return InstanceKey.for_instance(
             self.resolved_device(), self.resolved_setup(), self.resolved_grid()
@@ -205,35 +200,19 @@ class ServiceResponse:
 
 @dataclass(frozen=True)
 class TuneResponse(ServiceResponse):
-    """A :class:`ServiceResponse` with fleet provenance.
+    """A :class:`ServiceResponse` stamped with who asked and who answered.
 
-    ``tenant`` echoes the requester, ``replica`` names the
-    :class:`~repro.service.TuningService` instance that served the
-    request (``None`` outside a fleet), and ``coalesced`` marks a
-    response fanned out from another tenant's identical in-flight
-    request rather than resolved independently.
+    ``tenant`` echoes the requester and ``replica`` names the
+    :class:`~repro.service.TuningService` that served the request (its
+    ``name``; ``None`` when the service is unnamed).
     """
 
     tenant: str = "default"
     replica: str | None = None
-    coalesced: bool = False
-
-    def for_tenant(
-        self, tenant: str, replica: str | None = None, coalesced: bool = False
-    ) -> "TuneResponse":
-        """This answer re-labelled for another observer of the instance."""
-        return replace(
-            self,
-            tenant=tenant,
-            replica=replica if replica is not None else self.replica,
-            coalesced=coalesced,
-        )
 
     def describe(self) -> str:
         line = super().describe()
         extras = [self.tenant]
         if self.replica:
             extras.append(self.replica)
-        if self.coalesced:
-            extras.append("coalesced")
         return f"{line} ({', '.join(extras)})"

@@ -5,21 +5,25 @@
 request tuned configurations for overlapping problem instances.  The
 request path, in order:
 
-1. **Memory tier** — an LRU of complete sweeps; hits cost microseconds.
-2. **Disk tier** — persisted JSON sweeps (optional); a hit re-simulates,
-   verifies, and promotes the sweep into memory.  In a
-   :class:`~repro.service.TuningFleet` the directory is shared, so this
-   tier is also the cross-replica warm-sharing channel.
-3. **In-flight deduplication** — N concurrent requests for the same
-   instance share one sweep; followers just wait on the leader's future.
-4. **Admission control** — sweeps run on a bounded worker pool behind a
+1. **Tenant admission** — with a
+   :class:`~repro.service.admission.TenantAdmission` configured, each
+   request is charged one token from its tenant's bucket; a throttled
+   tenant goes straight to degradation, so it degrades only itself.
+2. **Memory tier** — an LRU of complete sweeps; hits cost microseconds.
+3. **Disk tier** — persisted JSON sweeps (optional); a hit re-simulates,
+   verifies, and promotes the sweep into memory.  A restarted service
+   on the same directory answers from here without re-sweeping.
+4. **In-flight deduplication** — N concurrent requests for the same
+   instance, from any tenants, share one sweep; followers just wait on
+   the leader's future.
+5. **Pool admission** — sweeps run on a bounded worker pool behind a
    bounded queue.  A request that cannot even queue degrades immediately.
-5. **Warm start** — a sweep seeded by the nearest cached neighbour (same
+6. **Warm start** — a sweep seeded by the nearest cached neighbour (same
    device/setup/model, different DM count) prunes most of the space, with
    a probe guard that falls back to the exhaustive sweep when refuted.
-6. **Degradation** — when the tuning budget is exhausted (timeout or
-   admission rejection) the caller gets a deterministic budgeted
-   heuristic answer (:func:`repro.core.heuristics.budgeted_tune`),
+7. **Degradation** — when the tuning budget is exhausted (timeout,
+   throttled tenant, or full pool) the caller gets a deterministic
+   budgeted heuristic answer (:func:`repro.core.heuristics.budgeted_tune`),
    flagged ``degraded`` and never cached; the authoritative sweep, if one
    is running, still completes in the background and lands in the cache.
 
@@ -47,6 +51,7 @@ from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError
 from repro.hardware.device import DeviceSpec
 from repro.obs import MetricsRegistry, span
+from repro.service.admission import TenantAdmission
 from repro.service.cache import DiskSweepStore, SweepLRUCache
 from repro.service.keys import InstanceKey
 from repro.service.request import ServiceResponse, TuneRequest, TuneResponse
@@ -67,13 +72,17 @@ class TuningService:
     capacity:
         Memory-tier LRU capacity (complete sweeps).
     store_dir:
-        Directory for the persistent tier; ``None`` disables it.  Fleet
-        replicas share one directory — that is the warm-sharing channel.
+        Directory for the persistent tier; ``None`` disables it.
     max_workers:
         Worker threads executing sweeps.
     queue_limit:
         Sweeps allowed to wait beyond the running ones; a request that
         finds pool *and* queue full degrades immediately.
+    admission:
+        A :class:`~repro.service.admission.TenantAdmission` charged one
+        token per request, per tenant, before any cache tier; a
+        throttled request is answered by the degradation path.  ``None``
+        admits everything.
     timeout_s:
         Default per-request budget to wait for a sweep before degrading;
         ``None`` waits indefinitely.  A request's ``budget`` field
@@ -107,9 +116,9 @@ class TuningService:
         The :class:`~repro.obs.MetricsRegistry` service metrics are
         recorded into (default: the process-wide registry).
     name:
-        The ``instance`` label on this service's metric series; the
-        fleet names its replicas ``replica0..N-1`` through this.
-        Auto-assigned (``svc0``, ``svc1``, ...) when omitted.
+        The ``instance`` label on this service's metric series
+        (auto-assigned ``svc0``, ``svc1``, ... when omitted), echoed as
+        ``TuneResponse.replica`` when given.
     """
 
     def __init__(
@@ -118,6 +127,7 @@ class TuningService:
         store_dir=None,
         max_workers: int = 2,
         queue_limit: int = 8,
+        admission: TenantAdmission | None = None,
         timeout_s: float | None = None,
         degraded_budget: int = 48,
         warm_start: bool = True,
@@ -135,6 +145,7 @@ class TuningService:
             raise PipelineError("max_workers must be >= 1")
         if queue_limit < 0:
             raise PipelineError("queue_limit must be >= 0")
+        self.admission = admission
         self.timeout_s = timeout_s
         self.degraded_budget = degraded_budget
         self.strategy = self._resolve_strategy(strategy)
@@ -165,14 +176,17 @@ class TuningService:
     def resolve(self, request: TuneRequest) -> TuneResponse:
         """The tuned sweep for ``request``, produced as cheaply as possible.
 
-        The one blessed request entrypoint: walks memory → disk →
-        deduplicated (possibly warm-started or strategy-driven) sweep →
-        heuristic degradation, honouring the request's ``budget`` and
-        ``priority`` and stamping the response with this service's name
-        and the request's tenant.
+        The one blessed request entrypoint: walks tenant admission →
+        memory → disk → deduplicated (possibly warm-started or
+        strategy-driven) sweep → heuristic degradation, honouring the
+        request's ``budget`` and ``priority`` and stamping the response
+        with this service's name and the request's tenant.
         """
         if self._closed:
             raise PipelineError("TuningService is closed")
+        admitted = self.admission is None or self.admission.try_acquire(
+            request.tenant
+        )
         device = request.resolved_device()
         setup = request.resolved_setup()
         grid = request.resolved_grid()
@@ -180,6 +194,9 @@ class TuningService:
         key = InstanceKey.for_instance(device, setup, grid)
         self.stats.incr("requests")
         started = time.perf_counter()
+        if not admitted:  # the tenant's bucket is empty
+            self.stats.incr("degraded_admission")
+            return self._degrade(request, key, "admission", started)
 
         cached = self.cache.get(key)
         if cached is not None:
@@ -256,32 +273,6 @@ class TuningService:
         return model.simulate(
             response.best.config, samples=samples, validate=False
         ).seconds
-
-    def degrade(
-        self, request: TuneRequest, reason: str = "admission"
-    ) -> TuneResponse:
-        """A heuristic answer without touching the sweep path.
-
-        The fleet's per-tenant admission layer calls this when a tenant
-        is out of tokens: the request is answered on the caller's thread
-        by the budgeted heuristic (or the configured degraded strategy),
-        counted against this replica's ``degraded_admission`` stats, and
-        never cached — exactly the service's own over-capacity path, so
-        a throttled tenant and an overloaded pool look identical
-        downstream.
-        """
-        if self._closed:
-            raise PipelineError("TuningService is closed")
-        if reason not in ("admission", "timeout"):
-            raise PipelineError(
-                f"unknown degradation reason {reason!r} "
-                "(expected 'admission' or 'timeout')"
-            )
-        started = time.perf_counter()
-        self.stats.incr("requests")
-        self.stats.incr(f"degraded_{reason}")
-        key = request.key()
-        return self._degrade(request, key, reason, started)
 
     def snapshot(self) -> StatsSnapshot:
         """Current service counters."""
@@ -447,8 +438,8 @@ class TuningService:
         """Heuristic answer when the tuning budget is exhausted.
 
         Runs on the *caller's* thread (it must not need pool capacity —
-        the pool being full is exactly why we are here) and is never
-        cached: if an authoritative sweep is still in flight it will
+        a full pool is one reason we are here, a throttled tenant the
+        other) and is never cached: if an authoritative sweep is still in flight it will
         populate the cache when it completes.  With a
         ``degraded_strategy`` configured the fallback is that strategy's
         search instead of the budgeted heuristic; either way the model

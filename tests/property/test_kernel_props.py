@@ -85,23 +85,6 @@ class TestKernelEquivalence:
         fast = run_kernel(kernel, data, delays, backend="vectorized")
         np.testing.assert_array_equal(tiled, fast)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        problem=problems(),
-        budget=st.sampled_from([64, 4096, 2 * 1024 * 1024]),
-    )
-    def test_channel_tile_bitwise_equals_tiled(self, problem, budget):
-        # Same exact-equality contract as the vectorized path, across
-        # block budgets from one-channel-per-block up to one block.
-        from repro.opencl_sim.channel_tile import accumulate_channel_tiles
-
-        channels, samples, n_dms, config, delays, data = problem
-        kernel = build_kernel(config, channels, samples)
-        tiled = run_kernel(kernel, data, delays, backend="tiled")
-        out = np.zeros((n_dms, samples), dtype=np.float32)
-        accumulate_channel_tiles(data, delays, out, budget_bytes=budget)
-        np.testing.assert_array_equal(tiled, out)
-
     @settings(max_examples=30, deadline=None)
     @given(problem=problems())
     def test_staged_equals_direct(self, problem):

@@ -122,9 +122,7 @@ class TestFusedExecution:
         assert fused.mode == "fused"
         assert fused.output is None
 
-    @pytest.mark.parametrize(
-        "backend", ["tiled", "vectorized", "channel_tile"]
-    )
+    @pytest.mark.parametrize("backend", ["tiled", "vectorized"])
     def test_candidates_identical_across_backends(
         self, plan, toy_low, toy_grid, detector, backend
     ):

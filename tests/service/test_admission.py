@@ -17,6 +17,25 @@ class FakeClock:
         self.now += seconds
 
 
+#: Bucket shapes that would admit everything or fail only once a
+#: tenant's first bucket is created.
+BAD_SETTINGS = [
+    pytest.param({"capacity": float("nan")}, id="nan-capacity"),
+    pytest.param({"capacity": float("inf")}, id="inf-capacity"),
+    pytest.param({"refill_per_s": -1.0}, id="negative-refill"),
+    pytest.param({"refill_per_s": float("nan")}, id="nan-refill"),
+    pytest.param({"refill_per_s": float("inf")}, id="inf-refill"),
+]
+
+
+@pytest.mark.parametrize("cls", [TokenBucket, TenantAdmission])
+@pytest.mark.parametrize("overrides", BAD_SETTINGS)
+def test_rejects_bad_settings_at_construction(cls, overrides):
+    kwargs = {"capacity": 2.0, "refill_per_s": 0.0, **overrides}
+    with pytest.raises(PipelineError):
+        cls(**kwargs)
+
+
 class TestTokenBucket:
     def test_burst_up_to_capacity_then_throttles(self):
         clock = FakeClock()

@@ -8,7 +8,8 @@ Covers the PR's acceptance criteria directly:
   Apertif and LOFAR reference instances,
 
 plus in-flight deduplication under real threads, both cache tiers,
-stale-entry invalidation, and the timeout/admission degradation paths.
+stale-entry invalidation, the timeout/admission degradation paths, and
+per-tenant token-bucket admission.
 """
 
 import json
@@ -25,17 +26,21 @@ from repro.hardware.catalog import hd7970
 from repro.service import (
     InstanceKey,
     ServiceClient,
+    TenantAdmission,
     TuneRequest,
     TuningService,
 )
+from tests.service.test_admission import FakeClock
 
 DEVICE = hd7970()
 
 
-def resolve(service, n_dms):
+def resolve(service, n_dms, tenant=None, **request_kwargs):
     """Resolve one Apertif request for ``DEVICE`` through a client."""
-    return ServiceClient(service).resolve(
-        TuneRequest(setup=apertif(), n_dms=n_dms, device=DEVICE)
+    return ServiceClient(service, tenant=tenant).resolve(
+        TuneRequest(
+            setup=apertif(), n_dms=n_dms, device=DEVICE, **request_kwargs
+        )
     )
 
 
@@ -134,11 +139,11 @@ class TestDeduplication:
             results = []
             threads = [
                 threading.Thread(
-                    target=lambda: results.append(
-                        resolve(service, 32)
+                    target=lambda i=i: results.append(
+                        resolve(service, 32, f"tenant{i}")
                     )
                 )
-                for _ in range(n_clients)
+                for i in range(n_clients)
             ]
             for t in threads:
                 t.start()
@@ -156,6 +161,10 @@ class TestDeduplication:
         assert snap.dedups == n_clients - 1
         assert len(results) == n_clients
         assert len({r.best.config for r in results}) == 1
+        # M tenants, one sweep, M responses, each stamped with its asker.
+        assert sorted(r.tenant for r in results) == sorted(
+            f"tenant{i}" for i in range(n_clients)
+        )
 
 
 class TestDiskTier:
@@ -240,6 +249,56 @@ class TestDegradation:
         service.close()
         with pytest.raises(PipelineError):
             resolve(service, 8)
+
+
+class TestTenantAdmission:
+    def test_aggressor_degrades_only_itself(self):
+        admission = TenantAdmission(
+            capacity=2, refill_per_s=0.0, clock=FakeClock()
+        )
+        with TuningService(admission=admission, warm_start=False) as service:
+            aggressor = [resolve(service, 16, "aggressor") for _ in range(5)]
+            victim = [resolve(service, 16, "victim") for _ in range(2)]
+        assert [r.degraded for r in aggressor] == [
+            False, False, True, True, True,
+        ]
+        assert all(
+            r.source == "degraded-admission"
+            for r in aggressor if r.degraded
+        )
+        assert [r.degraded for r in victim] == [False, False]
+        assert service.snapshot().degraded_admission == 3
+
+    def test_throttled_answers_are_never_cached(self):
+        admission = TenantAdmission(
+            capacity=1, refill_per_s=0.0, clock=FakeClock()
+        )
+        with TuningService(admission=admission, warm_start=False) as service:
+            first = resolve(service, 16, "t")
+            throttled = resolve(service, 24, "t")
+            assert not first.degraded and throttled.degraded
+            # Re-admitting the tenant later performs the real sweep.
+            admission.bucket("t")._tokens = 1.0
+            real = resolve(service, 24, "t")
+            assert not real.degraded
+            assert real.source == "sweep"
+
+    def test_priority_scales_the_degraded_budget(self):
+        def degraded_evaluations(priority: str) -> int:
+            admission = TenantAdmission(
+                capacity=1, refill_per_s=0.0, clock=FakeClock()
+            )
+            with TuningService(
+                admission=admission, warm_start=False, degraded_budget=8,
+            ) as service:
+                resolve(service, 16, "t")  # drain the bucket
+                response = resolve(service, 24, "t", priority=priority)
+                assert response.degraded
+                return service.snapshot().degraded_evaluations
+
+        # high priority quadruples low's evaluation budget (16 vs 4);
+        # the heuristic always spends at least its probe half.
+        assert degraded_evaluations("high") > degraded_evaluations("low")
 
 
 class TestSearchStrategies:

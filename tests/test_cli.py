@@ -141,20 +141,6 @@ class TestService:
             main(["service", "--instances", "16", flag, "1", "--no-smoke"])
         assert excinfo.value.code == 2
 
-    def test_replicas_run_as_a_fleet(self, capsys):
-        code = main([
-            "service",
-            "--instances", "16,32",
-            "--tenants", "2",
-            "--load", "2",
-            "--replicas", "2",
-            "--no-smoke",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fleet:" in out
-        assert "replica0" in out and "replica1" in out
-
     def test_warm_up_reports_each_instance(self, capsys):
         code = main([
             "service",
@@ -201,8 +187,19 @@ class TestService:
         match = re.search(r"(\d+) throttled;", out)
         assert match and int(match.group(1)) > 0
 
-    def test_rejects_empty_instances(self, capsys):
-        assert main(["service", "--instances", ""]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--instances", ""],
+            ["--instances", "16", "--load", "0"],
+            ["--instances", "16", "--tenants", "0"],
+            ["--instances", "16", "--admission-rate", "1",
+             "--admission-burst", "nan"],
+        ],
+        ids=["no-instances", "zero-load", "zero-tenants", "nan-burst"],
+    )
+    def test_rejects_empty_instances(self, argv, capsys):
+        assert main(["service", *argv]) == 2
         assert "error" in capsys.readouterr().err
 
 

@@ -41,9 +41,8 @@ class TestCuratedAll:
 
     def test_service_names_are_blessed(self):
         for name in ("TuningService", "ServiceResponse", "ServiceStats",
-                     "StatsSnapshot", "TuningFleet", "ServiceClient",
-                     "TuneRequest", "TuneResponse", "TenantAdmission",
-                     "FleetSnapshot"):
+                     "StatsSnapshot", "ServiceClient", "TuneRequest",
+                     "TuneResponse", "TenantAdmission"):
             assert name in repro.__all__
 
     def test_blessed_objects_match_home_modules(self):

@@ -67,13 +67,9 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         ("data", "setup", "streams"),
     ),
     # resolve(request) is the one request entrypoint of the tuning
-    # service, at both scales.
+    # service and its client.
     "TuningService.resolve": (
         "repro/service/service.py",
-        ("request",),
-    ),
-    "TuningFleet.resolve": (
-        "repro/service/fleet.py",
         ("request",),
     ),
     "ServiceClient.resolve": (

@@ -35,7 +35,6 @@ FAMILY_PREFIXES = (
     "repro_sched_",
     "repro_search_",
     "repro_service_",
-    "repro_service_fleet_",
     "repro_sim_",
     "repro_survey_",
     "repro_trace_",
