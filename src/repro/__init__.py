@@ -53,7 +53,6 @@ from repro.astro import (
     SyntheticPulsar,
     detect_dm,
     build_ddplan,
-    search_periodicity,
     zero_dm_filter,
     SignalSource,
     SignalTruth,
@@ -196,7 +195,6 @@ __all__ = [
     "SyntheticPulsar",
     "detect_dm",
     "build_ddplan",
-    "search_periodicity",
     "zero_dm_filter",
     # unified signal-source API
     "SignalSource",

@@ -44,12 +44,6 @@ from repro.astro.ddplan import (
     optimal_dm_step,
     total_smearing_seconds,
 )
-from repro.astro.periodicity import (
-    PeriodicityCandidate,
-    harmonic_sum,
-    power_spectrum,
-    search_periodicity,
-)
 from repro.astro.candidates import (
     Candidate,
     SiftedCandidate,
@@ -67,12 +61,6 @@ from repro.astro.quantization import (
     ai_bound_with_input_bytes,
     quantize,
     snr_efficiency,
-)
-from repro.astro.folding import FoldVerdict, fold_candidate, folded_snr
-from repro.astro.scattering import (
-    scattering_attenuation,
-    scattering_horizon,
-    scattering_time_seconds,
 )
 from repro.astro.sensitivity import (
     dm_error_attenuation,
@@ -124,10 +112,6 @@ __all__ = [
     "build_ddplan",
     "optimal_dm_step",
     "total_smearing_seconds",
-    "PeriodicityCandidate",
-    "harmonic_sum",
-    "power_spectrum",
-    "search_periodicity",
     "ChannelMask",
     "mask_noisy_channels",
     "zero_dm_filter",
@@ -147,10 +131,4 @@ __all__ = [
     "half_power_dm_error",
     "sensitivity_curve",
     "step_sensitivity",
-    "FoldVerdict",
-    "fold_candidate",
-    "folded_snr",
-    "scattering_attenuation",
-    "scattering_horizon",
-    "scattering_time_seconds",
 ]

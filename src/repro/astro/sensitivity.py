@@ -20,8 +20,9 @@ are reproduced as an extended experiment.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
 
 from repro.astro.dispersion import dispersion_smearing_seconds
 from repro.astro.ddplan import band_delay_span_seconds
@@ -45,7 +46,7 @@ def dm_error_attenuation(
     zeta = span / (2.0 * pulse_width_seconds)
     if zeta == 0.0:
         return 1.0
-    return float(np.sqrt(np.pi) / 2.0 * erf(zeta) / zeta)
+    return float(np.sqrt(np.pi) / 2.0 * math.erf(zeta) / zeta)
 
 
 def smearing_attenuation(

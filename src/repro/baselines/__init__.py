@@ -1,16 +1,13 @@
-"""Baseline implementations: the sequential oracle and comparison helpers."""
+"""Baseline implementations: the sequential CPU oracles."""
 
 from repro.baselines.cpu_reference import (
     dedisperse_naive,
     dedisperse_vectorized,
     dedisperse_blocked,
 )
-from repro.baselines.comparison import SpeedupSeries, speedup_series
 
 __all__ = [
     "dedisperse_naive",
     "dedisperse_vectorized",
     "dedisperse_blocked",
-    "SpeedupSeries",
-    "speedup_series",
 ]

@@ -30,7 +30,6 @@ from repro.hardware.latency import latency_hiding_factor
 from repro.hardware.metrics import KernelMetrics, PerformanceBound
 from repro.hardware.model import PerformanceModel
 from repro.hardware.cpu_model import CPUModel
-from repro.hardware.multibeam_metrics import MultibeamMetrics, simulate_multibeam
 from repro.hardware.calibration import (
     CalibrationResult,
     calibrate_device,
@@ -60,8 +59,6 @@ __all__ = [
     "PerformanceBound",
     "PerformanceModel",
     "CPUModel",
-    "MultibeamMetrics",
-    "simulate_multibeam",
     "CalibrationResult",
     "calibrate_device",
     "solve_issue_efficiency",

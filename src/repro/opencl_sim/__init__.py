@@ -33,10 +33,6 @@ from repro.opencl_sim.runtime import (
 )
 from repro.opencl_sim.codegen import generate_kernel_source, build_kernel
 from repro.opencl_sim.kernel import DedispersionKernel
-from repro.opencl_sim.batch import (
-    BatchedDedispersionKernel,
-    build_batched_kernel,
-)
 from repro.opencl_sim.vectorized import accumulate_channels
 
 __all__ = [
@@ -56,6 +52,4 @@ __all__ = [
     "generate_kernel_source",
     "build_kernel",
     "DedispersionKernel",
-    "BatchedDedispersionKernel",
-    "build_batched_kernel",
 ]

@@ -172,8 +172,7 @@ def check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
 
     Both executors accumulate in float32; writing through a float64 (or
     any other) ``out`` would silently change the arithmetic and break
-    the bit-for-bit stitching guarantee of
-    sharded execution (:func:`repro.opencl_sim.batch._execute_sharded`).
+    the bit-for-bit agreement of the two executors.
     """
     if not isinstance(out, np.ndarray) or out.shape != shape:
         raise ValidationError(

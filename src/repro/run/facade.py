@@ -9,10 +9,6 @@ mode           meaning
 =============  ===========================================================
 ``kernel``     one beam, one batch: ``(channels, t)`` input through a
                configured kernel (or a tuned plan's kernel)
-``batched``    a ``(beams, channels, t)`` batch, all beams sharing one
-               delay table, one launch per beam
-``sharded``    the same batch split into :class:`~repro.sched.shard.Shard`
-               work units, stitched bit-identically
 ``streaming``  a tuned plan driven over an iterable of
                :class:`~repro.astro.telescope.StreamChunk` objects
 ``fused``      streaming, but each chunk is dedispersed and searched
@@ -23,8 +19,9 @@ mode           meaning
 =============  ===========================================================
 
 ``mode="auto"`` (the default) infers the mode from what the request
-carries: chunks imply ``streaming``, shards imply ``sharded``, 3-D input
-implies ``batched``, 2-D input implies ``kernel``.
+carries: chunks imply ``streaming`` (``fused`` with a detector), 2-D
+input implies ``kernel``.  Every launch covers one beam; a multi-beam
+survey runs each beam through its own chunked request.
 
 Both chunked modes enforce one chunk contract, :func:`check_chunk`: a
 chunk's payload equals the plan batch and its overlap covers the plan's
@@ -49,14 +46,7 @@ from repro.errors import PipelineError, ValidationError
 from repro.obs import get_registry, span
 
 #: The accepted values of :attr:`ExecutionRequest.mode`.
-EXECUTION_MODES = (
-    "auto",
-    "kernel",
-    "batched",
-    "sharded",
-    "streaming",
-    "fused",
-)
+EXECUTION_MODES = ("auto", "kernel", "streaming", "fused")
 
 
 @dataclass(frozen=True)
@@ -73,13 +63,14 @@ class ExecutionRequest:
       explicit ``delay_table``;
     * ``config`` — a bare
       :class:`~repro.core.config.KernelConfiguration` plus
-      ``delay_table``; the kernel is generated on the fly (``samples``
-      defaults to the shard length in sharded mode, otherwise to the
-      widest batch the input and delay table allow).
+      ``delay_table``; the kernel is generated on the fly with
+      ``samples`` output columns (default: the widest batch the input
+      and delay table allow).  ``samples=`` is rejected with the other
+      two sources, whose kernel already fixes the batch.
 
     ``data`` carries the channelised input: ``(channels, t)`` for kernel
-    mode, ``(beams, channels, t)`` for batched/sharded mode, and
-    ``None`` for streaming mode (the chunks carry their own payloads).
+    mode and ``None`` for streaming mode (the chunks carry their own
+    payloads).
     Exactly one *input source* feeds a request: ``data``, ``chunks``, or
     ``scenario`` — a :class:`~repro.scenarios.catalog.Scenario` (realized
     against the plan's setup and grid) or an already-realized
@@ -105,7 +96,6 @@ class ExecutionRequest:
     config: Any = None
     kernel: Any = None
     plan: Any = None
-    shards: tuple = ()
     chunks: Iterable | None = None
     scenario: Any = None
     samples: int | None = None
@@ -144,6 +134,11 @@ class ExecutionRequest:
             raise ValidationError("kernel= requires an explicit delay_table=")
         if self.config is not None and self.delay_table is None:
             raise ValidationError("config= requires an explicit delay_table=")
+        if self.samples is not None and self.config is None:
+            raise ValidationError(
+                f"samples= only sizes a kernel generated from config=; "
+                f"the {sources[0]}= source fixes its own batch"
+            )
         if self.scenario is not None:
             inputs = [
                 name
@@ -158,13 +153,6 @@ class ExecutionRequest:
                     f"an ExecutionRequest needs exactly one input source; "
                     f"scenario= conflicts with {'/'.join(inputs)}="
                 )
-            if self.shards:
-                raise ValidationError(
-                    "scenario= conflicts with shards= (scenarios stream "
-                    "chunks)"
-                )
-        if self.shards:
-            object.__setattr__(self, "shards", tuple(self.shards))
 
     # ------------------------------------------------------------------
     def resolve_mode(self) -> str:
@@ -172,8 +160,7 @@ class ExecutionRequest:
 
         An explicit mode is validated against the request's contents;
         ``"auto"`` infers: chunks + detector → fused, chunks →
-        streaming, shards → sharded, 3-D input → batched, 2-D input →
-        kernel.
+        streaming, 2-D input → kernel.
         """
         inferred = self._infer_mode()
         if self.mode == "auto":
@@ -184,27 +171,21 @@ class ExecutionRequest:
     def _infer_mode(self) -> str:
         if self.chunks is not None or self.scenario is not None:
             mode = "fused" if self.detector is not None else "streaming"
-            self._check_mode(mode)
-            return mode
-        if self.shards:
-            self._check_mode("sharded")
-            return "sharded"
-        if self.data is None:
+        elif self.data is None:
             raise ValidationError(
                 "an ExecutionRequest needs data= (or chunks= / scenario= "
                 "for streaming mode)"
             )
-        ndim = np.asarray(self.data).ndim
-        if ndim == 3:
-            self._check_mode("batched")
-            return "batched"
-        if ndim == 2:
-            self._check_mode("kernel")
-            return "kernel"
-        raise ValidationError(
-            f"request data must be 2-D (channels, t) or 3-D "
-            f"(beams, channels, t); got {ndim} dimension(s)"
-        )
+        else:
+            ndim = np.asarray(self.data).ndim
+            if ndim != 2:
+                raise ValidationError(
+                    f"request data must be 2-D (channels, t); got {ndim} "
+                    f"dimension(s)"
+                )
+            mode = "kernel"
+        self._check_mode(mode)
+        return mode
 
     def _check_mode(self, mode: str) -> None:
         """Raise when the request's contents contradict ``mode``."""
@@ -265,26 +246,6 @@ class ExecutionRequest:
                 f"plan= and drop mode={mode!r} (or use mode='streaming') "
                 f"to stream the scenario's chunks"
             )
-        if mode == "sharded":
-            if not self.shards:
-                raise ValidationError("sharded mode requires shards=")
-            if self.config is None:
-                raise ValidationError(
-                    "sharded mode requires config= (tuned configurations "
-                    "need not tile remainder DM chunks, so the caller "
-                    "chooses one that tiles every shard)"
-                )
-            return
-        if self.shards:
-            raise ValidationError("shards= is only valid in sharded mode")
-        if self.data is None:
-            raise ValidationError(f"{mode} mode requires data=")
-        ndim = np.asarray(self.data).ndim
-        wanted = 2 if mode == "kernel" else 3
-        if ndim != wanted:
-            raise ValidationError(
-                f"{mode} mode requires {wanted}-D input, got {ndim}-D"
-            )
 
 
 @dataclass(frozen=True)
@@ -292,12 +253,11 @@ class ExecutionResult:
     """What one facade request produced.
 
     ``output`` is the dedispersed matrix — ``(n_dms, samples)`` for
-    kernel mode, ``(beams, n_dms, samples)`` for batched/sharded mode,
-    and the time-concatenated ``(n_dms, total_samples)`` matrix for
-    streaming mode (chunk overlap makes the concatenation bit-identical
-    to dedispersing the whole stream at once; the per-chunk detail is in
-    ``chunk_results``).  Fused mode never materialises the plane —
-    ``output`` is ``None`` and the per-chunk
+    kernel mode and the time-concatenated ``(n_dms, total_samples)``
+    matrix for streaming mode (chunk overlap makes the concatenation
+    bit-identical to dedispersing the whole stream at once; the
+    per-chunk detail is in ``chunk_results``).  Fused mode never
+    materialises the plane — ``output`` is ``None`` and the per-chunk
     :class:`~repro.run.fused.FusedChunkResult` entries of
     ``chunk_results`` carry the candidates and metered ``peak_bytes``
     instead.
@@ -413,81 +373,39 @@ def execute(request: ExecutionRequest) -> ExecutionResult:
     )
 
 
-def _kernel_for(request: ExecutionRequest, channels: int, samples: int):
-    """The configured kernel a non-plan request executes with."""
-    if request.kernel is not None:
-        return request.kernel
+def _config_kernel(request: ExecutionRequest):
+    """The kernel a ``config=`` request generates.
+
+    Its batch is ``samples=`` when given, otherwise the widest batch the
+    input and delay table allow.
+    """
     from repro.opencl_sim.codegen import build_kernel
 
-    return build_kernel(request.config, channels, samples)
-
-
-def _kernel_samples(request: ExecutionRequest, time_axis: int) -> int:
-    """Output batch length for a kernel/batched request.
-
-    An explicit ``samples=`` wins; a supplied kernel fixes its own batch;
-    otherwise the widest batch the input and delay table allow.
-    """
-    if request.samples is not None:
-        return int(request.samples)
-    if request.kernel is not None:
-        return request.kernel.samples
-    available = time_axis - int(np.asarray(request.delay_table).max(initial=0))
-    if available <= 0:
-        raise ValidationError(
-            "input too short for the delay table (no output samples "
-            "remain after the maximum delay)"
+    data = np.asarray(request.data)
+    samples = request.samples
+    if samples is None:
+        samples = data.shape[1] - int(
+            np.asarray(request.delay_table).max(initial=0)
         )
-    return available
+        if samples <= 0:
+            raise ValidationError(
+                "input too short for the delay table (no output samples "
+                "remain after the maximum delay)"
+            )
+    return build_kernel(request.config, data.shape[0], int(samples))
 
 
 def _run_kernel(request: ExecutionRequest):
     if request.plan is not None:
-        kernel = request.plan.kernel
-        delays = request.plan.delays
+        kernel, delays = request.plan.kernel, request.plan.delays
+    elif request.kernel is not None:
+        kernel, delays = request.kernel, request.delay_table
     else:
-        delays = request.delay_table
-        data = np.asarray(request.data)
-        kernel = _kernel_for(
-            request, data.shape[0], _kernel_samples(request, data.shape[1])
-        )
+        kernel, delays = _config_kernel(request), request.delay_table
     output = kernel._execute(
         request.data, delays, out=request.out, backend=request.backend
     )
     return output, 1, (), {}
-
-
-def _run_batched(request: ExecutionRequest):
-    from repro.opencl_sim.batch import BatchedDedispersionKernel
-
-    data = np.asarray(request.data)
-    if request.plan is not None:
-        kernel = request.plan.kernel
-        delays = request.plan.delays
-    else:
-        delays = request.delay_table
-        kernel = _kernel_for(
-            request, data.shape[1], _kernel_samples(request, data.shape[2])
-        )
-    batched = BatchedDedispersionKernel(kernel=kernel, n_beams=data.shape[0])
-    output = batched.execute(
-        data, delays, out=request.out, backend=request.backend
-    )
-    return output, data.shape[0], (), {}
-
-
-def _run_sharded(request: ExecutionRequest):
-    from repro.opencl_sim.batch import _execute_sharded
-
-    output = _execute_sharded(
-        request.config,
-        request.data,
-        request.delay_table,
-        request.shards,
-        out=request.out,
-        backend=request.backend,
-    )
-    return output, len(request.shards), (), {}
 
 
 def _resolve_scenario(request: ExecutionRequest):
@@ -593,8 +511,6 @@ def _run_fused(request: ExecutionRequest):
 
 _RUNNERS = {
     "kernel": _run_kernel,
-    "batched": _run_batched,
-    "sharded": _run_sharded,
     "streaming": _run_streaming,
     "fused": _run_fused,
 }

@@ -20,7 +20,9 @@ and runs every shard to completion under injected failure:
 
 Virtual time: the engine advances a simulated clock driven by the
 hardware model's service times, so a fleet-scale run costs milliseconds
-of wall clock while producing faithful makespan/throughput numbers.
+of wall clock while producing faithful makespan/throughput numbers.  It
+schedules shards but never dedisperses them; numeric work runs through
+:func:`repro.run.execute`, one beam per launch.
 """
 
 from __future__ import annotations
@@ -514,28 +516,6 @@ class ExecutionEngine:
             worker_stats=stats,
             ledger=ledger,
         )
-
-    # ------------------------------------------------------------------
-    # Numeric execution
-    # ------------------------------------------------------------------
-    def shards_for_batch(self, batch: int = 0):
-        """The engine's shard decomposition for one time batch.
-
-        This is what :func:`repro.run.execute` wants as ``shards=`` when
-        reproducing the engine's numeric execution.
-        """
-        shards = tuple(s for s in self.shards if s.batch == batch)
-        if not shards:
-            raise SchedulerError(
-                f"engine has no shards for time batch {batch}"
-            )
-        return shards
-
-    def delay_table(self):
-        """The ``(n_dms, channels)`` delay table of this engine's survey."""
-        from repro.astro.dispersion import delay_table
-
-        return delay_table(self.setup, self.grid.values)
 
     # ------------------------------------------------------------------
     # Dispatch helpers

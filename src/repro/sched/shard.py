@@ -3,8 +3,11 @@
 A *shard* is the scheduler's unit of work: one beam, one contiguous
 DM-trial sub-range, one time batch.  The decomposition is lossless —
 dedispersion is independent per (beam, DM trial, output sample), so the
-union of all shard outputs equals the unsharded output (asserted by
-``tests/sched/test_shard.py`` through the functional kernel).
+union of all shard outputs equals the unsharded output.  The tests
+assert both halves: within each time batch the shards cover every
+(beam, DM row) exactly once (``tests/sched/test_shard.py``), and a
+launch on a DM slab equals the matching rows of the whole-grid launch
+(``tests/property/test_kernel_props.py``).
 
 Shard *sizing* follows the same memory accounting the multi-beam packer
 uses (paper Sec. V-D): a shard's device footprint is the channelised

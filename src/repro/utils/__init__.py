@@ -1,4 +1,4 @@
-"""Shared utility helpers: validation, integer math, units, seeded RNG."""
+"""Shared utility helpers: validation, integer math, seeded RNG."""
 
 from repro.utils.rng import RandomStreams, derive_seed
 from repro.utils.validation import (
@@ -16,16 +16,6 @@ from repro.utils.intmath import (
     powers_of_two,
     round_up,
 )
-from repro.utils.units import (
-    GIGA,
-    MEGA,
-    KIBI,
-    MEBI,
-    gflops,
-    gibibytes,
-    mhz_to_hz,
-    seconds_to_ms,
-)
 
 __all__ = [
     "RandomStreams",
@@ -41,12 +31,4 @@ __all__ = [
     "next_power_of_two",
     "powers_of_two",
     "round_up",
-    "GIGA",
-    "MEGA",
-    "KIBI",
-    "MEBI",
-    "gflops",
-    "gibibytes",
-    "mhz_to_hz",
-    "seconds_to_ms",
 ]

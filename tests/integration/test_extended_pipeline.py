@@ -1,19 +1,15 @@
 """Integration tests for the extension chain.
 
 These exercise the extensions *together*, the way a production pipeline
-would: filterbank ingest -> (optionally subband) dedispersion -> candidate
-sifting -> fold confirmation, plus the planning layers (DDplan + fleet)
-agreeing with each other.
+would: (optionally subband) dedispersion -> candidate sifting, plus the
+planning layers (DDplan + fleet) agreeing with each other.
 """
 
 import pytest
 
 from repro.astro.candidates import search_and_sift
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.filterbank import read_filterbank, write_filterbank
-from repro.astro.folding import fold_candidate
 from repro.astro.observation import ObservationSetup
-from repro.astro.periodicity import search_periodicity
 from repro.astro.pulse import gaussian_profile
 from repro.astro.signal_gen import SyntheticPulsar
 from repro.baselines.cpu_reference import dedisperse_vectorized
@@ -39,34 +35,6 @@ def grid():
 
 
 class TestFileToConfirmation:
-    def test_full_chain(self, setup, grid, tmp_path):
-        """.fil on disk -> dedisperse -> Fourier search -> fold confirm."""
-        pulsar = SyntheticPulsar(0.1, dm=7.0, amplitude=0.9)
-        data = make_observation(
-            setup, [pulsar], seconds=4.0, max_dm=grid.last, seed=3
-        )
-        path = tmp_path / "obs.fil"
-        write_filterbank(path, data, setup)
-
-        header, loaded = read_filterbank(path)
-        rebuilt = header.to_setup()
-        plane = dedisperse_vectorized(loaded, rebuilt, grid, 4000)
-
-        candidates = search_periodicity(
-            plane, grid.values, rebuilt.samples_per_second
-        )
-        assert candidates, "Fourier search found nothing"
-        best = candidates[0]
-        verdict = fold_candidate(
-            plane,
-            grid.values,
-            rebuilt.samples_per_second,
-            best.period_seconds,
-            best.dm_index,
-        )
-        assert verdict.confirmed
-        assert abs(verdict.dm - 7.0) <= 1.0
-
     def test_single_pulse_chain_through_subband(self, setup, grid):
         """Two-step dedispersion feeds the single-pulse sifter equally."""
         burst = SyntheticPulsar(

@@ -92,6 +92,21 @@ class TestValidation:
                 kernel, rng.normal(size=(3, 5000)).astype(np.float32), table
             )
 
+    def test_accepts_delay_table_as_list(self, toy_low, toy_grid, rng):
+        data = make_input(toy_low, toy_grid, rng)
+        table = delay_table(toy_low, toy_grid.values)
+        kernel = build_kernel(config(), toy_low.channels, 400)
+        np.testing.assert_array_equal(
+            run_kernel(kernel, data, table.tolist()),
+            run_kernel(kernel, data, table),
+        )
+
+    def test_rejects_1d_delay_table(self, toy_low, toy_grid, rng):
+        data = make_input(toy_low, toy_grid, rng)
+        kernel = build_kernel(config(), toy_low.channels, 400)
+        with pytest.raises(ValidationError, match="delay table"):
+            run_kernel(kernel, data, [0] * toy_low.channels)
+
     def test_rejects_negative_delays(self, toy_low, toy_grid, rng):
         data = make_input(toy_low, toy_grid, rng)
         table = delay_table(toy_low, toy_grid.values).copy()

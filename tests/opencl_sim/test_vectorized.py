@@ -19,7 +19,6 @@ from repro.opencl_sim.backend import (
     normalize_backend,
     resolve_backend,
 )
-from repro.opencl_sim.batch import build_batched_kernel
 from repro.opencl_sim.codegen import build_kernel
 from repro.run import ExecutionRequest, execute
 from tests.conftest import make_input, run_kernel
@@ -153,17 +152,6 @@ class TestBackendPlumbing:
         )
         assert kernel.backend == "vectorized"
         assert "auto" == build_kernel(config(), toy_low.channels, 400).backend
-
-    def test_batched_backend_equality(self, toy_low, toy_grid, rng):
-        beams = np.stack(
-            [make_input(toy_low, toy_grid, rng) for _ in range(2)]
-        )
-        table = delay_table(toy_low, toy_grid.values)
-        batched = build_batched_kernel(config(), toy_low.channels, 400, 2)
-        assert np.array_equal(
-            batched.execute(beams, table, backend="tiled"),
-            batched.execute(beams, table, backend="vectorized"),
-        )
 
     def test_plan_execute_backend_equality(self, toy_low, toy_grid, rng):
         from repro.core.plan import DedispersionPlan

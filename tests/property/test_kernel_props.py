@@ -85,6 +85,24 @@ class TestKernelEquivalence:
         fast = run_kernel(kernel, data, delays, backend="vectorized")
         np.testing.assert_array_equal(tiled, fast)
 
+    @settings(max_examples=40, deadline=None)
+    @given(problem=problems(), choice=st.data())
+    def test_dm_slab_equals_rows_of_whole_grid(self, problem, choice):
+        # run_fused_chunk launches one tile-multiple DM slab at a time:
+        # each slab must reproduce its rows of the whole-grid launch
+        # exactly, on both executors.
+        channels, samples, n_dms, config, delays, data = problem
+        tile = config.tile_dms
+        tiles = n_dms // tile
+        first = choice.draw(st.integers(min_value=0, max_value=tiles - 1))
+        count = choice.draw(st.integers(min_value=1, max_value=tiles - first))
+        rows = slice(first * tile, (first + count) * tile)
+        kernel = build_kernel(config, channels, samples)
+        for backend in ("tiled", "vectorized"):
+            whole = run_kernel(kernel, data, delays, backend=backend)
+            slab = run_kernel(kernel, data, delays[rows], backend=backend)
+            np.testing.assert_array_equal(slab, whole[rows])
+
     @settings(max_examples=30, deadline=None)
     @given(problem=problems())
     def test_staged_equals_direct(self, problem):

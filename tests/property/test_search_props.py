@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.astro.candidates import Candidate, sift
 from repro.astro.ddplan import build_ddplan
 from repro.astro.observation import ObservationSetup
-from repro.astro.periodicity import harmonic_sum, power_spectrum
 from repro.astro.snr import boxcar_snr
 
 
@@ -53,26 +52,6 @@ class TestSiftProperties:
         for cluster in clusters:
             dms = {m.dm for m in cluster.members}
             assert len(dms) == 1
-
-
-class TestSpectrumProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 31),
-           n=st.integers(min_value=16, max_value=2048))
-    def test_power_spectrum_non_negative(self, seed, n):
-        series = np.random.default_rng(seed).normal(size=n)
-        spectrum = power_spectrum(series)
-        assert np.all(spectrum >= 0)
-        assert spectrum.size == n // 2 + 1 - 1
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 31),
-           n_harm=st.sampled_from([1, 2, 4, 8]))
-    def test_harmonic_sum_dominates_fundamental(self, seed, n_harm):
-        spectrum = np.random.default_rng(seed).exponential(size=256)
-        summed = harmonic_sum(spectrum, n_harm)
-        # Summing non-negative harmonics can only increase each bin.
-        assert np.all(summed >= spectrum - 1e-12)
 
 
 class TestBoxcarProperties:

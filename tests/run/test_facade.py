@@ -17,7 +17,6 @@ from repro.run import (
     ExecutionResult,
     execute,
 )
-from repro.sched import shard_survey
 from tests.conftest import make_input
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
@@ -74,6 +73,19 @@ class TestRequestValidation:
         with pytest.raises(ValidationError, match="delay_table"):
             ExecutionRequest(data=data, config=CONFIG)
 
+    @pytest.mark.parametrize("source", ["plan", "kernel"])
+    def test_samples_rejected_unless_config(
+        self, source, plan, kernel, data, table
+    ):
+        # Both sources fix their own batch (400 columns); samples= used
+        # to be ignored silently instead of resizing the output.
+        sources = {
+            "plan": {"plan": plan},
+            "kernel": {"kernel": kernel, "delay_table": table},
+        }
+        with pytest.raises(ValidationError, match="samples="):
+            ExecutionRequest(data=data, samples=200, **sources[source])
+
     def test_execute_rejects_non_request(self):
         with pytest.raises(ValidationError, match="ExecutionRequest"):
             execute({"data": None})
@@ -81,27 +93,11 @@ class TestRequestValidation:
 
 class TestModeResolution:
     def test_modes_tuple_is_closed(self):
-        assert EXECUTION_MODES == (
-            "auto", "kernel", "batched", "sharded", "streaming", "fused"
-        )
+        assert EXECUTION_MODES == ("auto", "kernel", "streaming", "fused")
 
     def test_2d_infers_kernel(self, kernel, table, data):
         request = ExecutionRequest(data=data, kernel=kernel, delay_table=table)
         assert request.resolve_mode() == "kernel"
-
-    def test_3d_infers_batched(self, kernel, table, data):
-        request = ExecutionRequest(
-            data=np.stack([data, data]), kernel=kernel, delay_table=table
-        )
-        assert request.resolve_mode() == "batched"
-
-    def test_shards_infer_sharded(self, toy_low, toy_grid, table, data):
-        shards = shard_survey(toy_low, toy_grid, n_beams=1, duration_s=1.0)
-        request = ExecutionRequest(
-            data=data[None], config=CONFIG, delay_table=table, shards=shards
-        )
-        assert request.resolve_mode() == "sharded"
-        assert isinstance(request.shards, tuple)
 
     def test_chunks_infer_streaming(self, plan):
         request = ExecutionRequest(plan=plan, chunks=())
@@ -133,17 +129,11 @@ class TestModeResolution:
         with pytest.raises(ValidationError, match="plan"):
             request.resolve_mode()
 
-    def test_sharded_requires_config(self, toy_low, toy_grid, kernel, table, data):
-        shards = shard_survey(toy_low, toy_grid, n_beams=1, duration_s=1.0)
+    @pytest.mark.parametrize("shape", [(8,), (2, 16, 500)], ids=["1-D", "3-D"])
+    def test_1d_data_rejected(self, kernel, table, shape):
+        # Every launch covers one beam: a beams axis is an error too.
         request = ExecutionRequest(
-            data=data[None], kernel=kernel, delay_table=table, shards=shards
-        )
-        with pytest.raises(ValidationError, match="config"):
-            request.resolve_mode()
-
-    def test_1d_data_rejected(self, kernel, table):
-        request = ExecutionRequest(
-            data=np.zeros(8, dtype=np.float32),
+            data=np.zeros(shape, dtype=np.float32),
             kernel=kernel,
             delay_table=table,
         )
@@ -240,44 +230,6 @@ class TestKernelMode:
         assert "repro_run_execute_seconds" in names
 
 
-class TestBatchedMode:
-    def test_matches_per_beam_kernel(self, kernel, table, data, rng, toy_low, toy_grid):
-        beams = np.stack([data, rng.normal(size=data.shape).astype(np.float32)])
-        result = execute(
-            ExecutionRequest(data=beams, kernel=kernel, delay_table=table)
-        )
-        assert result.mode == "batched"
-        assert result.launches == 2
-        assert result.output.shape == (2, toy_grid.n_dms, 400)
-        for beam in range(2):
-            np.testing.assert_array_equal(
-                result.output[beam], kernel._execute(beams[beam], table)
-            )
-
-
-class TestShardedMode:
-    def test_stitches_to_batched_output(self, toy_low, toy_grid, table, rng):
-        config = KernelConfiguration(4, 2, 2, 1)
-        t = toy_low.samples_per_batch + int(table.max())
-        batch = rng.normal(size=(2, toy_low.channels, t)).astype(np.float32)
-        shards = shard_survey(
-            toy_low, toy_grid, n_beams=2, duration_s=1.0, max_dms_per_shard=2
-        )
-        sharded = execute(
-            ExecutionRequest(
-                data=batch, config=config, delay_table=table, shards=shards
-            )
-        )
-        assert sharded.mode == "sharded"
-        assert sharded.launches == len(shards)
-        reference = execute(
-            ExecutionRequest(
-                data=batch, config=config, delay_table=table, samples=400
-            )
-        )
-        np.testing.assert_array_equal(sharded.output, reference.output)
-
-
 class TestStreamingMode:
     def test_concatenates_chunk_outputs(self, plan, toy_low, toy_grid):
         telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=3)
@@ -340,14 +292,14 @@ class TestScenarioInput:
         request = ExecutionRequest(
             plan=plan,
             scenario=scenario_by_name("noise_floor"),
-            mode="batched",
+            mode="kernel",
         )
         with pytest.raises(ValidationError) as excinfo:
             request.resolve_mode()
         message = str(excinfo.value)
         assert "scenario= is only valid in streaming or fused mode" in message
-        assert "kernel, batched, sharded, streaming, fused" in message
-        assert "resolves to 'batched'" in message
+        assert "kernel, streaming, fused" in message
+        assert "resolves to 'kernel'" in message
         assert "mode='streaming'" in message
 
     def test_chunks_mode_error_names_modes(self, plan):
@@ -356,7 +308,7 @@ class TestScenarioInput:
             request.resolve_mode()
         message = str(excinfo.value)
         assert "chunks= is only valid in streaming or fused mode" in message
-        assert "kernel, batched, sharded, streaming, fused" in message
+        assert "kernel, streaming, fused" in message
 
     def test_executes_realized_stream(self, plan, toy_grid):
         from repro.scenarios import scenario_by_name

@@ -262,46 +262,3 @@ class TestObservability:
                 "repro_trace_spans_total", span="sched.shard"
             )
             assert counter.value == report.attempts
-
-
-class TestNumericExecution:
-    """The engine's own sharding produces real numbers via the facade."""
-
-    def test_matches_unsharded_batched_launch(self, service, rng):
-        import numpy as np
-
-        from repro.astro.dispersion import delay_table
-        from repro.core.config import KernelConfiguration
-        from repro.opencl_sim.batch import build_batched_kernel
-        from repro.run import ExecutionRequest, execute
-
-        engine = make_engine(service, n_beams=2, duration_s=1.0)
-        config = KernelConfiguration(
-            work_items_time=4, work_items_dm=2, elements_time=2, elements_dm=1
-        )
-        table = delay_table(SETUP, GRID.values)
-        t = SETUP.samples_per_batch + int(table.max())
-        batch = rng.normal(size=(2, SETUP.channels, t)).astype(np.float32)
-        def run(backend=None):
-            return execute(
-                ExecutionRequest(
-                    data=batch,
-                    config=config,
-                    delay_table=engine.delay_table(),
-                    shards=engine.shards_for_batch(0),
-                    backend=backend,
-                )
-            ).output
-
-        stitched = run()
-        reference = build_batched_kernel(
-            config, SETUP.channels, SETUP.samples_per_batch, 2
-        ).execute(batch, table)
-        assert np.array_equal(stitched, reference)
-        # Both executors stitch to the same bits.
-        assert np.array_equal(stitched, run(backend="vectorized"))
-
-    def test_unknown_batch_rejected(self, service):
-        engine = make_engine(service, n_beams=1, duration_s=1.0)
-        with pytest.raises(SchedulerError, match="no shards"):
-            engine.shards_for_batch(99)

@@ -13,7 +13,7 @@ Two checks:
 
 * every pinned entrypoint (``PINNED``) carries exactly the agreed
   parameter list, in order.  The pins are the facade's ``execute``,
-  the executor bodies it dispatches to, the :class:`SignalSource`
+  the kernel body it dispatches to, the :class:`SignalSource`
   protocol and the tuning service's ``resolve`` entrypoints; a pinned
   file or name that goes missing is an error;
 * no ``execute``/``generate``/``add_to``/``resolve``-family function in
@@ -45,18 +45,10 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/run/facade.py",
         ("request",),
     ),
-    # The executor bodies the facade dispatches to.
+    # The executor body the facade dispatches to.
     "DedispersionKernel._execute": (
         "repro/opencl_sim/kernel.py",
         ("input_data", "delay_table", "out", "backend"),
-    ),
-    "BatchedDedispersionKernel.execute": (
-        "repro/opencl_sim/batch.py",
-        ("input_data", "delay_table", "out", "backend"),
-    ),
-    "_execute_sharded": (
-        "repro/opencl_sim/batch.py",
-        ("config", "input_data", "delay_table", "shards", "out", "backend"),
     ),
     "SignalSource.generate": (
         "repro/astro/source.py",
