@@ -37,9 +37,6 @@ DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_tune.json"
 #: Strategies under test (the exhaustive sweep is the baseline).
 STRATEGIES = ("model-guided", "halving")
 
-#: Relative GFLOP/s slack when judging an optimum match (ties only).
-MATCH_RTOL = 1e-9
-
 SETUPS = {"apertif": apertif, "lofar": lofar}
 
 #: Full matrix: both paper setups x the paper's mid-range instances x
@@ -82,9 +79,7 @@ def bench_instance(setup_name, setup, n_dms, device):
             "evaluations": round(outcome.evaluations, 3),
             "measurements": outcome.measurements,
             "fraction_evaluated": round(outcome.fraction_evaluated, 4),
-            "matched_optimum": bool(
-                outcome.best.gflops >= optimum * (1.0 - MATCH_RTOL)
-            ),
+            "matched_optimum": outcome.matches(optimum),
         }
     return row
 

@@ -114,7 +114,6 @@ from repro.tune import (
 from repro.service import (
     TuningService,
     ServiceClient,
-    ServiceResponse,
     TuneRequest,
     TuneResponse,
     TenantAdmission,
@@ -259,7 +258,6 @@ __all__ = [
     # serving layer
     "TuningService",
     "ServiceClient",
-    "ServiceResponse",
     "TuneRequest",
     "TuneResponse",
     "TenantAdmission",

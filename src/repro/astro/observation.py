@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.constants import BYTES_PER_SAMPLE, FLOP_PER_ELEMENT
+from repro.errors import ValidationError
 from repro.utils.validation import require, require_positive, require_positive_int
 
 
@@ -161,3 +162,14 @@ def lofar(samples_per_batch: int | None = None) -> ObservationSetup:
         samples_per_second=200_000,
         samples_per_batch=samples_per_batch or 0,
     )
+
+
+def setup_by_name(name: str) -> ObservationSetup:
+    """The paper's setup named ``name`` (apertif or lofar, any case)."""
+    factories = {"apertif": apertif, "lofar": lofar}
+    try:
+        return factories[name.lower()]()
+    except KeyError:
+        raise ValidationError(
+            f"unknown setup {name!r}; known: apertif, lofar"
+        ) from None

@@ -39,7 +39,7 @@ import argparse
 import sys
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import ObservationSetup, apertif, lofar
+from repro.astro.observation import ObservationSetup, setup_by_name
 from repro.core.stats import OptimumStatistics
 from repro.core.tuner import AutoTuner
 from repro.errors import ReproError
@@ -60,16 +60,6 @@ def _persist_obs(quiet: bool = False) -> None:
         print(f"observability snapshot merged into {path}")
 
 
-def _setup_by_name(name: str) -> ObservationSetup:
-    table = {"apertif": apertif, "lofar": lofar}
-    try:
-        return table[name.lower()]()
-    except KeyError:
-        raise ReproError(
-            f"unknown setup {name!r}; known: apertif, lofar"
-        ) from None
-
-
 def _cmd_devices(_args: argparse.Namespace) -> int:
     print(run_experiment("table1").render())
     return 0
@@ -77,7 +67,7 @@ def _cmd_devices(_args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     device = device_by_name(args.device)
-    setup = _setup_by_name(args.setup)
+    setup = setup_by_name(args.setup)
     grid = (
         DMTrialGrid.zero_dm(args.dms)
         if args.zero_dm
@@ -228,7 +218,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_ddplan(args: argparse.Namespace) -> int:
     from repro.astro.ddplan import build_ddplan
 
-    setup = _setup_by_name(args.setup)
+    setup = setup_by_name(args.setup)
     plan = build_ddplan(
         setup, max_dm=args.max_dm, tolerance=args.tolerance
     )
@@ -256,7 +246,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
     from repro.utils.rng import RandomStreams
 
     device = device_by_name(args.device)
-    setup = _setup_by_name(args.setup)
+    setup = setup_by_name(args.setup)
     instances = []
     for token in args.instances.split(","):
         token = token.strip()
@@ -417,7 +407,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     from repro.pipeline.fleet import FleetDevice, plan_fleet
     from repro.sched import ExecutionEngine, FaultProfile, load_ledger
 
-    setup = _setup_by_name(args.setup)
+    setup = setup_by_name(args.setup)
     grid = DMTrialGrid(args.dms, step=args.dm_step)
     inventory = []
     for token in args.inventory.split(","):
@@ -479,7 +469,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     import dataclasses
 
-    setup = _setup_by_name(args.setup)
+    setup = setup_by_name(args.setup)
     if args.samples:
         setup = dataclasses.replace(setup, samples_per_batch=args.samples)
     # The grid starts one step above DM 0 so the zero-DM RFI filter can

@@ -22,13 +22,6 @@ from repro.core.stats import (
 from repro.core.fixed import best_fixed_configuration, FixedConfigResult
 from repro.core.subband import SubbandPlan, dedisperse_subband
 from repro.core.persistence import load_sweep, model_fingerprint, save_sweep
-from repro.core.heuristics import (
-    HeuristicOutcome,
-    budgeted_tune,
-    hill_climb,
-    random_search,
-    simulated_annealing,
-)
 
 __all__ = [
     "KernelConfiguration",
@@ -54,11 +47,6 @@ __all__ = [
     "FixedConfigResult",
     "SubbandPlan",
     "dedisperse_subband",
-    "HeuristicOutcome",
-    "budgeted_tune",
-    "hill_climb",
-    "random_search",
-    "simulated_annealing",
     "load_sweep",
     "model_fingerprint",
     "save_sweep",

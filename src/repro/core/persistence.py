@@ -28,7 +28,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import ObservationSetup, apertif, lofar
+from repro.astro.observation import ObservationSetup, setup_by_name
 from repro.core.config import KernelConfiguration
 from repro.core.tuner import ConfigurationSample, TuningResult
 from repro.errors import SchemaVersionError, TuningError, ValidationError
@@ -68,16 +68,6 @@ def model_fingerprint(device: DeviceSpec, setup: ObservationSetup) -> str:
         json.dumps(payload, sort_keys=True, default=str).encode()
     )
     return digest.hexdigest()[:16]
-
-
-def _setup_by_name(name: str) -> ObservationSetup:
-    table = {"apertif": apertif, "lofar": lofar}
-    try:
-        return table[name.lower()]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown setup {name!r} in sweep document"
-        ) from None
 
 
 def sweep_to_document(result: TuningResult) -> dict:
@@ -136,7 +126,7 @@ def load_sweep(
             )
         raise ValidationError(f"unsupported sweep schema {schema!r}")
     device = device_by_name(document["device"])
-    setup = _setup_by_name(document["setup"])
+    setup = setup_by_name(document["setup"])
     stored_fingerprint = document.get("fingerprint")
     if verify and stored_fingerprint is not None:
         current = model_fingerprint(device, setup)

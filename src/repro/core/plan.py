@@ -51,13 +51,11 @@ class DedispersionPlan:
         device: DeviceSpec,
         config: KernelConfiguration | None = None,
         samples: int | None = None,
-        space_kwargs: dict | None = None,
     ) -> "DedispersionPlan":
         """Build a plan, auto-tuning when no configuration is given."""
         s = setup.samples_per_batch if samples is None else samples
         if config is None:
-            tuner = AutoTuner(device, setup, space_kwargs=space_kwargs)
-            config = tuner.tune(grid, samples=s).best.config
+            config = AutoTuner(device, setup).tune(grid, samples=s).best.config
         else:
             validate_configuration(config, device, setup, grid, s)
         kernel = build_kernel(config, setup.channels, s)

@@ -10,15 +10,21 @@ constraint checker prune the rest:
   work-group limit.  This is why the paper's optima include values such as
   250 and 1,000 rather than only powers of two.
 * ``elements_time`` ranges over divisors of the remaining per-row samples,
-  capped by ``max_elements_time``.
+  capped by :data:`MAX_ELEMENTS_TIME`.
 * ``work_items_dm`` and ``elements_dm`` range over powers of two so that
   DM tiles divide the power-of-two input instances.
+
+The module also owns the space's one notch geometry: :func:`axis_values`
+lists the values each parameter takes in a meaningful set, and
+:func:`notch_neighbours` steps one parameter one notch along that list.
+Local search (:mod:`repro.tune.strategy`) and warm-start pruning
+(:mod:`repro.service.warmstart`) both measure distance this way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
@@ -28,40 +34,40 @@ from repro.hardware.device import DeviceSpec
 from repro.utils.intmath import divisors, powers_of_two
 from repro.utils.validation import require_positive_int
 
+#: Per-work-item workload caps.  They cover the paper's observed optima
+#: (et up to 32, ed up to 8) with headroom.
+MAX_ELEMENTS_TIME: int = 32
+MAX_ELEMENTS_DM: int = 8
+MAX_WORK_ITEMS_DM: int = 64
+
+#: The four tunable parameters, in :class:`KernelConfiguration` order.
+AXES: tuple[str, ...] = (
+    "work_items_time",
+    "work_items_dm",
+    "elements_time",
+    "elements_dm",
+)
+
 
 @dataclass(frozen=True)
 class TuningSpace:
     """Candidate generator for one (device, setup, instance) combination.
 
-    ``max_elements_time`` / ``max_elements_dm`` bound the per-work-item
-    workload; the defaults cover the paper's observed optima (et up to 32,
-    ed up to 8) with headroom.
-
-    ``predicate`` and ``limit`` are the lazy filtering hooks search
-    strategies use: a predicate restricts enumeration to configurations
-    it accepts, and a limit stops :meth:`iter_meaningful` after that many
-    yields — without ever materialising the full candidate list.
+    ``samples`` is the batch length the kernel computes (``0``: the
+    setup's batch).  The per-work-item workload is capped by the module
+    constants :data:`MAX_ELEMENTS_TIME`, :data:`MAX_ELEMENTS_DM` and
+    :data:`MAX_WORK_ITEMS_DM`.
     """
 
     device: DeviceSpec
     setup: ObservationSetup
     grid: DMTrialGrid
     samples: int = 0  # defaults to the setup batch
-    max_elements_time: int = 32
-    max_elements_dm: int = 8
-    max_work_items_dm: int = 64
-    predicate: Callable[[KernelConfiguration], bool] | None = None
-    limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.samples == 0:
             object.__setattr__(self, "samples", self.setup.samples_per_batch)
         require_positive_int(self.samples, "samples")
-        require_positive_int(self.max_elements_time, "max_elements_time")
-        require_positive_int(self.max_elements_dm, "max_elements_dm")
-        require_positive_int(self.max_work_items_dm, "max_work_items_dm")
-        if self.limit is not None:
-            require_positive_int(self.limit, "limit")
 
     # ------------------------------------------------------------------
     def _work_items_time_candidates(self) -> list[int]:
@@ -70,12 +76,12 @@ class TuningSpace:
 
     def _elements_time_candidates(self, wt: int) -> list[int]:
         per_row = self.samples // wt
-        return [d for d in divisors(per_row) if d <= self.max_elements_time]
+        return [d for d in divisors(per_row) if d <= MAX_ELEMENTS_TIME]
 
     def _dm_candidates(self) -> list[tuple[int, int]]:
         pairs: list[tuple[int, int]] = []
-        for wd in powers_of_two(1, min(self.max_work_items_dm, self.grid.n_dms)):
-            for ed in powers_of_two(1, self.max_elements_dm):
+        for wd in powers_of_two(1, min(MAX_WORK_ITEMS_DM, self.grid.n_dms)):
+            for ed in powers_of_two(1, MAX_ELEMENTS_DM):
                 if wd * ed <= self.grid.n_dms:
                     pairs.append((wd, ed))
         return pairs
@@ -97,30 +103,49 @@ class TuningSpace:
                         elements_dm=ed,
                     )
 
-    def iter_meaningful(self) -> Iterator[KernelConfiguration]:
-        """Meaningful configurations, lazily, honouring the filter hooks.
-
-        Yields candidates that pass the constraint checker and the
-        optional ``predicate``, stopping after ``limit`` yields — the
-        enumeration a strategy can abandon early without paying for the
-        rest of the space.
-        """
-        yielded = 0
-        for c in self.candidates():
-            if self.limit is not None and yielded >= self.limit:
-                return
-            if self.predicate is not None and not self.predicate(c):
-                continue
-            if is_meaningful(
-                c, self.device, self.setup, self.grid, self.samples
-            ):
-                yielded += 1
-                yield c
-
     def meaningful(self) -> list[KernelConfiguration]:
         """All meaningful configurations for this (device, setup, instance)."""
-        return list(self.iter_meaningful())
+        return [
+            c
+            for c in self.candidates()
+            if is_meaningful(
+                c, self.device, self.setup, self.grid, self.samples
+            )
+        ]
 
     def size_estimate(self) -> int:
         """Number of geometric candidates (upper bound on sweep size)."""
         return sum(1 for _ in self.candidates())
+
+
+def axis_values(configs: list[KernelConfiguration]) -> dict[str, list[int]]:
+    """The sorted values each parameter takes in ``configs``, by axis."""
+    return {
+        axis: sorted({getattr(c, axis) for c in configs}) for axis in AXES
+    }
+
+
+def notch_neighbours(
+    config: KernelConfiguration,
+    values: dict[str, list[int]],
+    config_set: set[KernelConfiguration],
+) -> list[KernelConfiguration]:
+    """Members of ``config_set`` one notch away in a single parameter.
+
+    Notches are steps along ``values`` (see :func:`axis_values`); axes are
+    visited in :data:`AXES` order, the lower notch before the higher.
+    """
+    neighbours: list[KernelConfiguration] = []
+    for axis in AXES:
+        axis_list = values[axis]
+        current = getattr(config, axis)
+        if current not in axis_list:
+            continue
+        idx = axis_list.index(current)
+        for j in (idx - 1, idx + 1):
+            if not 0 <= j < len(axis_list):
+                continue
+            candidate = replace(config, **{axis: axis_list[j]})
+            if candidate in config_set:
+                neighbours.append(candidate)
+    return neighbours

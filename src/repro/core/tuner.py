@@ -110,43 +110,17 @@ class TuningResult:
 class AutoTuner:
     """Sweeps the meaningful configuration space of one problem instance."""
 
-    def __init__(
-        self,
-        device: DeviceSpec,
-        setup: ObservationSetup,
-        space_kwargs: dict | None = None,
-    ):
+    def __init__(self, device: DeviceSpec, setup: ObservationSetup):
         self.device = device
         self.setup = setup
-        self.space_kwargs = dict(space_kwargs or {})
 
     def space(
-        self,
-        grid: DMTrialGrid,
-        samples: int | None = None,
-        predicate=None,
-        limit: int | None = None,
+        self, grid: DMTrialGrid, samples: int | None = None
     ) -> TuningSpace:
-        """The tuning space this tuner would sweep for ``grid``.
-
-        ``predicate`` and ``limit`` are forwarded to
-        :class:`~repro.core.space.TuningSpace` so callers (search
-        strategies) can enumerate the meaningful set lazily — filtered
-        and truncated during generation instead of after materialising
-        the full list.
-        """
+        """The tuning space this tuner would sweep for ``grid``."""
         s = self.setup.samples_per_batch if samples is None else samples
-        kwargs = dict(self.space_kwargs)
-        if predicate is not None:
-            kwargs["predicate"] = predicate
-        if limit is not None:
-            kwargs["limit"] = limit
         return TuningSpace(
-            device=self.device,
-            setup=self.setup,
-            grid=grid,
-            samples=s,
-            **kwargs,
+            device=self.device, setup=self.setup, grid=grid, samples=s
         )
 
     def tune(

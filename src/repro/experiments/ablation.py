@@ -21,7 +21,6 @@ import logging
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.config import KernelConfiguration
-from repro.core.heuristics import hill_climb, random_search, simulated_annealing
 from repro.core.subband import SubbandPlan
 from repro.core.tuner import AutoTuner
 from repro.experiments.base import (
@@ -33,6 +32,7 @@ from repro.experiments.base import (
 from repro.errors import ReproError
 from repro.hardware.catalog import hd7970, xeon_phi_5110p, xeon_phi_5110p_openmp
 from repro.hardware.model import PerformanceModel
+from repro.tune import hill_climb, random_search, simulated_annealing
 
 logger = logging.getLogger(__name__)
 
@@ -211,12 +211,12 @@ def run_ablation_tuner(n_dms: int = 1024, budget: int = 40) -> ExperimentResult:
                     device.name,
                     exhaustive.n_configurations,
                     f"{best:.1f}",
-                    f"{rand.best_gflops:.1f} "
-                    f"({rand.best_gflops / best:.0%})",
-                    f"{hill.best_gflops:.1f} "
-                    f"({hill.best_gflops / best:.0%})",
-                    f"{anneal.best_gflops:.1f} "
-                    f"({anneal.best_gflops / best:.0%})",
+                    f"{rand.best.gflops:.1f} "
+                    f"({rand.best.gflops / best:.0%})",
+                    f"{hill.best.gflops:.1f} "
+                    f"({hill.best.gflops / best:.0%})",
+                    f"{anneal.best.gflops:.1f} "
+                    f"({anneal.best.gflops / best:.0%})",
                 )
             )
     return ExperimentResult(

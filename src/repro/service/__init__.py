@@ -21,7 +21,6 @@ from repro.service.client import ServiceClient
 from repro.service.keys import InstanceKey
 from repro.service.request import (
     PRIORITIES,
-    ServiceResponse,
     TuneRequest,
     TuneResponse,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "DiskSweepStore",
     "InstanceKey",
     "ServiceClient",
-    "ServiceResponse",
     "ServiceStats",
     "StatsSnapshot",
     "SweepLRUCache",

@@ -12,10 +12,6 @@ Two frozen dataclasses make up the service's surface:
   tier or sweep produced it (``source``), which tenant asked, which
   named service served it (``replica``), and whether it is a degraded
   heuristic answer rather than the authoritative optimum (``degraded``).
-
-:class:`ServiceResponse` is the base class of :class:`TuneResponse` and
-carries the tenant-independent part — ``response.best``,
-``response.source``, ``response.degraded``.
 """
 
 from __future__ import annotations
@@ -24,11 +20,12 @@ import math
 from dataclasses import dataclass
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import ObservationSetup, apertif, lofar
+from repro.astro.observation import ObservationSetup, setup_by_name
 from repro.core.tuner import ConfigurationSample, TuningResult
 from repro.errors import ValidationError
 from repro.hardware.device import DeviceSpec
 from repro.service.keys import InstanceKey
+from repro.tune import build_strategy
 
 #: Admission/degradation priorities, least to most urgent.
 PRIORITIES = ("low", "normal", "high")
@@ -39,18 +36,6 @@ PRIORITIES = ("low", "normal", "high")
 #: one.  Admission itself charges every request the same one token —
 #: priority buys answer quality under pressure, not queue jumping.
 PRIORITY_BUDGET_SCALE = {"low": 0.5, "normal": 1.0, "high": 2.0}
-
-#: Setup names resolvable from a bare string in :class:`TuneRequest`.
-_SETUPS = {"apertif": apertif, "lofar": lofar}
-
-
-def _setup_from_name(name: str) -> ObservationSetup:
-    try:
-        return _SETUPS[name.lower()]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown setup {name!r}; known: {', '.join(sorted(_SETUPS))}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -73,10 +58,12 @@ class TuneRequest:
         identity — one tenant's sweep warms every other tenant of the
         same instance.
     strategy:
-        Optional per-request :class:`~repro.tune.SearchStrategy` (or its
-        registry name) for a cold sweep, overriding the service-level
-        strategy.  When concurrent requests share one sweep, the
-        leader's strategy wins.
+        Optional :class:`~repro.tune.SearchStrategy` (or its registry
+        name) for a cold sweep instead of the exhaustive one.  A name is
+        resolved at construction, so an unknown one raises
+        :class:`~repro.errors.TuningError` before the request reaches a
+        service.  When concurrent requests share one sweep, the leader's
+        strategy wins.
     budget:
         Seconds the caller will wait for an authoritative answer before
         degrading to the budgeted heuristic.  ``None`` uses the service
@@ -119,12 +106,14 @@ class TuneRequest:
             raise ValidationError(
                 f"n_dms must be an int or DMTrialGrid, got {self.n_dms!r}"
             )
+        if self.strategy is not None:
+            object.__setattr__(self, "strategy", build_strategy(self.strategy))
 
     # -- resolution helpers -------------------------------------------
     def resolved_setup(self) -> ObservationSetup:
         """The concrete observation setup this request names."""
         if isinstance(self.setup, str):
-            return _setup_from_name(self.setup)
+            return setup_by_name(self.setup)
         return self.setup
 
     def resolved_device(self) -> DeviceSpec:
@@ -168,13 +157,16 @@ class TuneRequest:
 
 
 @dataclass(frozen=True)
-class ServiceResponse:
-    """One answered request: the sweep plus how it was produced.
+class TuneResponse:
+    """One answered request: the sweep, how it was produced, and for whom.
 
     ``source`` is one of ``memory``, ``disk``, ``sweep``, ``warm``,
     ``warm-fallback``, ``strategy-<name>``, ``degraded-timeout``,
     ``degraded-admission``.  Degraded responses carry a heuristic
     (budget-bounded) result rather than the exhaustive optimum.
+    ``tenant`` echoes the requester and ``replica`` names the
+    :class:`~repro.service.TuningService` that served the request (its
+    ``name``; ``None`` when the service is unnamed).
     """
 
     key: InstanceKey
@@ -182,6 +174,8 @@ class ServiceResponse:
     source: str
     elapsed_s: float
     degraded: bool = False
+    tenant: str = "default"
+    replica: str | None = None
 
     @property
     def best(self) -> ConfigurationSample:
@@ -191,28 +185,12 @@ class ServiceResponse:
     def describe(self) -> str:
         """One-line summary for logs and CLI output."""
         flag = " DEGRADED" if self.degraded else ""
-        return (
-            f"{self.key.describe()} -> {self.best.config.describe()} "
-            f"{self.best.gflops:.1f} GFLOP/s "
-            f"[{self.source}{flag}, {1e3 * self.elapsed_s:.1f} ms]"
-        )
-
-
-@dataclass(frozen=True)
-class TuneResponse(ServiceResponse):
-    """A :class:`ServiceResponse` stamped with who asked and who answered.
-
-    ``tenant`` echoes the requester and ``replica`` names the
-    :class:`~repro.service.TuningService` that served the request (its
-    ``name``; ``None`` when the service is unnamed).
-    """
-
-    tenant: str = "default"
-    replica: str | None = None
-
-    def describe(self) -> str:
-        line = super().describe()
         extras = [self.tenant]
         if self.replica:
             extras.append(self.replica)
-        return f"{line} ({', '.join(extras)})"
+        return (
+            f"{self.key.describe()} -> {self.best.config.describe()} "
+            f"{self.best.gflops:.1f} GFLOP/s "
+            f"[{self.source}{flag}, {1e3 * self.elapsed_s:.1f} ms] "
+            f"({', '.join(extras)})"
+        )

@@ -23,7 +23,7 @@ request path, in order:
    a probe guard that falls back to the exhaustive sweep when refuted.
 7. **Degradation** — when the tuning budget is exhausted (timeout,
    throttled tenant, or full pool) the caller gets a deterministic
-   budgeted heuristic answer (:func:`repro.core.heuristics.budgeted_tune`),
+   budgeted heuristic answer (:func:`repro.tune.budgeted_tune`),
    flagged ``degraded`` and never cached; the authoritative sweep, if one
    is running, still completes in the background and lands in the cache.
 
@@ -46,7 +46,6 @@ from typing import Callable
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
-from repro.core.heuristics import budgeted_tune
 from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError
 from repro.hardware.device import DeviceSpec
@@ -54,18 +53,24 @@ from repro.obs import MetricsRegistry, span
 from repro.service.admission import TenantAdmission
 from repro.service.cache import DiskSweepStore, SweepLRUCache
 from repro.service.keys import InstanceKey
-from repro.service.request import ServiceResponse, TuneRequest, TuneResponse
+from repro.service.request import TuneRequest, TuneResponse
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.service.warmstart import warm_start_tune
+from repro.tune import budgeted_tune
 
-__all__ = ["ServiceResponse", "TuningService"]
+__all__ = ["TuningService"]
 
 #: Factory signature the service uses to build tuners (injectable so
 #: tests can count or stall sweeps without monkey-patching).
-TunerFactory = Callable[[DeviceSpec, ObservationSetup, dict], AutoTuner]
+TunerFactory = Callable[[DeviceSpec, ObservationSetup], AutoTuner]
 
 class TuningService:
     """Thread-safe tuning frontend with caching, dedup, and degradation.
+
+    A cold sweep runs the request's own ``strategy``
+    (:class:`~repro.tune.SearchStrategy`) when it names one, else the
+    paper's exhaustive sweep; warm-started sweeps ignore it, since they
+    already prune the space.
 
     Parameters
     ----------
@@ -88,30 +93,15 @@ class TuningService:
         ``None`` waits indefinitely.  A request's ``budget`` field
         overrides it per call.
     degraded_budget:
-        Model evaluations granted to the heuristic fallback, before the
-        request's priority scaling.
+        Model evaluations granted to the degradation path,
+        :func:`repro.tune.budgeted_tune`, before the request's priority
+        scaling.
     warm_start:
-        Seed sweeps from the nearest cached neighbouring instance.
-    warm_radius / warm_top_k / warm_probes:
-        Pruning and guard knobs forwarded to
-        :func:`repro.service.warmstart.warm_start_tune`.
-    strategy:
-        A :class:`~repro.tune.SearchStrategy` (or its registry name,
-        e.g. ``"model-guided"``) used for cold sweeps instead of the
-        exhaustive tuner; ``None`` keeps the paper's full sweep.
-        Warm-started sweeps are unaffected (they already prune the
-        space), and a request's own ``strategy`` field overrides this
-        default.
-    degraded_strategy:
-        Strategy used by the degradation path instead of
-        :func:`repro.core.heuristics.budgeted_tune`; ``None`` keeps the
-        budgeted heuristic.
-    space_kwargs:
-        Extra :class:`~repro.core.space.TuningSpace` arguments forwarded
-        to every tuner.
+        Seed sweeps from the nearest cached neighbouring instance
+        (:func:`repro.service.warmstart.warm_start_tune`).
     tuner_factory:
-        Callable ``(device, setup, space_kwargs) -> AutoTuner``;
-        injectable for testing.
+        Callable ``(device, setup) -> AutoTuner``; injectable for
+        testing.
     registry:
         The :class:`~repro.obs.MetricsRegistry` service metrics are
         recorded into (default: the process-wide registry).
@@ -131,12 +121,6 @@ class TuningService:
         timeout_s: float | None = None,
         degraded_budget: int = 48,
         warm_start: bool = True,
-        warm_radius: int = 2,
-        warm_top_k: int = 8,
-        warm_probes: int = 8,
-        strategy=None,
-        degraded_strategy=None,
-        space_kwargs: dict | None = None,
         tuner_factory: TunerFactory | None = None,
         registry: MetricsRegistry | None = None,
         name: str | None = None,
@@ -148,16 +132,8 @@ class TuningService:
         self.admission = admission
         self.timeout_s = timeout_s
         self.degraded_budget = degraded_budget
-        self.strategy = self._resolve_strategy(strategy)
-        self.degraded_strategy = self._resolve_strategy(degraded_strategy)
         self.warm_start = warm_start
-        self.warm_radius = warm_radius
-        self.warm_top_k = warm_top_k
-        self.warm_probes = warm_probes
-        self.space_kwargs = dict(space_kwargs or {})
-        self._tuner_factory = tuner_factory or (
-            lambda device, setup, kwargs: AutoTuner(device, setup, kwargs)
-        )
+        self._tuner_factory = tuner_factory or AutoTuner
         self.name = name
         self.cache = SweepLRUCache(capacity)
         self.store = DiskSweepStore(store_dir) if store_dir else None
@@ -247,33 +223,6 @@ class TuningService:
             ))
         ]
 
-    def predict_seconds(
-        self,
-        device: DeviceSpec,
-        setup: ObservationSetup,
-        grid: DMTrialGrid | int,
-        samples: int | None = None,
-    ) -> float:
-        """Modelled seconds to dedisperse one batch with the tuned config.
-
-        Resolves the tuned configuration through the normal request path
-        (so it benefits from every cache tier), then runs it through the
-        performance model for ``samples`` output samples (default: the
-        setup's batch).  The :mod:`repro.sched` workers' service-time
-        estimates are the per-shard analogue of this call.
-        """
-        from repro.hardware.model import PerformanceModel  # local: avoid cycle
-
-        if isinstance(grid, int):
-            grid = DMTrialGrid(n_dms=grid)
-        response = self.resolve(
-            TuneRequest(setup=setup, n_dms=grid, device=device)
-        )
-        model = PerformanceModel(device, setup, grid)
-        return model.simulate(
-            response.best.config, samples=samples, validate=False
-        ).seconds
-
     def snapshot(self) -> StatsSnapshot:
         """Current service counters."""
         return self.stats.snapshot()
@@ -292,15 +241,6 @@ class TuningService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_strategy(spec):
-        """``None`` | strategy name | strategy instance -> instance/None."""
-        if spec is None:
-            return None
-        from repro.tune import build_strategy  # local: keep import light
-
-        return build_strategy(spec)
-
     def _budget_seconds(self, budget: float | None) -> float | None:
         """Request budget -> ``Future.result`` timeout semantics."""
         if budget is None:
@@ -361,12 +301,9 @@ class TuningService:
                 return "cached", None
             if not self._admission.acquire(blocking=False):
                 return "rejected", None
-            strategy = (
-                self._resolve_strategy(request.strategy) or self.strategy
-            )
             try:
                 future = self._pool.submit(
-                    self._tune_job, key, device, setup, grid, strategy
+                    self._tune_job, key, device, setup, grid, request.strategy
                 )
             except BaseException:
                 self._admission.release()
@@ -387,20 +324,13 @@ class TuningService:
             with span(
                 "service.sweep", device=device.name, n_dms=grid.n_dms
             ) as job_span:
-                tuner = self._tuner_factory(device, setup, self.space_kwargs)
+                tuner = self._tuner_factory(device, setup)
                 seed = (
                     self.cache.nearest_neighbor(key)
                     if self.warm_start else None
                 )
                 if seed is not None:
-                    report = warm_start_tune(
-                        tuner,
-                        grid,
-                        seed[1],
-                        radius=self.warm_radius,
-                        top_k=self.warm_top_k,
-                        probes=self.warm_probes,
-                    )
+                    report = warm_start_tune(tuner, grid, seed[1])
                     self.stats.incr("warm_starts")
                     if report.fell_back:
                         self.stats.incr("warm_fallbacks")
@@ -437,34 +367,25 @@ class TuningService:
     ) -> TuneResponse:
         """Heuristic answer when the tuning budget is exhausted.
 
-        Runs on the *caller's* thread (it must not need pool capacity —
-        a full pool is one reason we are here, a throttled tenant the
-        other) and is never cached: if an authoritative sweep is still in flight it will
-        populate the cache when it completes.  With a
-        ``degraded_strategy`` configured the fallback is that strategy's
-        search instead of the budgeted heuristic; either way the model
-        evaluations actually spent are surfaced in
-        ``ServiceStats.degraded_evaluations``, and the request's
-        priority scales the evaluation budget granted.
+        Runs :func:`~repro.tune.budgeted_tune` on the *caller's* thread
+        (it must not need pool capacity — a full pool is one reason we
+        are here, a throttled tenant the other) and is never cached: if
+        an authoritative sweep is still in flight it will populate the
+        cache when it completes.  The request's priority scales the
+        evaluation budget granted, and the model evaluations actually
+        spent are surfaced in ``ServiceStats.degraded_evaluations``.
         """
-        device = request.resolved_device()
-        setup = request.resolved_setup()
-        grid = request.resolved_grid()
-        if self.degraded_strategy is not None:
-            tuner = self._tuner_factory(device, setup, self.space_kwargs)
-            search = self.degraded_strategy.search(tuner, grid)
-            result, evaluated = search.result, search.measurements
-        else:
-            outcome = budgeted_tune(
-                device, setup, grid,
-                budget=request.degraded_budget(self.degraded_budget),
-            )
-            result, evaluated = outcome.result, outcome.evaluations
-        self.stats.incr("degraded_evaluations", by=evaluated)
+        outcome = budgeted_tune(
+            request.resolved_device(),
+            request.resolved_setup(),
+            request.resolved_grid(),
+            budget=request.degraded_budget(self.degraded_budget),
+        )
+        self.stats.incr("degraded_evaluations", by=outcome.measurements)
         return self._respond(
             request,
             key,
-            result,
+            outcome.result,
             f"degraded-{reason}",
             started,
             degraded=True,

@@ -27,15 +27,8 @@ from dataclasses import dataclass
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.core.config import KernelConfiguration
+from repro.core.space import AXES, axis_values
 from repro.core.tuner import AutoTuner, TuningResult
-
-#: Parameter axes in KernelConfiguration order.
-_AXES: tuple[str, ...] = (
-    "work_items_time",
-    "work_items_dm",
-    "elements_time",
-    "elements_dm",
-)
 
 
 @dataclass(frozen=True)
@@ -81,29 +74,27 @@ def pruned_candidates(
 
     A configuration qualifies when at least three of its four parameters
     lie within ``radius`` notches of the seed's (notches counted on the
-    sorted list of values that parameter actually takes in ``configs``);
-    the fourth parameter may roam freely.
+    sorted list of values that parameter actually takes in ``configs``,
+    :func:`repro.core.space.axis_values`); the fourth parameter may roam
+    freely.
     """
-    axis_values = {
-        axis: sorted({getattr(c, axis) for c in configs}) for axis in _AXES
-    }
+    values = axis_values(configs)
     seed_index = {
-        axis: _nearest_index(axis_values[axis], getattr(seed, axis))
-        for axis in _AXES
+        axis: _nearest_index(values[axis], getattr(seed, axis))
+        for axis in AXES
     }
     index_of = {
-        axis: {v: i for i, v in enumerate(axis_values[axis])}
-        for axis in _AXES
+        axis: {v: i for i, v in enumerate(values[axis])} for axis in AXES
     }
     selected: list[KernelConfiguration] = []
     for config in configs:
         near = sum(
             1
-            for axis in _AXES
+            for axis in AXES
             if abs(index_of[axis][getattr(config, axis)] - seed_index[axis])
             <= radius
         )
-        if near >= len(_AXES) - 1:
+        if near >= len(AXES) - 1:
             selected.append(config)
     return selected
 

@@ -5,7 +5,9 @@ package finds the same optimum at a few percent of that cost:
 
 * :mod:`repro.tune.strategy` — the :class:`SearchStrategy` interface and
   its implementations (:class:`ExhaustiveSearch`,
-  :class:`SuccessiveHalving`, :class:`ModelGuidedSearch`);
+  :class:`SuccessiveHalving`, :class:`ModelGuidedSearch`), plus the
+  budgeted heuristics (:func:`random_search`, :func:`hill_climb`,
+  :func:`simulated_annealing`, :func:`budgeted_tune`);
 * :mod:`repro.tune.study` — declarative studies (:class:`StudyConfig`
   with ``kwargs`` + ``kwargs_ranges``), executed by :func:`run_study`
   and persisted as schema-versioned JSON;
@@ -24,8 +26,12 @@ from repro.tune.strategy import (
     SearchOutcome,
     SearchStrategy,
     SuccessiveHalving,
+    budgeted_tune,
     build_strategy,
+    hill_climb,
     prior_scores,
+    random_search,
+    simulated_annealing,
     strategy_accepts,
 )
 from repro.tune.study import (
@@ -54,6 +60,11 @@ __all__ = [
     "build_strategy",
     "strategy_accepts",
     "prior_scores",
+    # budgeted heuristics
+    "random_search",
+    "hill_climb",
+    "simulated_annealing",
+    "budgeted_tune",
     # studies
     "STUDY_SCHEMA_VERSION",
     "SUPPORTED_STUDY_SCHEMAS",

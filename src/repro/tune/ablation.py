@@ -18,15 +18,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.astro.dm_trials import DMTrialGrid
+from repro.astro.observation import setup_by_name
 from repro.core.tuner import AutoTuner
 from repro.errors import TuningError
 from repro.hardware.catalog import device_by_name
 from repro.obs import get_registry, span
 from repro.tune.strategy import SearchStrategy, build_strategy
-from repro.tune.study import _setup_by_name
-
-#: Relative GFLOP/s slack when judging an optimum match (ties only).
-_MATCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ def run_ablation(
     )
 
     matrix = [
-        (device_by_name(d), _setup_by_name(s), int(n))
+        (device_by_name(d), setup_by_name(s), int(n))
         for d in devices
         for s in setups
         for n in instances
@@ -177,7 +174,7 @@ def run_ablation(
                 outcome = variant.search(tuner, grid)
                 fractions.append(outcome.fraction_evaluated)
                 bests.append(outcome.best.gflops)
-                if outcome.best.gflops >= optimum * (1.0 - _MATCH_RTOL):
+                if outcome.matches(optimum):
                     matches += 1
             entries.append(
                 AblationEntry(

@@ -26,6 +26,14 @@ quarter of the DM trials costs 0.25), which is what
 ``benchmarks/bench_tune.py`` audits against the <=10%-of-candidates
 target.  Each strategy also declares its ablatable ``COMPONENTS`` so the
 :mod:`repro.tune.ablation` driver can toggle one heuristic at a time.
+
+Four classic budgeted heuristics share the same evaluator, space and
+greedy ascent, as plain functions rather than registered strategies:
+:func:`random_search`, :func:`hill_climb` (ascent with random restarts),
+:func:`simulated_annealing` (a cooled random walk over the one-notch
+neighbourhood) and :func:`budgeted_tune` (random probes, then ascent:
+the tuning service's degraded answer).  ``repro experiment
+ablation-tuner`` compares the first three with the exhaustive optimum.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import numpy as np
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.core.config import KernelConfiguration
+from repro.core.space import axis_values, notch_neighbours
 from repro.core.tuner import AutoTuner, ConfigurationSample, TuningResult
 from repro.errors import TuningError
 from repro.hardware.device import DeviceSpec
@@ -48,6 +57,10 @@ from repro.hardware.model import PerformanceModel
 from repro.obs import get_registry, span
 from repro.utils.intmath import ceil_div
 from repro.utils.rng import RandomStreams
+from repro.utils.validation import require_positive_int
+
+#: Relative GFLOP/s slack when judging an optimum match (ties only).
+MATCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,10 @@ class SearchOutcome:
         if self.space_size <= 0:
             return 0.0
         return self.evaluations / self.space_size
+
+    def matches(self, optimum_gflops: float) -> bool:
+        """Whether the search found the exhaustive optimum (ties count)."""
+        return bool(self.best.gflops >= optimum_gflops * (1.0 - MATCH_RTOL))
 
     def describe(self) -> str:
         """One-line summary for logs and CLI output."""
@@ -197,72 +214,54 @@ class _CostedEvaluator:
         )
 
 
-def _axis_values(
-    configs: list[KernelConfiguration],
-) -> dict[str, list[int]]:
-    axes: dict[str, set[int]] = {"wt": set(), "wd": set(), "et": set(), "ed": set()}
-    for c in configs:
-        axes["wt"].add(c.work_items_time)
-        axes["wd"].add(c.work_items_dm)
-        axes["et"].add(c.elements_time)
-        axes["ed"].add(c.elements_dm)
-    return {axis: sorted(values) for axis, values in axes.items()}
+def _outcome(
+    name: str, evaluator: _CostedEvaluator, space_size: int
+) -> SearchOutcome:
+    """The outcome of a search that measured through ``evaluator``."""
+    return SearchOutcome(
+        strategy=name,
+        result=evaluator.result(),
+        evaluations=evaluator.cost,
+        measurements=evaluator.measurements,
+        space_size=space_size,
+    )
 
 
-def _notch_neighbours(
-    config: KernelConfiguration,
-    axis_values: dict[str, list[int]],
-    config_set: set[KernelConfiguration],
+def _meaningful(
+    tuner: AutoTuner, grid: DMTrialGrid, samples: int
 ) -> list[KernelConfiguration]:
-    """Meaningful configurations one notch away in a single parameter."""
-    current = {
-        "wt": config.work_items_time,
-        "wd": config.work_items_dm,
-        "et": config.elements_time,
-        "ed": config.elements_dm,
-    }
-    neighbours: list[KernelConfiguration] = []
-    for axis, values in axis_values.items():
-        if current[axis] not in values:
-            continue
-        idx = values.index(current[axis])
-        for step in (-1, 1):
-            j = idx + step
-            if not 0 <= j < len(values):
-                continue
-            params = dict(current)
-            params[axis] = values[j]
-            candidate = KernelConfiguration(
-                work_items_time=params["wt"],
-                work_items_dm=params["wd"],
-                elements_time=params["et"],
-                elements_dm=params["ed"],
-            )
-            if candidate in config_set:
-                neighbours.append(candidate)
-    return neighbours
+    """The meaningful space a search runs over; empty is an error."""
+    configs = tuner.space(grid, samples).meaningful()
+    if not configs:
+        raise TuningError(
+            f"search space is empty for {tuner.device.name}/"
+            f"{tuner.setup.name}/{grid.n_dms} DMs"
+        )
+    return configs
 
 
 def _greedy_ascent(
     evaluator: _CostedEvaluator,
     configs: list[KernelConfiguration],
     budget: int,
+    start: ConfigurationSample | None = None,
 ) -> None:
-    """Full-fidelity best-neighbour ascent from the best measured point."""
+    """Full-fidelity best-neighbour ascent, spending at most ``budget``
+    new measurements, from ``start`` (default: the best measured point)."""
     if budget <= 0 or not evaluator.full_cache:
         return
-    axis_values = _axis_values(configs)
+    values = axis_values(configs)
     config_set = set(configs)
-    start = evaluator.measurements
-    current = max(evaluator.full_cache.values(), key=lambda s: s.gflops)
+    begin = evaluator.measurements
+    current = start
+    if current is None:
+        current = max(evaluator.full_cache.values(), key=lambda s: s.gflops)
     improved = True
-    while improved and evaluator.measurements - start < budget:
+    while improved and evaluator.measurements - begin < budget:
         improved = False
         best_neighbour = None
-        for neighbour in _notch_neighbours(
-            current.config, axis_values, config_set
-        ):
-            if evaluator.measurements - start >= budget:
+        for neighbour in notch_neighbours(current.config, values, config_set):
+            if evaluator.measurements - begin >= budget:
                 break
             sample = evaluator.evaluate(neighbour)
             if best_neighbour is None or sample.gflops > best_neighbour.gflops:
@@ -346,18 +345,6 @@ class SearchStrategy(ABC):
             )
         return dataclasses.replace(self, **{field: False})
 
-    # ------------------------------------------------------------------
-    def _meaningful(
-        self, tuner: AutoTuner, grid: DMTrialGrid, samples: int
-    ) -> list[KernelConfiguration]:
-        configs = tuner.space(grid, samples).meaningful()
-        if not configs:
-            raise TuningError(
-                f"search space is empty for {tuner.device.name}/"
-                f"{tuner.setup.name}/{grid.n_dms} DMs"
-            )
-        return configs
-
 
 @dataclass(frozen=True)
 class ExhaustiveSearch(SearchStrategy):
@@ -427,7 +414,7 @@ class SuccessiveHalving(SearchStrategy):
         samples: int | None,
     ) -> SearchOutcome:
         s = tuner.setup.samples_per_batch if samples is None else samples
-        configs = self._meaningful(tuner, grid, s)
+        configs = _meaningful(tuner, grid, s)
         n = len(configs)
         evaluator = _CostedEvaluator(tuner, grid, s)
 
@@ -462,13 +449,7 @@ class SuccessiveHalving(SearchStrategy):
         if self.refine:
             _greedy_ascent(evaluator, configs, max(8, round(0.01 * n)))
 
-        return SearchOutcome(
-            strategy=self.name,
-            result=evaluator.result(),
-            evaluations=evaluator.cost,
-            measurements=evaluator.measurements,
-            space_size=n,
-        )
+        return _outcome(self.name, evaluator, n)
 
 
 def _surrogate_features(config: KernelConfiguration) -> list[float]:
@@ -549,7 +530,7 @@ class ModelGuidedSearch(SearchStrategy):
         samples: int | None,
     ) -> SearchOutcome:
         s = tuner.setup.samples_per_batch if samples is None else samples
-        configs = self._meaningful(tuner, grid, s)
+        configs = _meaningful(tuner, grid, s)
         n = len(configs)
         evaluator = _CostedEvaluator(tuner, grid, s)
 
@@ -583,13 +564,7 @@ class ModelGuidedSearch(SearchStrategy):
         if self.ascent:
             _greedy_ascent(evaluator, configs, climb_budget)
 
-        return SearchOutcome(
-            strategy=self.name,
-            result=evaluator.result(),
-            evaluations=evaluator.cost,
-            measurements=evaluator.measurements,
-            space_size=n,
-        )
+        return _outcome(self.name, evaluator, n)
 
 
 #: Registry of built-in strategies by CLI/service name.
@@ -630,3 +605,139 @@ def build_strategy(
         raise TuningError(
             f"bad arguments for strategy {spec!r}: {exc}"
         ) from None
+
+
+# ----------------------------------------------------------------------
+# Budgeted heuristics: cheaper searches judged against the sweep
+# ----------------------------------------------------------------------
+def _heuristic_space(
+    device: DeviceSpec,
+    setup: ObservationSetup,
+    grid: DMTrialGrid,
+    budget: int,
+    samples: int | None,
+) -> tuple[list[KernelConfiguration], _CostedEvaluator]:
+    """The meaningful space and a fresh evaluator, both at ``samples``."""
+    require_positive_int(budget, "budget")
+    tuner = AutoTuner(device, setup)
+    s = setup.samples_per_batch if samples is None else samples
+    return _meaningful(tuner, grid, s), _CostedEvaluator(tuner, grid, s)
+
+
+def random_search(
+    device: DeviceSpec,
+    setup: ObservationSetup,
+    grid: DMTrialGrid,
+    budget: int = 50,
+    seed: int = 0,
+    samples: int | None = None,
+) -> SearchOutcome:
+    """Uniformly sample ``budget`` meaningful configurations."""
+    configs, evaluator = _heuristic_space(device, setup, grid, budget, samples)
+    rng = RandomStreams(seed).python("random-search")
+    for config in rng.sample(configs, min(budget, len(configs))):
+        evaluator.evaluate(config)
+    return _outcome("random-search", evaluator, len(configs))
+
+
+def hill_climb(
+    device: DeviceSpec,
+    setup: ObservationSetup,
+    grid: DMTrialGrid,
+    budget: int = 50,
+    seed: int = 0,
+    samples: int | None = None,
+) -> SearchOutcome:
+    """Greedy best-neighbour ascent with random restarts."""
+    configs, evaluator = _heuristic_space(device, setup, grid, budget, samples)
+    rng = RandomStreams(seed).python("hill-climb")
+    restarts = 0
+    # Restarts may land on already-evaluated configurations without
+    # consuming budget; the restart bound keeps termination deterministic.
+    while (
+        evaluator.measurements < min(budget, len(configs))
+        and restarts < 20 * budget
+    ):
+        restarts += 1
+        start = evaluator.evaluate(rng.choice(configs))
+        _greedy_ascent(
+            evaluator, configs, budget - evaluator.measurements, start=start
+        )
+    return _outcome("hill-climb", evaluator, len(configs))
+
+
+def simulated_annealing(
+    device: DeviceSpec,
+    setup: ObservationSetup,
+    grid: DMTrialGrid,
+    budget: int = 50,
+    seed: int = 0,
+    samples: int | None = None,
+    initial_temperature: float = 0.5,
+) -> SearchOutcome:
+    """Annealed local search: accepts downhill moves early, cools to greedy.
+
+    The acceptance temperature is a fraction of the best GFLOP/s seen so
+    far and decays geometrically over the budget — the standard recipe
+    that lets the walker escape the local optima that trap
+    :func:`hill_climb` on the multimodal LOFAR space (Fig. 10's shape).
+    """
+    configs, evaluator = _heuristic_space(device, setup, grid, budget, samples)
+    if initial_temperature <= 0:
+        raise TuningError("initial_temperature must be positive")
+    values, config_set = axis_values(configs), set(configs)
+    rng = RandomStreams(seed).python("annealing")
+
+    current = evaluator.evaluate(rng.choice(configs))
+    best = current
+    cooling = (0.01 / initial_temperature) ** (1.0 / max(budget - 1, 1))
+    temperature = initial_temperature
+    attempts = 0
+    # The walk may revisit cached configurations without consuming budget;
+    # the attempt bound keeps termination deterministic.
+    while (
+        evaluator.measurements < min(budget, len(configs))
+        and attempts < 20 * budget
+    ):
+        attempts += 1
+        neighbours = notch_neighbours(current.config, values, config_set)
+        candidate = evaluator.evaluate(
+            rng.choice(neighbours) if neighbours else rng.choice(configs)
+        )
+        if candidate.gflops > best.gflops:
+            best = candidate
+        delta = candidate.gflops - current.gflops
+        scale = max(best.gflops * temperature, 1e-9)
+        if delta >= 0 or rng.random() < pow(2.718281828, delta / scale):
+            current = candidate
+        temperature *= cooling
+    return _outcome("annealing", evaluator, len(configs))
+
+
+def budgeted_tune(
+    device: DeviceSpec,
+    setup: ObservationSetup,
+    grid: DMTrialGrid,
+    budget: int = 48,
+    seed: int = 0,
+    samples: int | None = None,
+) -> SearchOutcome:
+    """Degradation strategy for the tuning service: probe, then refine.
+
+    Spends half the budget on uniform random probes of the meaningful
+    space and the rest on greedy best-neighbour ascent from the best
+    probe.  Cheaper than either :func:`random_search` (no refinement) or
+    :func:`hill_climb` (no global view) at the same budget, and fully
+    deterministic for a given ``seed`` — the property
+    :class:`repro.service.TuningService` needs when it degrades a timed
+    out or rejected request to a heuristic answer.
+    """
+    configs, evaluator = _heuristic_space(device, setup, grid, budget, samples)
+    rng = RandomStreams(seed).python("budgeted-tune")
+    n_probes = max(1, min(budget // 2, len(configs)))
+    for config in rng.sample(configs, n_probes):
+        evaluator.evaluate(config)
+    _greedy_ascent(
+        evaluator, configs, min(budget, len(configs)) - evaluator.measurements
+    )
+    return _outcome("budgeted-tune", evaluator, len(configs))

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.astro.dm_trials import DMTrialGrid
+from repro.astro.observation import setup_by_name
 from repro.core.persistence import MODEL_REVISION
 from repro.core.tuner import AutoTuner
 from repro.errors import SchemaVersionError, TuningError, ValidationError
@@ -38,9 +39,6 @@ STUDY_SCHEMA_VERSION: int = 1
 
 #: Schema versions :func:`load_study` still understands.
 SUPPORTED_STUDY_SCHEMAS: tuple[int, ...] = (1,)
-
-#: Relative GFLOP/s slack when judging an optimum match (ties only).
-_MATCH_RTOL = 1e-9
 
 
 def _expand_one(name: str, spec: dict) -> list:
@@ -284,7 +282,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         for device_name in config.devices:
             device = device_by_name(device_name)
             for setup_name in config.setups:
-                setup = _setup_by_name(setup_name)
+                setup = setup_by_name(setup_name)
                 tuner = AutoTuner(device, setup)
                 for n_dms in config.instances:
                     grid = DMTrialGrid(
@@ -307,10 +305,8 @@ def run_study(config: StudyConfig) -> StudyResult:
                             )
                             outcome = strategy.search(tuner, grid)
                             matched = (
-                                None if optimum is None else bool(
-                                    outcome.best.gflops
-                                    >= optimum * (1.0 - _MATCH_RTOL)
-                                )
+                                None if optimum is None
+                                else outcome.matches(optimum)
                             )
                             results.append(
                                 StudyRunResult(
@@ -351,18 +347,6 @@ def _build_run(
         kwargs=kwargs,
         seed=kwargs.get("seed", config.seed),
     )
-
-
-def _setup_by_name(name: str):
-    from repro.astro.observation import apertif, lofar
-
-    table = {"apertif": apertif, "lofar": lofar}
-    try:
-        return table[name.lower()]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown setup {name!r} in study config; known: apertif, lofar"
-        ) from None
 
 
 # ----------------------------------------------------------------------

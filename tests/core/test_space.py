@@ -1,11 +1,14 @@
 """Unit tests for repro.core.space — tuning-space enumeration."""
 
-import pytest
-
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.constraints import is_meaningful
-from repro.core.space import TuningSpace
+from repro.core.space import (
+    MAX_ELEMENTS_DM,
+    MAX_ELEMENTS_TIME,
+    MAX_WORK_ITEMS_DM,
+    TuningSpace,
+)
 from repro.hardware.catalog import gtx680, hd7970, xeon_phi_5110p
 
 
@@ -31,16 +34,11 @@ class TestCandidates:
         assert all(c.tile_dms <= 4 for c in space.candidates())
 
     def test_element_caps_respected(self):
-        space = TuningSpace(
-            hd7970(),
-            apertif(),
-            DMTrialGrid(64),
-            max_elements_time=16,
-            max_elements_dm=4,
-        )
+        space = TuningSpace(hd7970(), apertif(), DMTrialGrid(64))
         for c in space.candidates():
-            assert c.elements_time <= 16
-            assert c.elements_dm <= 4
+            assert c.elements_time <= MAX_ELEMENTS_TIME
+            assert c.elements_dm <= MAX_ELEMENTS_DM
+            assert c.work_items_dm <= MAX_WORK_ITEMS_DM
 
     def test_paper_optima_present_for_gtx680(self):
         # The 32x32 work-items configuration of Sec. V-A must be in the
@@ -85,60 +83,3 @@ class TestMeaningful:
             hd7970(), apertif(), DMTrialGrid(8), samples=400
         )
         assert all(400 % c.tile_samples == 0 for c in space.meaningful())
-
-
-class TestEnumerationHooks:
-    def test_predicate_filters_lazily(self):
-        full = TuningSpace(hd7970(), apertif(), DMTrialGrid(64))
-        filtered = TuningSpace(
-            hd7970(),
-            apertif(),
-            DMTrialGrid(64),
-            predicate=lambda c: c.work_items_time >= 32,
-        )
-        expected = [
-            c for c in full.meaningful() if c.work_items_time >= 32
-        ]
-        assert filtered.meaningful() == expected
-        assert 0 < len(expected) < len(full.meaningful())
-
-    def test_limit_truncates_enumeration(self):
-        full = TuningSpace(hd7970(), apertif(), DMTrialGrid(64))
-        limited = TuningSpace(
-            hd7970(), apertif(), DMTrialGrid(64), limit=5
-        )
-        assert limited.meaningful() == full.meaningful()[:5]
-
-    def test_limit_larger_than_space_is_harmless(self):
-        full = TuningSpace(hd7970(), apertif(), DMTrialGrid(64))
-        limited = TuningSpace(
-            hd7970(), apertif(), DMTrialGrid(64), limit=10 ** 6
-        )
-        assert limited.meaningful() == full.meaningful()
-
-    def test_limit_must_be_positive(self):
-        from repro.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            TuningSpace(hd7970(), apertif(), DMTrialGrid(64), limit=0)
-
-    def test_iter_meaningful_is_a_generator(self):
-        space = TuningSpace(hd7970(), apertif(), DMTrialGrid(64))
-        iterator = space.iter_meaningful()
-        first = next(iterator)
-        assert first == space.meaningful()[0]
-
-    def test_autotuner_space_forwards_hooks(self):
-        from repro.core.tuner import AutoTuner
-
-        tuner = AutoTuner(hd7970(), apertif())
-        grid = DMTrialGrid(64)
-        hooked = tuner.space(
-            grid,
-            predicate=lambda c: c.elements_time == 1,
-            limit=3,
-        ).meaningful()
-        assert len(hooked) == 3
-        assert all(c.elements_time == 1 for c in hooked)
-        # Hooks are per-call: the next space is unconstrained again.
-        assert len(tuner.space(grid).meaningful()) > 3

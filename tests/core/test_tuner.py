@@ -123,13 +123,3 @@ class TestTuneInstances:
         tuner = AutoTuner(hd7970(), apertif())
         results = tuner.tune_instances([2, 256])
         assert results[256].best.gflops > results[2].best.gflops
-
-
-class TestSpaceKwargs:
-    def test_narrower_space_is_subset(self):
-        wide = AutoTuner(hd7970(), apertif()).tune(DMTrialGrid(8))
-        narrow = AutoTuner(
-            hd7970(), apertif(), space_kwargs={"max_elements_dm": 1}
-        ).tune(DMTrialGrid(8))
-        assert narrow.n_configurations < wide.n_configurations
-        assert narrow.best.gflops <= wide.best.gflops

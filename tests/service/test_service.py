@@ -21,7 +21,7 @@ import pytest
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.tuner import AutoTuner
-from repro.errors import PipelineError
+from repro.errors import PipelineError, TuningError
 from repro.hardware.catalog import hd7970
 from repro.service import (
     InstanceKey,
@@ -47,13 +47,13 @@ def resolve(service, n_dms, tenant=None, **request_kwargs):
 def counting_factory(calls: list):
     """Tuner factory that records every tune() invocation."""
 
-    def factory(device, setup, kwargs):
+    def factory(device, setup):
         class CountingTuner(AutoTuner):
             def tune(self, grid, samples=None, candidates=None):
                 calls.append((grid.n_dms, candidates is None))
                 return super().tune(grid, samples, candidates)
 
-        return CountingTuner(device, setup, kwargs)
+        return CountingTuner(device, setup)
 
     return factory
 
@@ -61,14 +61,14 @@ def counting_factory(calls: list):
 def gated_factory(started: threading.Event, release: threading.Event):
     """Tuner factory whose sweeps block until the test releases them."""
 
-    def factory(device, setup, kwargs):
+    def factory(device, setup):
         class GatedTuner(AutoTuner):
             def tune(self, grid, samples=None, candidates=None):
                 started.set()
                 assert release.wait(timeout=10.0), "test never released gate"
                 return super().tune(grid, samples, candidates)
 
-        return GatedTuner(device, setup, kwargs)
+        return GatedTuner(device, setup)
 
     return factory
 
@@ -196,6 +196,32 @@ class TestDiskTier:
 
 
 class TestDegradation:
+    @pytest.mark.parametrize(
+        "setup, config, gflops, evaluations",
+        [
+            (apertif(), (32, 4, 1, 8), 309.891, 28),
+            (lofar(), (64, 4, 25, 1), 81.404, 26),
+        ],
+        ids=["apertif", "lofar"],
+    )
+    def test_degraded_answer_is_pinned(
+        self, setup, config, gflops, evaluations
+    ):
+        # budgeted_tune at the default budget of 48, seed 0.
+        started, release = threading.Event(), threading.Event()
+        with TuningService(
+            tuner_factory=gated_factory(started, release), timeout_s=0.05
+        ) as service:
+            degraded = service.resolve(
+                TuneRequest(setup=setup, n_dms=32, device=DEVICE)
+            )
+            release.set()
+        assert degraded.source == "degraded-timeout"
+        assert degraded.best.config.as_tuple() == config
+        assert round(degraded.best.gflops, 3) == gflops
+        assert degraded.result.n_configurations == evaluations
+        assert service.snapshot().degraded_evaluations == evaluations
+
     def test_timeout_degrades_and_sweep_completes_in_background(self):
         started, release = threading.Event(), threading.Event()
         with TuningService(
@@ -303,9 +329,9 @@ class TestTenantAdmission:
 
 class TestSearchStrategies:
     def test_cold_miss_uses_configured_strategy(self):
-        with TuningService(strategy="model-guided") as service:
-            response = resolve(service, 32)
-            again = resolve(service, 32)
+        with TuningService() as service:
+            response = resolve(service, 32, strategy="model-guided")
+            again = resolve(service, 32, strategy="model-guided")
         assert response.source == "strategy-model-guided"
         assert not response.degraded
         assert response.best.gflops > 0
@@ -320,38 +346,37 @@ class TestSearchStrategies:
     def test_strategy_matches_exhaustive_optimum_end_to_end(self):
         with TuningService() as exhaustive_service:
             swept = resolve(exhaustive_service, 64)
-        with TuningService(strategy="model-guided") as service:
-            guided = resolve(service, 64)
+        with TuningService() as service:
+            guided = resolve(service, 64, strategy="model-guided")
         assert guided.best.gflops >= swept.best.gflops - 1e-9
 
     def test_strategy_instance_accepted(self):
         from repro.tune import SuccessiveHalving
 
-        with TuningService(strategy=SuccessiveHalving(seed=1)) as service:
-            response = resolve(service, 32)
+        with TuningService() as service:
+            response = resolve(service, 32, strategy=SuccessiveHalving(seed=1))
         assert response.source == "strategy-halving"
 
     def test_unknown_strategy_name_rejected(self):
-        from repro.errors import TuningError
-
         with pytest.raises(TuningError):
-            TuningService(strategy="gradient-descent")
+            TuneRequest(
+                setup=apertif(), n_dms=32, device=DEVICE,
+                strategy="gradient-descent",
+            )
 
-    def test_degraded_strategy_serves_timeouts(self):
-        started, release = threading.Event(), threading.Event()
+    def test_unknown_strategy_leaks_no_pool_slot(self):
+        # The only pool slot must still be free after a bad request.
         with TuningService(
-            tuner_factory=gated_factory(started, release),
-            timeout_s=0.05,
-            degraded_strategy="model-guided",
+            max_workers=1, queue_limit=0, warm_start=False
         ) as service:
-            degraded = resolve(service, 32)
-            release.set()
-        assert degraded.degraded
-        assert degraded.source == "degraded-timeout"
-        snap = service.snapshot()
-        assert snap.degraded_timeout == 1
-        # The fallback search's measurements are accounted for.
-        assert snap.degraded_evaluations > 0
+            with pytest.raises(TuningError):
+                service.resolve(TuneRequest(
+                    setup=apertif(), n_dms=32, device=DEVICE,
+                    strategy="bogus",
+                ))
+            response = resolve(service, 64)
+        assert response.source == "sweep"
+        assert service.snapshot().degraded_admission == 0
 
     def test_budgeted_fallback_counts_degraded_evaluations(self):
         started, release = threading.Event(), threading.Event()

@@ -40,9 +40,9 @@ class TestCuratedAll:
             assert name in repro.__all__
 
     def test_service_names_are_blessed(self):
-        for name in ("TuningService", "ServiceResponse", "ServiceStats",
-                     "StatsSnapshot", "ServiceClient", "TuneRequest",
-                     "TuneResponse", "TenantAdmission"):
+        for name in ("TuningService", "ServiceStats", "StatsSnapshot",
+                     "ServiceClient", "TuneRequest", "TuneResponse",
+                     "TenantAdmission"):
             assert name in repro.__all__
 
     def test_blessed_objects_match_home_modules(self):

@@ -12,7 +12,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 SCHED_SRC = SRC / "sched"
 #: Modules outside sched that must also draw only from RandomStreams.
 EXTRA_SEEDED_MODULES = (
-    SRC / "core" / "heuristics.py",
     SRC / "tune" / "strategy.py",
     SRC / "tune" / "study.py",
     SRC / "tune" / "ablation.py",
@@ -119,8 +118,9 @@ class TestOrderIndependentDraws:
 class TestNoBareRandomInSched:
     """Stochastic modules must draw only from RandomStreams (reproducibility).
 
-    Covers every scheduler source plus the tuning heuristics
-    (``core.heuristics``), which PR 3 left on bare ``random.Random``.
+    Covers every scheduler source plus the tuning searches and
+    heuristics (``tune.strategy``), which once drew from bare
+    ``random.Random``.
     """
 
     def _modules(self):
