@@ -12,6 +12,7 @@ is reused — the FFTW-style plan/execute split.  A plan binds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,18 @@ class DedispersionPlan:
         return queue.enqueue("dedisperse", launch, simulated_seconds=simulated)
 
     def predict(self) -> KernelMetrics:
-        """Model-predicted metrics for one batch on the plan's device."""
+        """Model-predicted metrics for one batch on the plan's device.
+
+        Computed once per plan: the prediction is a pure function of the
+        frozen setup, grid, device, configuration and batch, and
+        :class:`KernelMetrics` is immutable, so every call returns the
+        same object.  A plan derived with :func:`dataclasses.replace` is
+        a new instance and predicts for its own fields.
+        """
+        return self._prediction
+
+    @cached_property
+    def _prediction(self) -> KernelMetrics:
         model = PerformanceModel(self.device, self.setup, self.grid)
         return model.simulate(self.config, samples=self.samples, validate=False)
 

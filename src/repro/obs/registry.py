@@ -227,13 +227,18 @@ class MetricsRegistry:
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the first
     call for a (name, labels) pair builds the instrument, later calls
     return the same object.  Registering one name with two different
-    kinds is an error — a family has exactly one kind.
+    kinds is an error — a family has exactly one kind.  A series is
+    validated once: later calls with the same kind, name and label
+    values skip the checks and return the instrument directly.
     """
 
     def __init__(self, default_window: int = DEFAULT_WINDOW):
         self._lock = threading.Lock()
         self._series: dict[tuple, Instrument] = {}
         self._kinds: dict[str, str] = {}
+        # Series that already passed validation, keyed by the call's
+        # kind, name and (label, str(value)) pairs in call order.
+        self._validated: dict[tuple, Instrument] = {}
         self.default_window = default_window
 
     # -- instrument access ---------------------------------------------
@@ -259,6 +264,10 @@ class MetricsRegistry:
         )
 
     def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
+        memo_key = (cls, name, *((k, str(v)) for k, v in labels.items()))
+        validated = self._validated.get(memo_key)
+        if validated is not None:
+            return validated
         _check_name(name)
         if cls is Counter and not name.endswith("_total"):
             raise ValidationError(
@@ -278,6 +287,7 @@ class MetricsRegistry:
                         f"metric {name!r} already registered as "
                         f"{existing.kind}, not {cls.kind}"
                     )
+                self._validated[memo_key] = existing
                 return existing
             registered_kind = self._kinds.get(name)
             if registered_kind is not None and registered_kind != cls.kind:
@@ -288,6 +298,7 @@ class MetricsRegistry:
             instrument = cls(name, key[1], **kwargs)
             self._series[key] = instrument
             self._kinds[name] = cls.kind
+            self._validated[memo_key] = instrument
             return instrument
 
     # -- inspection ----------------------------------------------------
@@ -317,6 +328,7 @@ class MetricsRegistry:
         with self._lock:
             self._series.clear()
             self._kinds.clear()
+            self._validated.clear()
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,9 @@ staged path uses, land in :attr:`FusedChunkResult.peak_bytes`, and are
 exported as the ``repro_run_peak_bytes{path="fused"}`` histogram; each
 chunk also counts toward ``repro_pipeline_chunks_total`` exactly as a
 streaming-mode chunk does, since a fused chunk is the same pipeline
-stage.
+stage.  The chunk's ``run.fused_chunk`` span carries its own numbers as
+attributes: measured ``kernel_s`` and ``detect_s``, the modelled device
+time ``modelled_s`` and the metered ``peak_bytes``.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def run_fused_chunk(
         beam=chunk.beam_index,
         sequence=chunk.sequence,
         **labels,
-    ):
+    ) as chunk_span:
         start = time.perf_counter()
         candidates = detector.detect_slabs(
             slabs(),
@@ -140,9 +142,15 @@ def run_fused_chunk(
             beam=chunk.beam_index,
             account=account,
         )
-        detect_s = time.perf_counter() - start - produce_s
+        detect_s = max(time.perf_counter() - start - produce_s, 0.0)
+        seconds = plan.predict().seconds
+        chunk_span.attributes.update(
+            kernel_s=produce_s,
+            detect_s=detect_s,
+            modelled_s=seconds,
+            peak_bytes=account.peak_bytes,
+        )
 
-    seconds = plan.predict().seconds
     chunk_seconds = plan.samples / plan.setup.samples_per_second
     registry = get_registry()
     registry.counter("repro_pipeline_chunks_total", **labels).inc()
@@ -158,7 +166,7 @@ def run_fused_chunk(
         sequence=chunk.sequence,
         candidates=tuple(candidates),
         simulated_seconds=seconds,
-        detect_seconds=max(detect_s, 0.0),
+        detect_seconds=detect_s,
         peak_bytes=account.peak_bytes,
         launches=launches,
         realtime=seconds <= chunk_seconds,

@@ -41,6 +41,7 @@ vocabulary: ``realtime_sustained`` (every chunk met its deadline),
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,8 +352,13 @@ class StreamingSearch:
                 )
                 # Bounded queue: chunks admitted but unfinished at this
                 # arrival are queued or in service; one of them occupies
-                # the worker, the rest the queue.
-                pending = sum(1 for f in finish_times if f > arrival)
+                # the worker, the rest the queue.  Finish times never
+                # decrease (each start is max(arrival, busy_until) and
+                # service is non-negative), so the unfinished ones are a
+                # suffix of the list.
+                pending = len(finish_times) - bisect_right(
+                    finish_times, arrival
+                )
                 if max(0, pending - 1) >= self.config.queue_capacity:
                     records.append(
                         ChunkRecord(

@@ -19,6 +19,10 @@ member of one sits within ``trial_radius`` trials and ``time_slack``
 samples of *any* member of the other.  The strongest member of a
 cluster is not reliably the same pulse in every beam (noise moves the
 peak), so best-vs-best matching would fracture real coincidences.
+Each open group keeps its members' ``(dm_index, start, end)`` as int64
+columns plus their bounding box: a cluster out of the box's reach skips
+the group outright, otherwise one broadcast any-pair test decides.  The
+result is exactly that of testing every member pair in turn.
 
 :func:`score_survey` scores the result against the realized
 :class:`~repro.survey.observation.SurveyTruth`: recall over the
@@ -34,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.astro.candidates import SiftedCandidate
 from repro.errors import ValidationError
@@ -143,16 +149,54 @@ def _contiguous(beams: tuple[int, ...]) -> bool:
     return beams[-1] - beams[0] == len(beams) - 1
 
 
-def _clusters_match(
-    a: SiftedCandidate, b: SiftedCandidate, policy: CoincidencePolicy
-) -> bool:
-    """Member-level (DM, time) coincidence between two per-beam clusters."""
-    return any(
-        abs(ma.dm_index - mb.dm_index) <= policy.trial_radius
-        and ma.overlaps_in_time(mb, slack=policy.time_slack)
-        for ma in a.members
-        for mb in b.members
-    )
+class _Extents:
+    """Members' int64 ``(dm_index, start, end)`` columns and their box.
+
+    ``low`` / ``high`` bound the three columns, so two member sets that
+    no pair can bridge are told apart without touching the arrays.
+    """
+
+    def __init__(self, columns: np.ndarray):
+        self.columns = columns
+        if columns.shape[1]:
+            self.low = columns.min(axis=1).tolist()
+            self.high = columns.max(axis=1).tolist()
+        else:  # no members: nothing is within reach
+            self.low, self.high = [math.inf] * 3, [-math.inf] * 3
+
+    @classmethod
+    def of(cls, cluster: SiftedCandidate) -> "_Extents":
+        rows = [
+            (m.dm_index, m.time_sample, m.time_sample + m.width)
+            for m in cluster.members
+        ]
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+    def meets(self, other: "_Extents", policy: CoincidencePolicy) -> bool:
+        """Whether any member pair coincides under ``policy``.
+
+        Exactly the pairwise member-level test: two members coincide
+        when their trials differ by at most ``trial_radius`` and their
+        boxcar extents intersect within ``time_slack`` samples.
+        """
+        radius, slack = policy.trial_radius, policy.time_slack
+        if (
+            self.low[0] - other.high[0] > radius
+            or other.low[0] - self.high[0] > radius
+            or self.low[1] > other.high[2] + slack
+            or other.low[1] > self.high[2] + slack
+        ):
+            return False
+        dm, start, end = self.columns[:, :, None]
+        o_dm, o_start, o_end = other.columns
+        near = np.abs(dm - o_dm) <= radius
+        near &= start <= o_end + slack
+        near &= o_start <= end + slack
+        return bool(near.any())
+
+    def union(self, other: "_Extents") -> "_Extents":
+        """Both member sets together."""
+        return _Extents(np.concatenate((self.columns, other.columns), axis=1))
 
 
 def _classify(
@@ -185,16 +229,17 @@ def coincide(
     policy = policy or CoincidencePolicy()
     ordered = sorted(clusters, key=lambda c: -c.best.snr)
     grouped: list[list[SiftedCandidate]] = []
+    reaches: list[_Extents] = []
     for cluster in ordered:
-        for group in grouped:
-            if any(
-                _clusters_match(cluster, member, policy)
-                for member in group
-            ):
-                group.append(cluster)
+        extents = _Extents.of(cluster)
+        for index, reach in enumerate(reaches):
+            if extents.meets(reach, policy):
+                grouped[index].append(cluster)
+                reaches[index] = reach.union(extents)
                 break
         else:
             grouped.append([cluster])
+            reaches.append(extents)
     groups = tuple(
         CoincidenceGroup(
             members=tuple(group),

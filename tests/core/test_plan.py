@@ -1,5 +1,7 @@
 """Unit tests for repro.core.plan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import ConfigurationError
 from repro.hardware.catalog import hd7970
+from repro.hardware.model import PerformanceModel
 from tests.conftest import make_input, run_plan
 
 
@@ -70,6 +73,26 @@ class TestPrediction:
     def test_realtime_for_toy_problem(self, plan):
         # 8 DMs of a toy setup is trivially real-time on an HD7970.
         assert plan.is_realtime()
+
+    def test_predict_equals_a_fresh_model(self, plan):
+        fresh = PerformanceModel(plan.device, plan.setup, plan.grid).simulate(
+            plan.config, samples=plan.samples, validate=False
+        )
+        assert plan.predict() == fresh
+
+    def test_predict_is_computed_once(self, plan):
+        assert plan.predict() is plan.predict()
+
+    def test_replaced_plan_predicts_for_its_own_config(self, plan):
+        other = KernelConfiguration(16, 4, 5, 1)
+        replaced = dataclasses.replace(plan, config=other)
+        plan.predict()  # warm the original first
+        expected = PerformanceModel(
+            plan.device, plan.setup, plan.grid
+        ).simulate(other, samples=plan.samples, validate=False)
+        assert replaced.predict() == expected
+        assert replaced.predict().config == other
+        assert plan.predict().config == plan.config
 
     def test_describe_mentions_everything(self, plan):
         text = plan.describe()

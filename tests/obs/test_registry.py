@@ -1,5 +1,6 @@
 """Unit tests for repro.obs.registry: instruments and the registry."""
 
+import sys
 import threading
 
 import pytest
@@ -169,6 +170,54 @@ class TestNamingAndKinds:
             registry.histogram("repro_test_margin_ratio", device="K20")
 
 
+class TestValidatedOnce:
+    """A warm series skips validation; nothing invalid may slip through."""
+
+    @pytest.fixture
+    def warm(self, registry):
+        for _ in range(2):
+            registry.counter("repro_test_events_total", beam=1).inc()
+            registry.gauge("repro_test_margin_ratio", beam=1).set(2.0)
+        return registry
+
+    def test_second_kind_for_a_warm_name_rejected(self, warm):
+        with pytest.raises(ValidationError, match="already registered"):
+            warm.histogram("repro_test_margin_ratio", beam=1)
+        with pytest.raises(ValidationError, match="family"):
+            warm.histogram("repro_test_margin_ratio", beam=2)
+
+    def test_bad_label_name_on_a_warm_name_rejected(self, warm):
+        with pytest.raises(ValidationError, match="snake_case"):
+            warm.counter("repro_test_events_total", Beam=1)
+
+    def test_gauge_named_like_a_warm_counter_rejected(self, warm):
+        with pytest.raises(ValidationError, match="_total"):
+            warm.gauge("repro_test_events_total", beam=1)
+
+    def test_value_spellings_stay_distinct_series(self, warm):
+        ints = warm.counter("repro_test_events_total", beam=1)
+        floats = warm.counter("repro_test_events_total", beam=1.0)
+        bools = warm.counter("repro_test_events_total", beam=True)
+        assert len({id(ints), id(floats), id(bools)}) == 3
+        assert ints.value == 2
+        assert floats.value == bools.value == 0
+        assert warm.counter("repro_test_events_total", beam=1.0) is floats
+        assert warm.counter("repro_test_events_total", beam=True) is bools
+
+    def test_label_order_does_not_split_a_series(self, registry):
+        first = registry.counter("repro_test_events_total", a=1, b=2)
+        assert registry.counter("repro_test_events_total", b=2, a=1) is first
+        assert len(registry) == 1
+
+    def test_reset_forgets_validated_series(self, warm):
+        before = warm.counter("repro_test_events_total", beam=1)
+        warm.reset()
+        after = warm.counter("repro_test_events_total", beam=1)
+        assert after is not before
+        assert after.value == 0
+        assert len(warm) == 1
+
+
 class TestRegistry:
     def test_get_returns_none_for_missing(self, registry):
         assert registry.get("repro_test_events_total") is None
@@ -290,3 +339,33 @@ class TestThreadSafety:
             t.join()
         assert len(set(map(id, seen))) == 1
         assert len(registry) == 1
+
+    def test_concurrent_lookups_lose_no_increments(self, registry):
+        # Every increment looks its series up again, racing first
+        # validation: a lookup that handed out a second instrument for
+        # a series would lose that instrument's increments.
+        barrier = threading.Barrier(self.N_THREADS)
+
+        def work():
+            barrier.wait(timeout=30)
+            for i in range(self.N_OPS):
+                registry.counter("repro_test_races_total", beam=i % 4).inc()
+
+        threads = [
+            threading.Thread(target=work) for _ in range(self.N_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(registry) == 4
+        assert sum(
+            registry.counter("repro_test_races_total", beam=b).value
+            for b in range(4)
+        ) == self.N_THREADS * self.N_OPS

@@ -10,7 +10,9 @@ from repro.core.plan import DedispersionPlan
 from repro.errors import ValidationError
 from repro.hardware.catalog import hd7970
 from repro.obs import use_registry
+from repro.obs.tracing import Tracer
 from repro.run import ExecutionRequest, MemoryAccount, execute
+from repro.run import fused as fused_module
 from repro.run.fused import resolve_dm_tile, run_fused_chunk
 from repro.search.detect import MatchedFilterDetector
 
@@ -247,6 +249,25 @@ class TestPeakAccounting:
         account.charge(100)
         account.release(100)
         assert account.current_bytes == 0
+
+
+class TestChunkSpan:
+    def test_span_carries_its_own_numbers(
+        self, plan, toy_low, toy_grid, detector, monkeypatch
+    ):
+        tracer = Tracer()
+        monkeypatch.setattr(fused_module, "span", tracer.span)
+        chunk = make_chunks(toy_low, toy_grid)[0]
+        result = run_fused_chunk(plan, chunk, detector)
+        (chunk_span,) = tracer.finished
+        assert chunk_span.name == "run.fused_chunk"
+        attrs = chunk_span.attributes
+        assert attrs["kernel_s"] > 0.0
+        assert attrs["detect_s"] == result.detect_seconds
+        assert attrs["kernel_s"] + attrs["detect_s"] <= chunk_span.duration_s
+        assert attrs["modelled_s"] == plan.predict().seconds
+        assert attrs["modelled_s"] == result.simulated_seconds
+        assert attrs["peak_bytes"] == result.peak_bytes
 
 
 class TestMemoryAccount:

@@ -93,6 +93,33 @@ class TestRealtimeModel:
             if record.dropped:
                 assert record.lag_s == 0.0
 
+    def test_long_stream_drops_match_a_reference_queue(
+        self, plan, toy_low, toy_grid
+    ):
+        # A reference bounded queue that rescans every finish time; the
+        # search must shed exactly the chunks it sheds.
+        cadence = plan.samples / toy_low.samples_per_second
+        service = 2.5 * cadence
+        capacity = 2
+        finish_times, busy_until, expected = [], 0.0, []
+        for sequence in range(40):
+            arrival = sequence * cadence
+            pending = sum(1 for f in finish_times if f > arrival)
+            if max(0, pending - 1) >= capacity:
+                expected.append(sequence)
+                continue
+            busy_until = max(arrival, busy_until) + service
+            finish_times.append(busy_until)
+        config = SearchConfig(
+            queue_capacity=capacity, min_service_seconds=service
+        )
+        report = search_stream(
+            plan, iter(make_chunks(toy_low, toy_grid, n_chunks=40)), config
+        )
+        dropped = [r.sequence for r in report.records if r.dropped]
+        assert dropped == expected
+        assert 0 < len(dropped) < 40
+
     def test_slow_but_unshed_stream_is_complete(self, plan, toy_low, toy_grid):
         config = SearchConfig(
             queue_capacity=16,

@@ -1,16 +1,20 @@
 """Unit tests for repro.survey.coincidence — the cross-beam veto."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.astro.candidates import Candidate, SiftedCandidate
 from repro.errors import ValidationError
 from repro.survey import (
     CoincidenceGroup,
     CoincidencePolicy,
+    CoincidenceResult,
     SurveyScore,
     coincide,
     score_survey,
 )
+from repro.survey.coincidence import _classify
 from repro.survey.observation import SurveyTruth
 
 
@@ -132,6 +136,130 @@ class TestMatching:
     def test_empty_input_yields_no_groups(self):
         result = coincide([], n_beams=8)
         assert result.groups == ()
+
+
+def pairwise_coincide(clusters, n_beams, policy=None):
+    """Oracle: greedy grouping that tests every member pair in turn."""
+    policy = policy or CoincidencePolicy()
+
+    def clusters_match(a, b):
+        return any(
+            abs(ma.dm_index - mb.dm_index) <= policy.trial_radius
+            and ma.overlaps_in_time(mb, slack=policy.time_slack)
+            for ma in a.members
+            for mb in b.members
+        )
+
+    grouped = []
+    for c in sorted(clusters, key=lambda c: -c.best.snr):
+        for group in grouped:
+            if any(clusters_match(c, member) for member in group):
+                group.append(c)
+                break
+        else:
+            grouped.append([c])
+    return CoincidenceResult(
+        groups=tuple(
+            CoincidenceGroup(
+                members=tuple(group),
+                classification=_classify(
+                    tuple(sorted({m.best.beam for m in group})),
+                    n_beams,
+                    policy,
+                ),
+            )
+            for group in grouped
+        ),
+        n_beams=n_beams,
+    )
+
+
+@st.composite
+def cluster_sets(draw):
+    """Pooled per-beam clusters on a small (DM, time) field.
+
+    S/N comes from a short list so ties are common: the stable sort
+    then decides the greedy order, and both sides must agree on it.
+    """
+    n_beams = draw(st.integers(min_value=1, max_value=8))
+    clusters = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        beam = draw(st.integers(min_value=0, max_value=n_beams - 1))
+        members = [
+            Candidate(
+                dm_index=draw(st.integers(min_value=0, max_value=15)),
+                dm=0.0,
+                snr=draw(st.sampled_from((6.0, 7.5, 9.0, 12.0))),
+                time_sample=draw(st.integers(min_value=0, max_value=400)),
+                width=draw(st.sampled_from((1, 2, 4, 8, 16))),
+                beam=beam,
+            )
+            for _ in range(draw(st.integers(min_value=1, max_value=6)))
+        ]
+        best = max(members, key=lambda m: m.snr)
+        clusters.append(SiftedCandidate(best=best, members=tuple(members)))
+    return clusters, n_beams
+
+
+class TestIndexedMatchesPairwiseOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drawn=cluster_sets(),
+        trial_radius=st.integers(min_value=0, max_value=3),
+        time_slack=st.sampled_from((0, 4, 32)),
+    )
+    def test_equal_results_on_random_cluster_sets(
+        self, drawn, trial_radius, time_slack
+    ):
+        clusters, n_beams = drawn
+        policy = CoincidencePolicy(
+            trial_radius=trial_radius, time_slack=time_slack
+        )
+        assert coincide(clusters, n_beams, policy) == pairwise_coincide(
+            clusters, n_beams, policy
+        )
+
+    def test_snr_ties_keep_input_order(self):
+        # Equal best S/N: the stable sort keeps input order, so whichever
+        # of a / b comes first seeds the group the bridge joins.
+        def weak(dm_index):
+            return Candidate(
+                dm_index=dm_index, dm=float(dm_index), snr=6.0,
+                time_sample=0, width=4, beam=2,
+            )
+
+        a = cluster(0, dm_index=0, t=0, snr=8.0)
+        b = cluster(1, dm_index=9, t=0, snr=8.0)
+        bridge = cluster(
+            2, dm_index=4, t=0, snr=8.0, extra=(weak(1), weak(8))
+        )
+        for order, beams in (
+            ([a, b, bridge], [(0, 2), (1,)]),
+            ([b, a, bridge], [(1, 2), (0,)]),
+            ([bridge, a, b], [(0, 1, 2)]),
+        ):
+            result = coincide(order, n_beams=8)
+            assert result == pairwise_coincide(order, n_beams=8)
+            assert [g.beams for g in result.groups] == beams
+
+    def test_zero_radius_and_slack_need_touching_extents(self):
+        policy = CoincidencePolicy(trial_radius=0, time_slack=0)
+        a = cluster(0, dm_index=3, t=100, width=4)         # [100, 104]
+        touching = cluster(1, dm_index=3, t=104, width=4)  # [104, 108]
+        next_trial = cluster(2, dm_index=4, t=100, width=4)
+        # Clear of a, but touches `touching`: joins through it.
+        chained = cluster(3, dm_index=3, t=105, width=4)
+        clusters = [a, touching, next_trial, chained]
+        result = coincide(clusters, n_beams=8, policy=policy)
+        assert result == pairwise_coincide(clusters, 8, policy)
+        assert [g.beams for g in result.groups] == [(0, 1, 3), (2,)]
+
+    def test_member_less_cluster_stays_alone(self):
+        empty = SiftedCandidate(best=cluster(1).best, members=())
+        clusters = [cluster(0), empty, cluster(2, snr=9.0)]
+        result = coincide(clusters, n_beams=8)
+        assert result == pairwise_coincide(clusters, 8)
+        assert [g.beams for g in result.groups] == [(0, 2), (1,)]
 
 
 class TestGroupValidation:

@@ -85,6 +85,72 @@ class TestAcceptance:
         assert "repro_survey_recall_ratio" in names
 
 
+#: (classification, beams, best (beam, dm_index, time_sample, width),
+#: member clusters) of every group of the pinned 32-beam storm survey.
+ALL_BEAMS = tuple(range(32))
+PINNED_STORM_GROUPS = [
+    ("broadband", ALL_BEAMS, (16, 0, 3435, 16), 32),
+    ("localized", (15, 16, 17), (16, 6, 1844, 8), 3),
+    ("localized", (15, 16, 17), (16, 4, 259, 16), 3),
+    ("broadband", ALL_BEAMS, (16, 6, 785, 16), 34),
+    ("localized", (15, 16, 17), (16, 3, 1316, 16), 3),
+    (
+        "broadband",
+        tuple(b for b in ALL_BEAMS if b not in (16, 25)),
+        (19, 0, 2196, 2),
+        30,
+    ),
+    ("localized", (15, 16, 17), (16, 2, 2901, 16), 3),
+    (
+        "scattered",
+        (0, 1, 3, 5, 6, 7, 9, 10, 13, 14, 19, 20, 21, 22, 24, 25, 28, 30),
+        (25, 0, 2084, 2),
+        18,
+    ),
+    (
+        "broadband",
+        tuple(b for b in ALL_BEAMS if b != 16),
+        (8, 0, 3315, 2),
+        31,
+    ),
+    ("localized", (15, 16, 17), (16, 7, 2368, 16), 3),
+]
+
+
+class TestPinnedCoincidence:
+    def test_storm_survey_groups_are_pinned(self):
+        # A realized survey at the benchmark's beam count: any change to
+        # grouping order, matching reach or classification shows here.
+        report = run_survey(
+            SurveyPlan(
+                scenario="rfi_storm", setup="high", n_beams=32,
+                n_chunks=8, seed=1,
+            )
+        )
+        groups = [
+            (
+                g.classification,
+                g.beams,
+                (g.best.beam, g.best.dm_index, g.best.time_sample,
+                 g.best.width),
+                len(g.members),
+            )
+            for g in report.coincidence.groups
+        ]
+        assert groups == PINNED_STORM_GROUPS
+        assert report.score.as_dict() == {
+            "recall": 1.0,
+            "n_expected": 1,
+            "n_matched": 1,
+            "pre_clusters": 160,
+            "pre_false_positives": 12,
+            "post_groups": 6,
+            "post_false_positives": 0,
+            "n_vetoed": 4,
+            "n_promoted": 5,
+        }
+
+
 class TestResume:
     def test_resume_requires_a_ledger_path(self):
         with pytest.raises(LedgerError, match="resume"):
