@@ -103,6 +103,15 @@ def bench_scale(label, setup_factory, samples, n_dms, dm_step, n_chunks,
         telescope.stream(beam, n_chunks, grid, chunk_seconds=chunk_seconds)
     )
 
+    # One untimed pass per path first: with a single repeat, whichever
+    # path ran first would alone pay the process's first-call costs
+    # (the first plan.predict(), the first validation of each metric
+    # series, NumPy's first touches) and the ratio would depend on order.
+    for fused_flag in (True, False):
+        search_stream(
+            plan, iter(chunks), SearchConfig(fused=fused_flag),
+            backend="vectorized",
+        )
     fused_s, fused = _time(
         lambda: search_stream(
             plan, iter(chunks), SearchConfig(fused=True),

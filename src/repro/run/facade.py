@@ -2,26 +2,24 @@
 
 :class:`ExecutionRequest` describes every way to launch dedispersion
 work as a single value object, and :func:`execute` dispatches on its
-resolved *mode*:
+*mode*, which the request infers from its contents when it is built:
 
 =============  ===========================================================
 mode           meaning
 =============  ===========================================================
-``kernel``     one beam, one batch: ``(channels, t)`` input through a
-               configured kernel (or a tuned plan's kernel)
-``streaming``  a tuned plan driven over an iterable of
+``kernel``     one beam, one batch: 2-D ``(channels, t)`` ``data=``
+               through a configured kernel (or a tuned plan's kernel)
+``streaming``  a tuned plan driven over ``chunks=``, an iterable of
                :class:`~repro.astro.telescope.StreamChunk` objects
-``fused``      streaming, but each chunk is dedispersed and searched
-               slab-by-slab through a
+``fused``      streaming with a ``detector=``: each chunk is dedispersed
+               and searched slab-by-slab through a
                :class:`~repro.search.detect.MatchedFilterDetector`
-               (``detector=``) without materialising the chunk's
-               DM×time plane — see :mod:`repro.run.fused`
+               without materialising the chunk's DM×time plane — see
+               :mod:`repro.run.fused`
 =============  ===========================================================
 
-``mode="auto"`` (the default) infers the mode from what the request
-carries: chunks imply ``streaming`` (``fused`` with a detector), 2-D
-input implies ``kernel``.  Every launch covers one beam; a multi-beam
-survey runs each beam through its own chunked request.
+Every launch covers one beam; a multi-beam survey runs each beam
+through its own chunked request.
 
 Both chunked modes enforce one chunk contract, :func:`check_chunk`: a
 chunk's payload equals the plan batch and its overlap covers the plan's
@@ -45,13 +43,13 @@ import numpy as np
 from repro.errors import PipelineError, ValidationError
 from repro.obs import get_registry, span
 
-#: The accepted values of :attr:`ExecutionRequest.mode`.
-EXECUTION_MODES = ("auto", "kernel", "streaming", "fused")
+#: The modes a request can infer (:attr:`ExecutionRequest.mode`).
+EXECUTION_MODES = ("kernel", "streaming", "fused")
 
 
 @dataclass(frozen=True)
 class ExecutionRequest:
-    """Everything needed to launch dedispersion work, normalised.
+    """Everything needed to launch dedispersion work, validated once.
 
     Exactly one *executor source* must be supplied:
 
@@ -60,26 +58,14 @@ class ExecutionRequest:
       then be omitted);
     * ``kernel`` — a configured
       :class:`~repro.opencl_sim.kernel.DedispersionKernel` plus an
-      explicit ``delay_table``;
-    * ``config`` — a bare
-      :class:`~repro.core.config.KernelConfiguration` plus
-      ``delay_table``; the kernel is generated on the fly with
-      ``samples`` output columns (default: the widest batch the input
-      and delay table allow).  ``samples=`` is rejected with the other
-      two sources, whose kernel already fixes the batch.
+      explicit ``delay_table``.
 
-    ``data`` carries the channelised input: ``(channels, t)`` for kernel
-    mode and ``None`` for streaming mode (the chunks carry their own
-    payloads).
-    Exactly one *input source* feeds a request: ``data``, ``chunks``, or
-    ``scenario`` — a :class:`~repro.scenarios.catalog.Scenario` (realized
-    against the plan's setup and grid) or an already-realized
-    :class:`~repro.scenarios.catalog.RealizedScenario`, whose chunks are
-    streamed exactly as if they had been passed via ``chunks=``.
-    ``out``, when given, must be a float32 array of the output shape —
-    the same contract every executor in the stack enforces.  ``backend``
-    selects the kernel executor (``"tiled"``/``"vectorized"``/``"auto"``,
-    ``None`` meaning auto) for every launch of the request.
+    Exactly one *input source* feeds a request: ``data``, the 2-D
+    ``(channels, t)`` input of kernel mode, or ``chunks``, an iterable
+    of stream chunks that a ``plan`` dedisperses in streaming mode.
+    ``backend`` selects the kernel executor
+    (``"tiled"``/``"vectorized"``/``"auto"``, ``None`` meaning auto) for
+    every launch of the request.
 
     ``detector`` — a
     :class:`~repro.search.detect.MatchedFilterDetector` — turns a
@@ -87,43 +73,31 @@ class ExecutionRequest:
     searched one DM-tile slab at a time and only candidates are kept
     (the result's ``output`` is ``None``; the per-chunk detail,
     including metered ``peak_bytes``, is in ``chunk_results``).
-    ``dm_tile`` optionally pins the slab height (a multiple of the
-    configuration's ``tile_dms``; default ≈ one sixteenth of the grid).
+
+    Every check runs here, at construction, and the inferred ``mode``
+    (one of :data:`EXECUTION_MODES`) is kept as a read-only field.
+    Inference never iterates ``chunks``.
     """
 
     data: np.ndarray | None = None
     delay_table: np.ndarray | None = None
-    config: Any = None
     kernel: Any = None
     plan: Any = None
     chunks: Iterable | None = None
-    scenario: Any = None
-    samples: int | None = None
-    mode: str = "auto"
     backend: str | None = None
     detector: Any = None
-    dm_tile: int | None = None
-    out: np.ndarray | None = field(default=None, repr=False)
+    mode: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in EXECUTION_MODES:
-            raise ValidationError(
-                f"unknown execution mode {self.mode!r}; expected one of "
-                f"{', '.join(EXECUTION_MODES)}"
-            )
         sources = [
             name
-            for name, value in (
-                ("plan", self.plan),
-                ("kernel", self.kernel),
-                ("config", self.config),
-            )
+            for name, value in (("plan", self.plan), ("kernel", self.kernel))
             if value is not None
         ]
         if len(sources) != 1:
             raise ValidationError(
-                "an ExecutionRequest needs exactly one of plan=, kernel= "
-                f"or config=; got {sources or 'none'}"
+                "an ExecutionRequest needs exactly one of plan= or "
+                f"kernel=; got {sources or 'none'}"
             )
         if self.plan is not None and self.delay_table is not None:
             raise ValidationError(
@@ -132,80 +106,12 @@ class ExecutionRequest:
             )
         if self.kernel is not None and self.delay_table is None:
             raise ValidationError("kernel= requires an explicit delay_table=")
-        if self.config is not None and self.delay_table is None:
-            raise ValidationError("config= requires an explicit delay_table=")
-        if self.samples is not None and self.config is None:
-            raise ValidationError(
-                f"samples= only sizes a kernel generated from config=; "
-                f"the {sources[0]}= source fixes its own batch"
-            )
-        if self.scenario is not None:
-            inputs = [
-                name
-                for name, value in (
-                    ("data", self.data),
-                    ("chunks", self.chunks),
-                )
-                if value is not None
-            ]
-            if inputs:
-                raise ValidationError(
-                    f"an ExecutionRequest needs exactly one input source; "
-                    f"scenario= conflicts with {'/'.join(inputs)}="
-                )
-
-    # ------------------------------------------------------------------
-    def resolve_mode(self) -> str:
-        """The concrete mode this request runs in.
-
-        An explicit mode is validated against the request's contents;
-        ``"auto"`` infers: chunks + detector → fused, chunks →
-        streaming, 2-D input → kernel.
-        """
-        inferred = self._infer_mode()
-        if self.mode == "auto":
-            return inferred
-        self._check_mode(self.mode)
-        return self.mode
+        object.__setattr__(self, "mode", self._infer_mode())
 
     def _infer_mode(self) -> str:
-        if self.chunks is not None or self.scenario is not None:
+        """Chunks + detector → fused, chunks → streaming, data → kernel."""
+        if self.chunks is not None:
             mode = "fused" if self.detector is not None else "streaming"
-        elif self.data is None:
-            raise ValidationError(
-                "an ExecutionRequest needs data= (or chunks= / scenario= "
-                "for streaming mode)"
-            )
-        else:
-            ndim = np.asarray(self.data).ndim
-            if ndim != 2:
-                raise ValidationError(
-                    f"request data must be 2-D (channels, t); got {ndim} "
-                    f"dimension(s)"
-                )
-            mode = "kernel"
-        self._check_mode(mode)
-        return mode
-
-    def _check_mode(self, mode: str) -> None:
-        """Raise when the request's contents contradict ``mode``."""
-        if mode not in ("fused",):
-            if self.detector is not None and mode != "streaming":
-                raise ValidationError(
-                    "detector= is only valid in fused mode (a chunked "
-                    f"request with a detector), but this request "
-                    f"resolves to {mode!r} mode"
-                )
-            if self.dm_tile is not None:
-                raise ValidationError(
-                    "dm_tile= is only valid in fused mode (it sizes the "
-                    "fused path's DM slabs)"
-                )
-        if mode in ("streaming", "fused"):
-            if self.chunks is None and self.scenario is None:
-                raise ValidationError(
-                    f"{mode} mode requires chunks= or scenario="
-                )
             if self.plan is None:
                 raise ValidationError(
                     f"{mode} mode requires plan= (a tuned "
@@ -213,39 +119,27 @@ class ExecutionRequest:
                 )
             if self.data is not None:
                 raise ValidationError(
-                    f"{mode} mode takes its input from chunks= or "
-                    "scenario=, not data="
+                    f"{mode} mode takes its input from chunks=, not data="
                 )
-            if self.out is not None:
-                raise ValidationError(
-                    f"{mode} mode allocates per-chunk outputs; out= is "
-                    "not supported"
-                )
-            if mode == "fused" and self.detector is None:
-                raise ValidationError(
-                    "fused mode requires detector= (a "
-                    "MatchedFilterDetector to fold each slab through)"
-                )
-            if mode == "streaming" and self.detector is not None:
-                raise ValidationError(
-                    "detector= turns a chunked request into fused mode; "
-                    "drop mode='streaming' (or use mode='fused')"
-                )
-            return
-        if self.chunks is not None:
+            return mode
+        if self.data is None:
             raise ValidationError(
-                f"chunks= is only valid in streaming or fused mode "
-                f"(of {', '.join(m for m in EXECUTION_MODES if m != 'auto')}), "
-                f"but this request resolves to {mode!r} mode"
+                "an ExecutionRequest needs data= (or chunks= for "
+                "streaming mode)"
             )
-        if self.scenario is not None:
+        ndim = np.asarray(self.data).ndim
+        if ndim != 2:
             raise ValidationError(
-                f"scenario= is only valid in streaming or fused mode "
-                f"(of {', '.join(m for m in EXECUTION_MODES if m != 'auto')}), "
-                f"but this request resolves to {mode!r} mode; pass "
-                f"plan= and drop mode={mode!r} (or use mode='streaming') "
-                f"to stream the scenario's chunks"
+                f"request data must be 2-D (channels, t); got {ndim} "
+                f"dimension(s)"
             )
+        if self.detector is not None:
+            raise ValidationError(
+                "detector= is only valid in fused mode (a chunked "
+                "request with a detector), but this request resolves "
+                "to 'kernel' mode"
+            )
+        return "kernel"
 
 
 @dataclass(frozen=True)
@@ -269,10 +163,6 @@ class ExecutionResult:
     seconds: float
     launches: int
     chunk_results: tuple = ()
-    #: The :class:`~repro.scenarios.catalog.RealizedScenario` a
-    #: ``scenario=`` request streamed, carrying the ground truth the
-    #: caller scores against; ``None`` for every other input source.
-    scenario: Any = field(default=None, repr=False)
 
     @property
     def n_dms(self) -> int:
@@ -350,12 +240,12 @@ def execute(request: ExecutionRequest) -> ExecutionResult:
         )
     from repro.opencl_sim.backend import normalize_backend
 
-    mode = request.resolve_mode()
+    mode = request.mode
     backend = normalize_backend(request.backend)
     runner = _RUNNERS[mode]
     with span("run.execute", mode=mode, backend=backend):
         start = time.perf_counter()
-        output, launches, chunk_results, extras = runner(request)
+        output, launches, chunk_results = runner(request)
         elapsed = time.perf_counter() - start
     registry = get_registry()
     registry.counter("repro_run_requests_total", mode=mode).inc()
@@ -369,80 +259,16 @@ def execute(request: ExecutionRequest) -> ExecutionResult:
         seconds=elapsed,
         launches=launches,
         chunk_results=chunk_results,
-        **extras,
     )
-
-
-def _config_kernel(request: ExecutionRequest):
-    """The kernel a ``config=`` request generates.
-
-    Its batch is ``samples=`` when given, otherwise the widest batch the
-    input and delay table allow.
-    """
-    from repro.opencl_sim.codegen import build_kernel
-
-    data = np.asarray(request.data)
-    samples = request.samples
-    if samples is None:
-        samples = data.shape[1] - int(
-            np.asarray(request.delay_table).max(initial=0)
-        )
-        if samples <= 0:
-            raise ValidationError(
-                "input too short for the delay table (no output samples "
-                "remain after the maximum delay)"
-            )
-    return build_kernel(request.config, data.shape[0], int(samples))
 
 
 def _run_kernel(request: ExecutionRequest):
     if request.plan is not None:
         kernel, delays = request.plan.kernel, request.plan.delays
-    elif request.kernel is not None:
-        kernel, delays = request.kernel, request.delay_table
     else:
-        kernel, delays = _config_kernel(request), request.delay_table
-    output = kernel._execute(
-        request.data, delays, out=request.out, backend=request.backend
-    )
-    return output, 1, (), {}
-
-
-def _resolve_scenario(request: ExecutionRequest):
-    """Realize a ``scenario=`` input against the request's plan.
-
-    Accepts a :class:`~repro.scenarios.catalog.Scenario` (realized here
-    against the plan's setup and grid) or an already-realized
-    :class:`~repro.scenarios.catalog.RealizedScenario` (whose setup must
-    match the plan's).  Imported lazily — the facade sits below
-    :mod:`repro.scenarios` in the layering and must not import it at
-    module scope.
-    """
-    from repro.scenarios.catalog import RealizedScenario, Scenario
-
-    scenario = request.scenario
-    if isinstance(scenario, Scenario):
-        return scenario.realize(request.plan.setup, request.plan.grid)
-    if isinstance(scenario, RealizedScenario):
-        if scenario.setup.name != request.plan.setup.name:
-            raise ValidationError(
-                f"scenario was realized for setup "
-                f"{scenario.setup.name!r}, but the plan targets "
-                f"{request.plan.setup.name!r}"
-            )
-        return scenario
-    raise ValidationError(
-        f"scenario= takes a Scenario or RealizedScenario, got "
-        f"{type(scenario).__name__}"
-    )
-
-
-def _stream_input(request: ExecutionRequest):
-    """The chunks a chunked request streams, plus its result extras."""
-    if request.scenario is None:
-        return request.chunks, {}
-    realized = _resolve_scenario(request)
-    return realized.chunks, {"scenario": realized}
+        kernel, delays = request.kernel, request.delay_table
+    output = kernel._execute(request.data, delays, backend=request.backend)
+    return output, 1, ()
 
 
 def _dedisperse_chunk(plan, chunk, backend: str | None) -> ChunkResult:
@@ -478,35 +304,28 @@ def _dedisperse_chunk(plan, chunk, backend: str | None) -> ChunkResult:
 
 
 def _run_streaming(request: ExecutionRequest):
-    chunks, extras = _stream_input(request)
     results = tuple(
         _dedisperse_chunk(request.plan, chunk, request.backend)
-        for chunk in chunks
+        for chunk in request.chunks
     )
     if not results:
         raise ValidationError("streaming request carried no chunks")
     output = np.concatenate([r.output for r in results], axis=1)
-    return output, len(results), results, extras
+    return output, len(results), results
 
 
 def _run_fused(request: ExecutionRequest):
     from repro.run.fused import run_fused_chunk
 
-    chunks, extras = _stream_input(request)
     results = tuple(
         run_fused_chunk(
-            request.plan,
-            chunk,
-            request.detector,
-            backend=request.backend,
-            dm_tile=request.dm_tile,
+            request.plan, chunk, request.detector, backend=request.backend
         )
-        for chunk in chunks
+        for chunk in request.chunks
     )
     if not results:
         raise ValidationError("fused request carried no chunks")
-    launches = sum(r.launches for r in results)
-    return None, launches, results, extras
+    return None, sum(r.launches for r in results), results
 
 
 _RUNNERS = {

@@ -14,8 +14,9 @@ bit-identical to the staged path (dedispersion is independent per DM
 row; every detector statistic is row-local), but the peak working set is
 one slab's, not the plane's.
 
-Slabs are cut along the trial-DM axis in multiples of the
-configuration's ``tile_dms`` — the NDRange of
+Slabs are cut along the trial-DM axis, about ``n_dms / 16`` trials
+high, rounded up to a multiple of the configuration's ``tile_dms``
+(:func:`resolve_dm_tile`) — the NDRange of
 :mod:`repro.opencl_sim.ndrange` requires exact work-group tiling, and
 every plan's DM grid is already a whole number of tiles, so any
 tile-multiple slab size launches cleanly.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
 from repro.obs import get_registry, span
 from repro.run.facade import check_chunk
 from repro.run.peak import MemoryAccount
@@ -69,25 +69,17 @@ class FusedChunkResult:
     realtime: bool
 
 
-def resolve_dm_tile(n_dms: int, tile_dms: int, dm_tile: int | None) -> int:
+def resolve_dm_tile(n_dms: int, tile_dms: int) -> int:
     """The slab height (trial DMs) a fused pass cuts the grid into.
 
-    Must be a positive multiple of the configuration's ``tile_dms`` so
-    every slab launches with exact work-group tiling.  The default aims
-    for roughly sixteen slabs — small enough that the slab working set
-    is a fraction of the plane's, large enough that per-slab Python and
-    launch overhead stays negligible — rounded up to a tile multiple.
+    A positive multiple of the configuration's ``tile_dms``, so every
+    slab launches with exact work-group tiling.  It aims for roughly
+    sixteen slabs — small enough that the slab working set is a
+    fraction of the plane's, large enough that per-slab Python and
+    launch overhead stays negligible.
     """
-    if dm_tile is None:
-        target = max(1, -(-n_dms // 16))
-        return tile_dms * max(1, -(-target // tile_dms))
-    tile = int(dm_tile)
-    if tile <= 0 or tile % tile_dms != 0:
-        raise ValidationError(
-            f"dm_tile must be a positive multiple of the configuration's "
-            f"tile_dms={tile_dms}, got {dm_tile}"
-        )
-    return tile
+    target = max(1, -(-n_dms // 16))
+    return tile_dms * max(1, -(-target // tile_dms))
 
 
 def run_fused_chunk(
@@ -95,7 +87,6 @@ def run_fused_chunk(
     chunk,
     detector,
     backend: str | None = None,
-    dm_tile: int | None = None,
 ) -> FusedChunkResult:
     """Dedisperse and detect one stream chunk slab-by-slab.
 
@@ -108,7 +99,7 @@ def run_fused_chunk(
     """
     check_chunk(plan, chunk)
     n_dms = plan.delays.shape[0]
-    tile = resolve_dm_tile(n_dms, plan.config.tile_dms, dm_tile)
+    tile = resolve_dm_tile(n_dms, plan.config.tile_dms)
     account = MemoryAccount()
     launches = 0
     produce_s = 0.0

@@ -25,6 +25,8 @@ where it matters:
   target device plus the **measured** wall-clock detection/sift seconds
   (detection runs on the host in both the model and this simulator, so
   its real cost is the honest number);
+* it meets its *deadline* when it finishes within one cadence
+  (``chunk_seconds``) of arriving;
 * a bounded queue of capacity ``queue_capacity`` sits in front of the
   single worker.  A chunk arriving while the queue is full is **dropped**
   — that is the backpressure contract: the stream cannot be paused, so
@@ -52,28 +54,25 @@ from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.obs import get_registry, span
 from repro.run.peak import MemoryAccount
-from repro.search.detect import DEFAULT_WIDTHS, MatchedFilterDetector
+from repro.search.detect import MatchedFilterDetector
 from repro.search.sift import SiftPolicy, SiftResult, sift_candidates
-from repro.utils.validation import (
-    require_non_negative,
-    require_positive,
-    require_positive_int,
-)
+from repro.utils.validation import require_non_negative, require_positive_int
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Tunables of one streaming search.
 
-    ``snr_threshold`` / ``widths`` parameterise the detector;
-    ``sift_policy`` the clustering and RFI vetoes; ``rfi_mitigation``
-    runs channel masking and the zero-DM filter on a copy of each chunk
-    before dedispersion (requires a grid starting above DM 0: the
-    zero-DM filter nulls the DM-0 series).
+    ``snr_threshold`` parameterises the detector (its boxcar bank is
+    :data:`~repro.search.detect.DEFAULT_WIDTHS`); ``sift_policy`` the
+    clustering and RFI vetoes; ``rfi_mitigation`` runs channel masking
+    and the zero-DM filter on a copy of each chunk before dedispersion
+    (requires a grid starting above DM 0: the zero-DM filter nulls the
+    DM-0 series).
 
     ``queue_capacity`` bounds the arrival queue (chunks waiting while
-    the worker is busy); ``deadline_factor`` scales the per-chunk
-    deadline (``arrival + deadline_factor * chunk_seconds``).
+    the worker is busy); a chunk's deadline is one cadence after its
+    arrival.
     ``min_service_seconds`` floors the modelled per-chunk service time —
     zero in production; tests and capacity studies raise it to emulate a
     slower device and drive the queue into backpressure
@@ -87,17 +86,14 @@ class SearchConfig:
     """
 
     snr_threshold: float = 6.0
-    widths: tuple[int, ...] = DEFAULT_WIDTHS
     sift_policy: SiftPolicy = field(default_factory=SiftPolicy)
     rfi_mitigation: bool = False
     queue_capacity: int = 4
-    deadline_factor: float = 1.0
     min_service_seconds: float = 0.0
     fused: bool = True
 
     def __post_init__(self) -> None:
         require_positive_int(self.queue_capacity, "queue_capacity")
-        require_positive(self.deadline_factor, "deadline_factor")
         require_non_negative(self.min_service_seconds, "min_service_seconds")
 
 
@@ -310,13 +306,9 @@ class StreamingSearch:
         self.config = config or SearchConfig()
         self.backend = backend
         self.detector = MatchedFilterDetector(
-            snr_threshold=self.config.snr_threshold,
-            widths=self.config.widths,
+            snr_threshold=self.config.snr_threshold
         )
         self.chunk_seconds = plan.samples / plan.setup.samples_per_second
-        self.deadline_seconds = (
-            self.config.deadline_factor * self.chunk_seconds
-        )
         grid = plan.grid
         if (
             self.config.rfi_mitigation
@@ -505,7 +497,7 @@ class StreamingSearch:
                 setup_name=self.plan.setup.name,
                 n_dms=self.plan.grid.n_dms,
                 chunk_seconds=self.chunk_seconds,
-                deadline_seconds=self.deadline_seconds,
+                deadline_seconds=self.chunk_seconds,
                 records=tuple(records),
                 result=sifted,
                 backend=resolved_backend,

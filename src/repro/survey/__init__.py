@@ -5,7 +5,7 @@ coincidence-vetoed candidates, composing every layer below it:
 
 * :class:`SurveyPlan` (:mod:`repro.survey.plan`) — the pure-value
   configuration: scenario, benchmark setup, beam count, DM range, seed,
-  beam-correlation and coincidence knobs;
+  beam-correlation knobs and fleet fault injection;
 * :func:`realize_survey` (:mod:`repro.survey.observation`) — the
   beam-correlated realization: signal into a localized neighbourhood of
   beams, RFI identically into all beams, noise independent per beam;
@@ -61,7 +61,6 @@ from repro.survey.observation import (
     SurveyExpectation,
     SurveyTruth,
     realize_survey,
-    survey_sift_policy,
 )
 from repro.survey.plan import SurveyPlan
 
@@ -87,5 +86,4 @@ __all__ = [
     "realize_survey",
     "run_survey",
     "score_survey",
-    "survey_sift_policy",
 ]

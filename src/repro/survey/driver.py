@@ -49,6 +49,9 @@ from repro.survey.plan import SurveyPlan
 #: Memory per simulated fleet device (matches the multi-beam planner).
 DEFAULT_DEVICE_MEMORY = 3 * 1024**3
 
+#: Devices in the simulated fleet a survey dispatches its beams to.
+FLEET_UNITS = 3
+
 
 # ----------------------------------------------------------------------
 # Candidate serde: ledger lines are the coincidence stage's only input
@@ -175,9 +178,8 @@ class SurveyRunReport:
 
     def summary(self) -> str:
         """Multi-line, human-readable report."""
-        what = self.scenario or "explicit beam sources"
         lines = [
-            f"survey: {what} on setup {self.setup_key!r}, "
+            f"survey: {self.scenario} on setup {self.setup_key!r}, "
             f"{self.n_beams} beams x {self.n_dms} trial DMs "
             f"({self.backend} backend) — {self.verdict}",
             f"  beams: {len(self.beams)} done"
@@ -276,10 +278,7 @@ class SurveyRun:
         plan = self.plan
         registry = get_registry()
         column = plan.column()
-        labels = {
-            "scenario": plan.scenario if not plan.beam_sources else "",
-            "setup": column.key,
-        }
+        labels = {"scenario": plan.scenario, "setup": column.key}
         with span(
             "survey.run", n_beams=plan.n_beams, **labels
         ) as run_span:
@@ -354,9 +353,7 @@ class SurveyRun:
                     for record in ledger.beam_records()
                     for doc in record.accepted
                 ]
-                result = coincide(
-                    clusters, plan.n_beams, plan.coincidence
-                )
+                result = coincide(clusters, plan.n_beams)
                 score = score_survey(observation.truth, clusters, result)
                 co_span.attributes["groups"] = len(result.groups)
                 co_span.attributes["vetoed"] = len(result.vetoed)
@@ -393,7 +390,7 @@ class SurveyRun:
                 [
                     (
                         device_by_name(column.device_name),
-                        plan.fleet_units,
+                        FLEET_UNITS,
                         DEFAULT_DEVICE_MEMORY,
                     )
                 ],

@@ -17,10 +17,12 @@ cross-beam coincidence stage (:mod:`repro.survey.coincidence`) exploits:
   ``adjacent_attenuation ** distance`` via
   :class:`~repro.astro.source.ScaledSource`.
 
-Realization reuses the scenario catalogue: the scenario's composite
-source is *decomposed* into those three populations, so any catalogue
-scenario becomes a multi-beam survey without a parallel catalogue.  The
-per-beam search runs with RFI mitigation and the zero-DM veto OFF —
+Every survey sky is a catalogue scenario: :func:`realize_survey`
+*decomposes* the scenario's composite source into those three
+populations, so any catalogue scenario becomes a multi-beam survey
+without a parallel catalogue.  The per-beam search runs with the
+scenario's own search configuration, but with RFI mitigation and the
+zero-DM veto OFF —
 per-beam defenses would eat the broadband RFI before the coincidencer
 ever saw it, and the whole point of the survey stage is that the
 cross-beam veto replaces them.
@@ -53,7 +55,6 @@ from repro.scenarios.catalog import (
     scenario_by_name,
 )
 from repro.scenarios.truth import ExpectedCandidate
-from repro.search.sift import SiftPolicy
 from repro.search.stream import SearchConfig
 from repro.utils.rng import RandomStreams, derive_seed
 
@@ -114,21 +115,6 @@ class MultiBeamObservation:
         return self.setup.samples_per_batch / self.setup.samples_per_second
 
 
-def survey_sift_policy(grid: DMTrialGrid) -> SiftPolicy:
-    """The scenario clustering policy with the zero-DM veto disabled.
-
-    Per-beam vetoes are deliberately off in a survey: broadband RFI must
-    *reach* the coincidence stage so the cross-beam veto (which knows
-    more than any single beam can) does the rejecting.
-    """
-    return SiftPolicy(
-        dm_radius=float(grid.last - grid.first),
-        time_slack=16,
-        zero_dm_veto=False,
-        broadband_veto_fraction=1.0,
-    )
-
-
 def _beam_variant(
     child: SignalSource,
     beam: int,
@@ -152,20 +138,11 @@ def _beam_variant(
 def realize_survey(plan) -> MultiBeamObservation:
     """Realize a :class:`~repro.survey.plan.SurveyPlan` into beam streams.
 
-    Scenario mode decomposes the catalogue scenario's source composition
-    beam-by-beam (module docstring); explicit ``beam_sources`` mode
-    realizes each beam's source independently, with that beam's own
-    derived stream, and expects each beam's signals in that beam only.
+    Decomposes the catalogue scenario's source composition beam-by-beam
+    (module docstring).
     """
     column = plan.column()
-    if plan.beam_sources:
-        return _realize_explicit(plan, column.setup, column.grid)
-    return _realize_scenario(plan, column.setup, column.grid)
-
-
-def _realize_scenario(
-    plan, setup: ObservationSetup, grid: DMTrialGrid
-) -> MultiBeamObservation:
+    setup, grid = column.setup, column.grid
     scenario = scenario_by_name(plan.scenario)
     n_chunks = plan.n_chunks or scenario.n_chunks
     root = derive_seed(plan.seed, "survey", scenario.name, setup.name)
@@ -256,54 +233,6 @@ def _realize_scenario(
         beams=tuple(beams),
         truth=SurveyTruth(
             n_beams=plan.n_beams, expectations=expectations
-        ),
-        search_config=config,
-    )
-
-
-def _realize_explicit(
-    plan, setup: ObservationSetup, grid: DMTrialGrid
-) -> MultiBeamObservation:
-    root = derive_seed(plan.seed, "survey", "explicit", setup.name)
-    n_chunks = plan.n_chunks or 4
-    beams = []
-    expectations = []
-    for b, source in enumerate(plan.beam_sources):
-        chunks, signal_truth = stream_chunks(
-            source,
-            setup,
-            grid,
-            n_chunks,
-            RandomStreams(derive_seed(root, "beam", b)),
-            beam_index=b,
-        )
-        beams.append(
-            BeamObservation(
-                beam=b, chunks=chunks, signal_truth=signal_truth
-            )
-        )
-        expectations.extend(
-            SurveyExpectation(
-                expected=ExpectedCandidate(
-                    dm=component.dm,
-                    trial=grid.index_of(component.dm),
-                    time_samples=component.time_samples,
-                ),
-                beams=(b,),
-            )
-            for component in signal_truth.components
-            if component.kind in _SIGNAL_KINDS
-            and component.dm is not None
-        )
-    config = SearchConfig(
-        sift_policy=survey_sift_policy(grid), rfi_mitigation=False
-    )
-    return MultiBeamObservation(
-        setup=setup,
-        grid=grid,
-        beams=tuple(beams),
-        truth=SurveyTruth(
-            n_beams=plan.n_beams, expectations=tuple(expectations)
         ),
         search_config=config,
     )

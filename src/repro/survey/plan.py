@@ -1,12 +1,14 @@
 """Survey plans: everything one multi-beam survey run is configured by.
 
-A :class:`SurveyPlan` is a pure value: which scenario (or explicit
-per-beam sources) to observe, on which benchmark column
+A :class:`SurveyPlan` is a pure value: which catalogue scenario to
+observe, on which benchmark column
 (:data:`repro.scenarios.SCENARIO_SETUPS`), with how many beams, which
-DM range, which seed, and how the beam-correlated realization and
-cross-beam coincidence behave.  Its :meth:`identity` dict is what the
-survey ledger pins resumability against: resuming with a different plan
-is refused, not silently mixed.
+DM range, which seed, and how the beam-correlated realization behaves.
+Cross-beam coincidence always runs with the default
+:class:`~repro.survey.coincidence.CoincidencePolicy`, and the fleet
+has a fixed size (``FLEET_UNITS`` devices).  Its :meth:`identity`
+dict is what the survey ledger pins resumability against: resuming with
+a different plan is refused, not silently mixed.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.source import SignalSource
 from repro.errors import ValidationError
 from repro.scenarios.regression import ScenarioSetup, setup_by_key
 from repro.sched.faults import FaultProfile
-from repro.survey.coincidence import CoincidencePolicy
 from repro.utils.validation import require_positive_int
 
 
@@ -29,10 +29,7 @@ class SurveyPlan:
     ``scenario`` names a catalogue scenario whose source composition is
     decomposed into beam-correlated per-beam observations (signal into a
     localized neighbourhood around the centre beam, RFI identically into
-    every beam, noise independent per beam).  Alternatively
-    ``beam_sources`` supplies one explicit
-    :class:`~repro.astro.source.SignalSource` per beam, realized
-    independently — the escape hatch for hand-built observations.
+    every beam, noise independent per beam).
 
     ``setup`` keys one column of
     :data:`~repro.scenarios.SCENARIO_SETUPS`; ``n_dms`` optionally
@@ -54,14 +51,10 @@ class SurveyPlan:
     n_chunks: int | None = None
     signal_radius: int = 1
     adjacent_attenuation: float = 0.7
-    beam_sources: tuple[SignalSource, ...] = ()
-    coincidence: CoincidencePolicy = field(default_factory=CoincidencePolicy)
     faults: FaultProfile = field(default_factory=FaultProfile.none)
-    fleet_units: int = 3
 
     def __post_init__(self) -> None:
         require_positive_int(self.n_beams, "n_beams")
-        require_positive_int(self.fleet_units, "fleet_units")
         if self.signal_radius < 0:
             raise ValidationError("signal_radius must be non-negative")
         if not 0.0 < self.adjacent_attenuation <= 1.0:
@@ -72,14 +65,6 @@ class SurveyPlan:
             require_positive_int(self.n_dms, "n_dms")
         if self.n_chunks is not None:
             require_positive_int(self.n_chunks, "n_chunks")
-        object.__setattr__(
-            self, "beam_sources", tuple(self.beam_sources)
-        )
-        if self.beam_sources and len(self.beam_sources) != self.n_beams:
-            raise ValidationError(
-                f"beam_sources supplies {len(self.beam_sources)} sources "
-                f"for n_beams={self.n_beams}; one source per beam"
-            )
 
     # ------------------------------------------------------------------
     def column(self) -> ScenarioSetup:
@@ -106,12 +91,11 @@ class SurveyPlan:
         column = self.column()
         return {
             "seed": int(self.seed),
-            "scenario": self.scenario if not self.beam_sources else "",
+            "scenario": self.scenario,
             "setup": column.key,
             "n_beams": int(self.n_beams),
             "n_dms": int(column.grid.n_dms),
             "backend": self.backend or "auto",
             "signal_radius": int(self.signal_radius),
             "adjacent_attenuation": float(self.adjacent_attenuation),
-            "explicit_sources": bool(self.beam_sources),
         }

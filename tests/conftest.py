@@ -133,7 +133,7 @@ def run_kernel(kernel, data, table, **kwargs) -> np.ndarray:
     from repro.run import ExecutionRequest, execute
 
     request = ExecutionRequest(
-        data=data, kernel=kernel, delay_table=table, mode="kernel", **kwargs
+        data=data, kernel=kernel, delay_table=table, **kwargs
     )
     return execute(request).output
 

@@ -50,7 +50,7 @@ class TestExecution:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         out = np.full((toy_grid.n_dms, 400), 7.0, dtype=np.float32)
-        result = run_kernel(kernel, data, table, out=out)
+        result = kernel._execute(data, table, out=out)
         assert result is out
         ref = run_kernel(kernel, data, table)
         np.testing.assert_array_equal(result, ref)
@@ -120,8 +120,8 @@ class TestValidation:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         with pytest.raises(ValidationError):
-            run_kernel(
-                kernel, data, table, out=np.zeros((1, 400), dtype=np.float32)
+            kernel._execute(
+                data, table, out=np.zeros((1, 400), dtype=np.float32)
             )
 
     def test_rejects_non_float32_out(self, toy_low, toy_grid, rng):
@@ -131,8 +131,7 @@ class TestValidation:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         with pytest.raises(ValidationError, match="float32"):
-            run_kernel(
-                kernel,
+            kernel._execute(
                 data,
                 table,
                 out=np.zeros((toy_grid.n_dms, 400), dtype=np.float64),

@@ -139,7 +139,7 @@ class TestBitIdentity:
         table = delay_table(toy_low, toy_grid.values)
         kernel = build_kernel(config(), toy_low.channels, 400)
         out = np.full((toy_grid.n_dms, 400), 3.0, dtype=np.float32)
-        result = run_kernel(kernel, data, table, out=out, backend="vectorized")
+        result = kernel._execute(data, table, out=out, backend="vectorized")
         assert result is out
         tiled = run_kernel(kernel, data, table, backend="tiled")
         assert np.array_equal(out, tiled)

@@ -69,7 +69,8 @@ def test_chunk_contract_violation_raises(plan, mode, make_chunk, message):
         else None
     )
     request = ExecutionRequest(
-        plan=plan, chunks=(make_chunk(plan),), detector=detector, mode=mode
+        plan=plan, chunks=(make_chunk(plan),), detector=detector
     )
+    assert request.mode == mode
     with pytest.raises(PipelineError, match=message):
         execute(request)

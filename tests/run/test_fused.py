@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
@@ -49,35 +50,12 @@ class TestRequestValidation:
     def test_detector_infers_fused_mode(self, plan, toy_low, toy_grid, detector):
         chunks = tuple(make_chunks(toy_low, toy_grid))
         request = ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
-        assert request.resolve_mode() == "fused"
-
-    def test_explicit_fused_mode_requires_detector(self, plan, toy_low, toy_grid):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
-        with pytest.raises(ValidationError, match="detector="):
-            ExecutionRequest(
-                plan=plan, chunks=chunks, mode="fused"
-            ).resolve_mode()
-
-    def test_detector_conflicts_with_streaming_mode(
-        self, plan, toy_low, toy_grid, detector
-    ):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
-        with pytest.raises(ValidationError, match="fused"):
-            ExecutionRequest(
-                plan=plan, chunks=chunks, detector=detector, mode="streaming"
-            ).resolve_mode()
+        assert request.mode == "fused"
 
     def test_detector_invalid_in_kernel_mode(self, plan, detector, rng):
         data = rng.normal(size=(16, 500)).astype(np.float32)
         with pytest.raises(ValidationError, match="only valid in fused"):
-            ExecutionRequest(
-                plan=plan, data=data, detector=detector
-            ).resolve_mode()
-
-    def test_dm_tile_invalid_outside_fused(self, plan, rng):
-        data = rng.normal(size=(16, 500)).astype(np.float32)
-        with pytest.raises(ValidationError, match="dm_tile"):
-            ExecutionRequest(plan=plan, data=data, dm_tile=8).resolve_mode()
+            ExecutionRequest(plan=plan, data=data, detector=detector)
 
     def test_empty_fused_request_rejected(self, plan, detector):
         with pytest.raises(ValidationError, match="no chunks"):
@@ -88,15 +66,8 @@ class TestRequestValidation:
 
 class TestDmTile:
     def test_default_is_tile_multiple(self):
-        assert resolve_dm_tile(1024, 8, None) % 8 == 0
-        assert resolve_dm_tile(8, 8, None) == 8
-
-    def test_explicit_must_be_tile_multiple(self):
-        assert resolve_dm_tile(64, 8, 16) == 16
-        with pytest.raises(ValidationError, match="multiple"):
-            resolve_dm_tile(64, 8, 12)
-        with pytest.raises(ValidationError, match="multiple"):
-            resolve_dm_tile(64, 8, 0)
+        assert resolve_dm_tile(1024, 8) % 8 == 0
+        assert resolve_dm_tile(8, 8) == 8
 
 
 class TestFusedExecution:
@@ -140,24 +111,36 @@ class TestFusedExecution:
         assert pinned.candidates == auto.candidates
         assert pinned.backend == backend
 
-    def test_dm_tile_slicing_changes_nothing(
-        self, plan, toy_low, toy_grid, detector
+    @pytest.mark.parametrize(
+        "n_dms,launches", [(32, 12), (136, 27)], ids=["4x8", "8x16+8"]
+    )
+    def test_candidates_bit_identical_across_slabs(
+        self, toy_low, detector, n_dms, launches
     ):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
-        whole = execute(
-            ExecutionRequest(
-                plan=plan,
-                chunks=chunks,
-                detector=detector,
-                dm_tile=toy_grid.n_dms,
-            )
+        # CONFIG tiles 8 DMs, so 32 trials are cut into 4 slabs of 8 and
+        # 136 trials into 8 slabs of 16 plus a last slab of 8.
+        grid = DMTrialGrid(n_dms=n_dms, first=0.0, step=0.25)
+        plan = DedispersionPlan.create(
+            toy_low, grid, hd7970(), config=CONFIG, samples=400
         )
-        sliced = execute(
-            ExecutionRequest(
-                plan=plan, chunks=chunks, detector=detector, dm_tile=8
-            )
+        chunks = tuple(make_chunks(toy_low, grid, n_chunks=3))
+        fused = execute(
+            ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
-        assert sliced.candidates == whole.candidates
+        streamed = execute(ExecutionRequest(plan=plan, chunks=chunks))
+        staged = [
+            candidate
+            for chunk, result in zip(chunks, streamed.chunk_results)
+            for candidate in detector.detect(
+                result.output,
+                grid.values,
+                time_offset=chunk.sequence * plan.samples,
+                beam=chunk.beam_index,
+            )
+        ]
+        assert staged
+        assert fused.candidates == tuple(staged)
+        assert fused.launches == launches
 
     def test_n_dms_guarded_for_fused_results(
         self, plan, toy_low, toy_grid, detector
@@ -174,9 +157,7 @@ class TestFusedExecution:
     ):
         chunks = tuple(make_chunks(toy_low, toy_grid, n_chunks=2))
         result = execute(
-            ExecutionRequest(
-                plan=plan, chunks=chunks, detector=detector, dm_tile=8
-            )
+            ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
         # 8 trial DMs per chunk in one 8-row slab → one launch per chunk.
         assert result.launches == 2
@@ -186,8 +167,6 @@ class TestPeakAccounting:
     def test_fused_peak_below_staged_peak(self, toy_low, detector, rng):
         # A taller grid (32 trials, 4 slabs of 8) makes the plane-scale
         # savings visible even at toy scale.
-        from repro.astro.dm_trials import DMTrialGrid
-
         grid = DMTrialGrid(n_dms=32, first=0.0, step=0.25)
         plan = DedispersionPlan.create(
             toy_low, grid, hd7970(), config=CONFIG, samples=400
@@ -195,10 +174,7 @@ class TestPeakAccounting:
         chunks = make_chunks(toy_low, grid)
         fused = execute(
             ExecutionRequest(
-                plan=plan,
-                chunks=tuple(chunks),
-                detector=detector,
-                dm_tile=8,
+                plan=plan, chunks=tuple(chunks), detector=detector
             )
         )
         account = MemoryAccount()

@@ -9,9 +9,7 @@ ledger byte for byte.
 
 import pytest
 
-from repro.astro import SyntheticPulsar
 from repro.astro.candidates import Candidate, SiftedCandidate
-from repro.astro.source import NoiseSource, PulsarSource
 from repro.errors import LedgerError, PipelineError
 from repro.obs import use_registry
 from repro.sched.ledger import load_survey_ledger
@@ -63,18 +61,6 @@ class TestAcceptance:
         a = run_survey(plan)
         b = run_survey(plan)
         assert a.as_dict() == b.as_dict()
-
-    def test_explicit_beam_sources_mode(self):
-        sources = (
-            PulsarSource(SyntheticPulsar(0.5, dm=6.0, amplitude=2.5)),
-            NoiseSource(),
-            NoiseSource(),
-        )
-        report = run_survey(
-            SurveyPlan(n_beams=3, beam_sources=sources, n_chunks=2)
-        )
-        assert report.scenario == ""
-        assert report.score.n_expected == 1
 
     def test_records_survey_metrics(self):
         with use_registry() as registry:

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.astro.source import NoiseSource, PulsarSource
-from repro.astro.dm_trials import DMTrialGrid
-from repro.astro import SyntheticPulsar
 from repro.scenarios.catalog import _SIGNAL_KINDS
-from repro.survey import SurveyPlan, realize_survey, survey_sift_policy
+from repro.survey import SurveyPlan, realize_survey
 
 
 def signal_kinds(beam_obs):
@@ -100,36 +97,3 @@ class TestScenarioRealization:
         for beam_obs in storm.beams:
             for chunk in beam_obs.chunks:
                 assert chunk.beam_index == beam_obs.beam
-
-
-class TestExplicitRealization:
-    def test_each_beam_gets_its_own_source_and_truth(self):
-        sources = (
-            PulsarSource(SyntheticPulsar(0.5, dm=6.0, amplitude=2.0)),
-            NoiseSource(),
-        )
-        observation = realize_survey(
-            SurveyPlan(n_beams=2, beam_sources=sources, n_chunks=2)
-        )
-        assert observation.n_beams == 2
-        assert len(observation.truth.expectations) == 1
-        assert observation.truth.expectations[0].beams == (0,)
-
-    def test_explicit_beams_draw_independently(self):
-        observation = realize_survey(
-            SurveyPlan(
-                n_beams=2,
-                beam_sources=(NoiseSource(), NoiseSource()),
-                n_chunks=1,
-            )
-        )
-        a, b = observation.beams
-        assert not np.array_equal(a.chunks[0].data, b.chunks[0].data)
-
-
-class TestSiftPolicy:
-    def test_survey_policy_disables_per_beam_vetoes(self):
-        policy = survey_sift_policy(DMTrialGrid(n_dms=12, first=1, step=1))
-        assert policy.zero_dm_veto is False
-        assert policy.broadband_veto_fraction == 1.0
-        assert policy.dm_radius == 11.0

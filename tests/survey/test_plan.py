@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.astro.source import NoiseSource
 from repro.errors import ValidationError
 from repro.survey import SurveyPlan
 
@@ -29,10 +28,6 @@ class TestValidation:
     def test_rejects_non_positive_dm_override(self):
         with pytest.raises(ValidationError, match="n_dms"):
             SurveyPlan(n_dms=0)
-
-    def test_beam_sources_must_cover_every_beam(self):
-        with pytest.raises(ValidationError, match="one source per beam"):
-            SurveyPlan(n_beams=4, beam_sources=(NoiseSource(),) * 3)
 
     def test_unknown_setup_key_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -72,17 +67,8 @@ class TestIdentity:
         assert identity["n_beams"] == 8
         assert identity["n_dms"] == 12
         assert identity["backend"] == "auto"
-        assert identity["explicit_sources"] is False
 
     def test_different_plans_have_different_identities(self):
         a = SurveyPlan(n_beams=8).identity()
         b = SurveyPlan(n_beams=12).identity()
         assert a != b
-
-    def test_explicit_sources_blank_the_scenario(self):
-        plan = SurveyPlan(
-            n_beams=2, beam_sources=(NoiseSource(), NoiseSource())
-        )
-        identity = plan.identity()
-        assert identity["scenario"] == ""
-        assert identity["explicit_sources"] is True

@@ -15,10 +15,15 @@ Two checks:
   parameter list, in order.  The pins are the facade's ``execute``,
   the kernel body it dispatches to, the :class:`SignalSource`
   protocol and the tuning service's ``resolve`` entrypoints; a pinned
-  file or name that goes missing is an error;
-* no ``execute``/``generate``/``add_to``/``resolve``-family function in
-  the pinned files reintroduces a banned alias (``ALIASES``) for one
-  of the agreed names.
+  file or name that goes missing is an error.  A pinned *class* is a
+  dataclass whose settable fields (annotated names not declared
+  ``field(init=False)``) are pinned the same way: ``execute(request)``
+  takes one :class:`ExecutionRequest`, so its fields are the facade's
+  real keyword set, and a new request setting needs a visible edit
+  here;
+* no ``execute``/``generate``/``add_to``/``resolve``-family function,
+  and no pinned class, in the pinned files reintroduces a banned alias
+  (``ALIASES``) for one of the agreed names.
 
 Every :class:`SignalSource` speaks ``generate(setup, n_samples,
 streams)``: seeding always flows through a
@@ -39,11 +44,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: qualified name -> (file, exact parameter names, in order, sans self).
+#: qualified name -> (file, exact parameter names, in order, sans self;
+#: for a class, its settable dataclass fields in order).
 PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
     "execute": (
         "repro/run/facade.py",
         ("request",),
+    ),
+    "ExecutionRequest": (
+        "repro/run/facade.py",
+        (
+            "data",
+            "delay_table",
+            "kernel",
+            "plan",
+            "chunks",
+            "backend",
+            "detector",
+        ),
     ),
     # The executor body the facade dispatches to.
     "DedispersionKernel._execute": (
@@ -90,8 +108,29 @@ ALIASES: dict[str, str] = {
 FAMILIES = ("execute", "generate", "add_to", "resolve")
 
 
-def _signature(node: ast.FunctionDef) -> tuple[str, ...]:
-    """Parameter names, positional then keyword-only, without self."""
+def _init_false(value: ast.expr | None) -> bool:
+    """Whether a field default is ``field(..., init=False)``."""
+    return isinstance(value, ast.Call) and any(
+        keyword.arg == "init"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is False
+        for keyword in value.keywords
+    )
+
+
+def _signature(node: ast.FunctionDef | ast.ClassDef) -> tuple[str, ...]:
+    """Parameter names, positional then keyword-only, without self.
+
+    For a class: its settable dataclass fields, in declaration order.
+    """
+    if isinstance(node, ast.ClassDef):
+        return tuple(
+            member.target.id
+            for member in node.body
+            if isinstance(member, ast.AnnAssign)
+            and isinstance(member.target, ast.Name)
+            and not _init_false(member.value)
+        )
     args = node.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     if names and names[0] == "self":
@@ -99,15 +138,16 @@ def _signature(node: ast.FunctionDef) -> tuple[str, ...]:
     return tuple(names)
 
 
-def collect(path: Path) -> dict[str, tuple[ast.FunctionDef, str]]:
-    """qualname -> (node, relpath) for every function in ``path``."""
+def collect(path: Path) -> dict[str, tuple[ast.AST, str]]:
+    """qualname -> (node, relpath) for every function and class in ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = str(path.relative_to(SRC))
-    found: dict[str, tuple[ast.FunctionDef, str]] = {}
+    found: dict[str, tuple[ast.AST, str]] = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             found[node.name] = (node, rel)
         elif isinstance(node, ast.ClassDef):
+            found[node.name] = (node, rel)
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
                     found[f"{node.name}.{member.name}"] = (member, rel)
@@ -116,16 +156,16 @@ def collect(path: Path) -> dict[str, tuple[ast.FunctionDef, str]]:
 
 def main() -> int:
     errors: list[str] = []
-    functions: dict[str, tuple[ast.FunctionDef, str]] = {}
+    definitions: dict[str, tuple[ast.AST, str]] = {}
     for relpath in sorted({file for file, _ in PINNED.values()}):
         path = SRC / relpath
         if not path.exists():
             errors.append(f"{relpath}: pinned file is missing")
             continue
-        functions.update(collect(path))
+        definitions.update(collect(path))
 
     for qualname, (relpath, expected) in sorted(PINNED.items()):
-        entry = functions.get(qualname)
+        entry = definitions.get(qualname)
         if entry is None:
             errors.append(f"{relpath}: pinned entrypoint {qualname} is gone")
             continue
@@ -137,8 +177,11 @@ def main() -> int:
                 f"{list(actual)}, expected {list(expected)}"
             )
 
-    for qualname, (node, where) in sorted(functions.items()):
-        if not any(f in node.name for f in FAMILIES):
+    for qualname, (node, where) in sorted(definitions.items()):
+        if isinstance(node, ast.ClassDef):
+            if qualname not in PINNED:
+                continue
+        elif not any(f in node.name for f in FAMILIES):
             continue
         for name in _signature(node):
             if name in ALIASES:
