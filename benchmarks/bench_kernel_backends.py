@@ -5,15 +5,18 @@ Measures wall-clock per launch for both backends of
 scale (1,024 channels — the regime whose thousands of work-groups made
 the tiled Python replay the slowest path in the repository) and a
 LOFAR-like scale (32 channels, long batches), asserts bit-identical
-outputs, and writes the first entry of the ``BENCH_*.json`` perf
-trajectory::
+outputs, records how many DM-row blocks the vectorized executor splits
+each launch into, and writes the first entry of the ``BENCH_*.json``
+perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_kernel_backends.py
     PYTHONPATH=src python benchmarks/bench_kernel_backends.py --smoke
 
 ``--smoke`` shrinks the batches so CI finishes in seconds; the emitted
-JSON marks itself accordingly.  The full run records the acceptance
-number: >= 10x speedup over the tiled path at the Apertif scale.
+JSON marks itself accordingly.  Its LOFAR launch still spans two DM
+blocks, so the bit-identity assert crosses a block seam.  The full run
+records the acceptance number: >= 10x speedup over the tiled path at
+the Apertif scale.
 """
 
 import argparse
@@ -28,6 +31,7 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.config import KernelConfiguration
 from repro.opencl_sim.codegen import build_kernel
+from repro.opencl_sim.vectorized import BLOCK_BYTES
 from repro.run import ExecutionRequest, execute
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
@@ -41,7 +45,7 @@ SCALES = [
 ]
 SMOKE_SCALES = [
     ("apertif", apertif, 200, 16, 0.25, KernelConfiguration(25, 2, 2, 2)),
-    ("lofar", lofar, 1000, 16, 0.05, KernelConfiguration(100, 2, 2, 2)),
+    ("lofar", lofar, 10000, 16, 0.05, KernelConfiguration(100, 2, 2, 2)),
 ]
 
 
@@ -88,6 +92,7 @@ def bench_scale(label, setup_factory, samples, n_dms, dm_step, config, repeats):
         "n_dms": n_dms,
         "config": config.describe(),
         "work_groups": kernel.ndrange(n_dms).n_work_groups,
+        "dm_blocks": -(-n_dms // max(1, BLOCK_BYTES // (4 * samples))),
         "tiled_seconds": round(tiled_s, 6),
         "vectorized_seconds": round(fast_s, 6),
         "speedup": round(tiled_s / fast_s, 2),

@@ -5,9 +5,10 @@ Two functionally identical executors implement a configured kernel:
 * ``"tiled"`` — :class:`~repro.opencl_sim.kernel.DedispersionKernel`'s
   work-group replay of the generated OpenCL source, the reference the
   property tests trust;
-* ``"vectorized"`` — :mod:`~repro.opencl_sim.vectorized`'s whole-array
-  fast path, bit-identical to the tiled executor (float32, exact
-  equality) because both accumulate channels in the same order.
+* ``"vectorized"`` — :mod:`~repro.opencl_sim.vectorized`'s fast path,
+  one gather per channel, per DM-row block; bit-identical to the tiled
+  executor (float32, exact equality) because both accumulate channels
+  in the same order.
 
 ``"auto"`` (the default everywhere) resolves the choice at launch time:
 the :envvar:`REPRO_KERNEL_BACKEND` environment variable pins a backend

@@ -13,9 +13,9 @@ one ``_execute`` body, the one the :mod:`repro.run` facade dispatches to:
   output diverge from the sequential reference, which is exactly what
   the property-based tests check across the whole tuning space;
 * the **vectorized** path (:mod:`repro.opencl_sim.vectorized`) computes
-  every work-group of the launch per channel with whole-array gathers —
-  bit-identical output, an order of magnitude faster at realistic
-  scales.
+  every work-group of the launch with one gather per channel, per
+  cache-sized DM-row block — bit-identical output, an order of magnitude
+  faster at realistic scales.
 
 Backend choice (``backend="tiled"|"vectorized"|"auto"``, plus the
 process-wide :envvar:`REPRO_KERNEL_BACKEND` pin) is resolved per launch
@@ -77,8 +77,9 @@ class DedispersionKernel:
 
         ``input_data`` has shape ``(channels, t)`` with
         ``t >= samples + max(delay_table)`` so every shifted read is valid;
-        ``delay_table`` has shape ``(n_dms, channels)`` (non-negative
-        integer shifts).  Returns the ``(n_dms, samples)`` output matrix.
+        ``delay_table`` has shape ``(n_dms, channels)`` and an integer
+        dtype (non-negative shifts; float and bool tables are rejected,
+        not truncated).  Returns the ``(n_dms, samples)`` output matrix.
 
         ``out``, when given, must be a float32 array of the output shape
         (the executors accumulate in float32; any other dtype would
@@ -98,6 +99,11 @@ class DedispersionKernel:
             raise ValidationError(
                 f"delay table must have shape (n_dms, {self.channels}), "
                 f"got {delay_table.shape}"
+            )
+        if not np.issubdtype(delay_table.dtype, np.integer):
+            raise ValidationError(
+                f"delay table must hold integer shifts, got dtype "
+                f"{delay_table.dtype}"
             )
         if np.any(delay_table < 0):
             raise ValidationError("delay table must be non-negative")

@@ -115,6 +115,30 @@ class TestValidation:
         with pytest.raises(ValidationError, match="non-negative"):
             run_kernel(kernel, data, table)
 
+    @pytest.mark.parametrize("backend", ["tiled", "vectorized"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda table: table + 0.7, id="fractional-float"),
+            pytest.param(
+                lambda table: np.where(table == table.max(), np.nan, table),
+                id="nan",
+            ),
+            pytest.param(lambda table: table > 0, id="bool"),
+        ],
+    )
+    def test_rejects_non_integer_delays(
+        self, toy_low, toy_grid, rng, corrupt, backend
+    ):
+        # Regression: a float table was truncated (1.7 -> shift 1), a NaN
+        # escaped as a bare ValueError from int(), and a bool table ran
+        # as shifts 0/1.
+        data = make_input(toy_low, toy_grid, rng)
+        table = corrupt(delay_table(toy_low, toy_grid.values))
+        kernel = build_kernel(config(), toy_low.channels, 400)
+        with pytest.raises(ValidationError, match="integer"):
+            run_kernel(kernel, data, table, backend=backend)
+
     def test_rejects_bad_out_shape(self, toy_low, toy_grid, rng):
         data = make_input(toy_low, toy_grid, rng)
         table = delay_table(toy_low, toy_grid.values)

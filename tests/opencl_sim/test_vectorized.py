@@ -20,6 +20,7 @@ from repro.opencl_sim.backend import (
     resolve_backend,
 )
 from repro.opencl_sim.codegen import build_kernel
+from repro.opencl_sim.vectorized import BLOCK_BYTES
 from repro.run import ExecutionRequest, execute
 from tests.conftest import make_input, run_kernel
 
@@ -118,6 +119,24 @@ class TestBitIdentity:
             tiled = run_kernel(kernel, data, table, backend="tiled")
             fast = run_kernel(kernel, data, table, backend="vectorized")
             assert np.array_equal(tiled, fast), f"diverged at {cfg}"
+
+    def test_crosses_dm_block_seams(self, toy_low, rng):
+        # At the module's own BLOCK_BYTES: 40 000-sample rows give blocks
+        # of three rows, so eight DMs run as 3 + 3 + 2.
+        samples, n_dms = 40_000, 8
+        rows = BLOCK_BYTES // (4 * samples)
+        assert n_dms > 2 * rows and n_dms % rows, "launch must cross seams"
+        table = rng.integers(0, 64, size=(n_dms, toy_low.channels))
+        data = rng.normal(size=(toy_low.channels, samples + 64)).astype(
+            np.float32
+        )
+        kernel = build_kernel(
+            config(wt=100, wd=2, et=50, ed=2), toy_low.channels, samples
+        )
+        assert np.array_equal(
+            run_kernel(kernel, data, table, backend="tiled"),
+            run_kernel(kernel, data, table, backend="vectorized"),
+        )
 
     def test_single_work_group_case(self, toy_low, rng):
         # The one geometry the auto heuristic keeps on the tiled path.

@@ -8,12 +8,16 @@ and the vectorized fast path must match the tiled executor *exactly*
 (float32 bitwise — both add channels in the same order).
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import KernelConfiguration
+from repro.opencl_sim import vectorized
 from repro.opencl_sim.codegen import build_kernel
+from repro.opencl_sim.vectorized import BLOCK_BYTES
 from tests.conftest import run_kernel
 
 
@@ -75,14 +79,18 @@ class TestKernelEquivalence:
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=problems())
-    def test_vectorized_bitwise_equals_tiled(self, problem):
+    @given(problem=problems(), one_row_blocks=st.booleans())
+    def test_vectorized_bitwise_equals_tiled(self, problem, one_row_blocks):
         # The fast path's contract is *exact* float32 equality, not
         # allclose: both executors add the channels in the same order.
+        # The toy launches fit in one DM block; one-row blocks put a
+        # seam between every pair of rows.
         channels, samples, n_dms, config, delays, data = problem
         kernel = build_kernel(config, channels, samples)
         tiled = run_kernel(kernel, data, delays, backend="tiled")
-        fast = run_kernel(kernel, data, delays, backend="vectorized")
+        block_bytes = 4 * samples if one_row_blocks else BLOCK_BYTES
+        with patch.object(vectorized, "BLOCK_BYTES", block_bytes):
+            fast = run_kernel(kernel, data, delays, backend="vectorized")
         np.testing.assert_array_equal(tiled, fast)
 
     @settings(max_examples=40, deadline=None)
