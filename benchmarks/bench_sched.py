@@ -2,10 +2,10 @@
 
 Times a fleet-scale survey run through ``repro.sched.ExecutionEngine``
 (virtual makespan, not wall clock — the wall clock here measures the
-scheduler itself) in three regimes: fault-free, with the default fault
-injection, and with stealing disabled under a straggler. Each run's
-makespan and throughput land in ``benchmark.extra_info`` so they appear
-in pytest-benchmark's JSON output.
+scheduler itself) in two regimes: fault-free and with the default fault
+injection. Each run's makespan and throughput land in
+``benchmark.extra_info`` so they appear in pytest-benchmark's JSON
+output.
 
 Also runnable directly, emitting a JSON report::
 
@@ -17,25 +17,25 @@ import json
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif
 from repro.hardware.catalog import gtx680, hd7970
-from repro.sched import ExecutionEngine, FaultProfile
+from repro.sched import ExecutionEngine, FaultProfile, shard_memory_bytes
 from repro.service import TuningService
 
 GRID = DMTrialGrid(256)
 SETUP = apertif()
 N_BEAMS = 48
 DURATION_S = 2.0
-MEM = 3 * 1024 ** 3
+#: Per-device memory that fits 64 of the 256 DM trials per shard.
+MEM = shard_memory_bytes(SETUP, GRID, 64, SETUP.samples_per_batch)
 
 
 def _inventory():
     return [(hd7970(), 3, MEM), (gtx680(), 2, MEM)]
 
 
-def _run(service, *, faults=None, steal=True, seed=0):
+def _run(service, *, faults=None, seed=0):
     engine = ExecutionEngine(
         _inventory(), SETUP, GRID, N_BEAMS, DURATION_S,
-        seed=seed, faults=faults, steal=steal, service=service,
-        max_dms_per_shard=64,
+        seed=seed, faults=faults, service=service,
     )
     return engine.run()
 
@@ -68,31 +68,12 @@ def test_sched_with_fault_injection(benchmark):
     _record(benchmark, report)
 
 
-def test_sched_straggler_no_steal(benchmark):
-    """Worst case: 4x straggler and work stealing disabled."""
-    profile = FaultProfile(stragglers=1, slowdown=4.0)
-    with TuningService(max_workers=1) as service:
-        report = benchmark.pedantic(
-            lambda: _run(service, faults=profile, steal=False),
-            rounds=3, iterations=1, warmup_rounds=1,
-        )
-    assert report.complete
-    _record(benchmark, report)
-
-
 def main() -> int:
     rows = []
     with TuningService(max_workers=1) as service:
         for label, kwargs in (
             ("fault_free", {}),
             ("default_injection", {"faults": FaultProfile.default_injection()}),
-            (
-                "straggler_no_steal",
-                {
-                    "faults": FaultProfile(stragglers=1, slowdown=4.0),
-                    "steal": False,
-                },
-            ),
         ):
             report = _run(service, **kwargs)
             rows.append(

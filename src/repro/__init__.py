@@ -126,7 +126,6 @@ from repro.sched import (
     RunLedger,
     RunReport,
     Shard,
-    load_ledger,
     shard_survey,
 )
 from repro.run import (
@@ -269,7 +268,6 @@ __all__ = [
     "RunLedger",
     "RunReport",
     "Shard",
-    "load_ledger",
     "shard_survey",
     # unified execution facade
     "EXECUTION_MODES",

@@ -19,11 +19,9 @@ Subcommands:
   scenario realized beam-correlated (signal localized to adjacent
   beams, RFI in all beams), searched per beam, dispatched on the
   simulated fleet, and coincidence-vetoed across beams; ``--ledger`` /
-  ``--resume`` checkpoint completed beams byte-identically and
-  ``--smoke`` runs the acceptance gate.
-* ``sched`` — plan a fleet for a survey, then execute every shard on it
-  through the fault-tolerant scheduler (``--inject`` adds a crash, a
-  straggler, and transient errors); writes/resumes run ledgers.
+  ``--resume`` checkpoint completed beams byte-identically,
+  ``--inject`` adds a crash, a straggler and transient errors to the
+  fleet stage, and ``--smoke`` runs the acceptance gate.
 * ``search`` — stream an injected-pulse synthetic observation through
   the real-time candidate search (facade-executed dedispersion, boxcar
   matched filtering, sifting with RFI vetoes) and verify the injected
@@ -403,64 +401,6 @@ def _service_pipeline_smoke(client, device) -> None:
     )
 
 
-def _cmd_sched(args: argparse.Namespace) -> int:
-    from repro.pipeline.fleet import FleetDevice, plan_fleet
-    from repro.sched import ExecutionEngine, FaultProfile, load_ledger
-
-    setup = setup_by_name(args.setup)
-    grid = DMTrialGrid(args.dms, step=args.dm_step)
-    inventory = []
-    for token in args.inventory.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        if len(parts) not in (2, 3):
-            raise ReproError(
-                f"invalid inventory entry {token!r} "
-                "(expected NAME:COUNT or NAME:COUNT:COST)"
-            )
-        try:
-            count = int(parts[1])
-            cost = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise ReproError(f"invalid inventory entry {token!r}") from None
-        inventory.append(
-            FleetDevice(
-                device_by_name(parts[0]), available=count, unit_cost=cost
-            )
-        )
-    if not inventory:
-        raise ReproError("no inventory given (use --inventory NAME:COUNT,...)")
-
-    plan = plan_fleet(inventory, setup, grid, args.beams)
-    print(plan.summary())
-    print()
-
-    faults = (
-        FaultProfile.default_injection() if args.inject else FaultProfile.none()
-    )
-    resume_from = load_ledger(args.resume) if args.resume else None
-    engine = ExecutionEngine.from_plan(
-        plan,
-        inventory,
-        setup,
-        grid,
-        duration_s=args.duration,
-        seed=args.seed,
-        faults=faults,
-        steal=not args.no_steal,
-        max_dms_per_shard=args.max_dms_per_shard,
-        resume_from=resume_from,
-    )
-    report = engine.run()
-    print(report.summary())
-    if args.ledger:
-        print(f"ledger written to {report.ledger.save(args.ledger)}")
-    _persist_obs()
-    return 0 if report.complete else 1
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.astro.signal_gen import SyntheticPulsar
     from repro.astro.telescope import Telescope
@@ -589,8 +529,8 @@ def _write_survey_bench(path: str, docs: list) -> None:
     print(f"wrote {path}")
 
 
-def _survey_smoke(args: argparse.Namespace) -> int:
-    """The survey acceptance gate: recall, FP reduction, resume bytes."""
+def _survey_smoke(args: argparse.Namespace, faults) -> int:
+    """The survey acceptance gate: recall, FPs, fleet, resume bytes."""
     import tempfile
     from pathlib import Path
 
@@ -600,18 +540,26 @@ def _survey_smoke(args: argparse.Namespace) -> int:
     n_beams = max(args.beams, 8)
     failures: list[str] = []
     docs: list = []
-    print(f"survey smoke: {n_beams} beams on setup {args.setup!r}")
+    print(
+        f"survey smoke: {n_beams} beams on setup {args.setup!r}"
+        + (", fault injection on" if args.inject else "")
+    )
     for scenario in ("giant_pulse_train", "rfi_storm"):
         plan = SurveyPlan(
             scenario=scenario,
             setup=args.setup,
             n_beams=n_beams,
             seed=args.seed,
+            faults=faults,
         )
         report = run_survey(plan)
         docs.append(report.as_dict())
         score = report.score
-        ok = score.recall >= 0.95 and score.fp_reduced
+        ok = (
+            score.recall >= 0.95
+            and score.fp_reduced
+            and report.fleet.complete
+        )
         if scenario == "rfi_storm":
             # The storm must demonstrate the veto: strictly fewer
             # false positives after coincidencing, not just no worse.
@@ -632,6 +580,7 @@ def _survey_smoke(args: argparse.Namespace) -> int:
             setup=args.setup,
             n_beams=n_beams,
             seed=args.seed,
+            faults=faults,
         )
         straight = Path(tmp) / "straight.jsonl"
         crashed = Path(tmp) / "crashed.jsonl"
@@ -662,8 +611,13 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     from repro.sched import FaultProfile
     from repro.survey import SurveyPlan, run_survey
 
+    faults = (
+        FaultProfile.default_injection()
+        if args.inject
+        else FaultProfile.none()
+    )
     if args.smoke:
-        return _survey_smoke(args)
+        return _survey_smoke(args, faults)
     if args.backend == "both" and args.ledger:
         raise ReproError(
             "--ledger pins one survey identity; pick --backend "
@@ -673,11 +627,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         ["tiled", "vectorized"]
         if args.backend == "both"
         else [args.backend]
-    )
-    faults = (
-        FaultProfile.default_injection()
-        if args.inject
-        else FaultProfile.none()
     )
     exit_code = 0
     docs: list = []
@@ -975,49 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.set_defaults(func=_cmd_service, smoke=True)
 
-    sched = sub.add_parser(
-        "sched", help="fault-tolerant sharded survey execution"
-    )
-    sched.add_argument(
-        "--inventory", default="HD7970:3,GTX680:2",
-        help="comma-separated device pool, NAME:COUNT[:COST]",
-    )
-    sched.add_argument("--setup", default="apertif")
-    sched.add_argument("--dms", type=int, default=256)
-    sched.add_argument("--dm-step", type=float, default=0.25)
-    sched.add_argument(
-        "--beams", type=int, default=48,
-        help="beams to host (the default needs >1 device, so an "
-             "injected crash leaves survivors)",
-    )
-    sched.add_argument(
-        "--duration", type=float, default=2.0,
-        help="seconds of sky per beam",
-    )
-    sched.add_argument("--seed", type=int, default=0)
-    sched.add_argument(
-        "--inject", action="store_true",
-        help="inject the default fault scenario "
-             "(1 crash, one 4x straggler, 5%% transient errors)",
-    )
-    sched.add_argument(
-        "--no-steal", action="store_true",
-        help="disable work stealing (to measure its benefit)",
-    )
-    sched.add_argument(
-        "--max-dms-per-shard", type=int, default=64,
-        help="cap the DM chunk per shard (finer load balancing)",
-    )
-    sched.add_argument(
-        "--ledger", metavar="PATH", default="",
-        help="write the run ledger JSON to PATH",
-    )
-    sched.add_argument(
-        "--resume", metavar="PATH", default="",
-        help="resume from a saved ledger (completed shards are skipped)",
-    )
-    sched.set_defaults(func=_cmd_sched)
-
     obs = sub.add_parser(
         "obs", help="dump/export/reset the observability snapshot"
     )
@@ -1135,8 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     survey.add_argument(
         "--smoke", action="store_true",
-        help="acceptance gate: recall/FP thresholds plus the "
-        "crash-resume byte-identity check",
+        help="acceptance gate: recall/FP thresholds, a complete fleet "
+        "and the crash-resume byte-identity check (honours --inject)",
     )
     survey.add_argument(
         "--bench", default=None, metavar="PATH",

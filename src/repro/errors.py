@@ -46,17 +46,17 @@ class SchedulerError(ReproError):
 
 
 class ShardError(SchedulerError):
-    """A work unit is invalid, unplaceable, or exhausted its retry budget."""
+    """A work unit is invalid or fits on no device."""
 
 
 class LedgerError(SchedulerError):
-    """A run ledger document is malformed or inconsistent with its run."""
+    """A ledger record is malformed, or breaks exactly-once completion."""
 
 
 class SchemaVersionError(ValidationError, LedgerError):
     """A persisted document carries a schema version we cannot read.
 
-    Raised when a sweep store or run ledger file declares a *newer*
+    Raised when a sweep store or survey ledger file declares a *newer*
     schema than this build supports — typically a file written by a
     newer version of the library.  Derives from both
     :class:`ValidationError` and :class:`LedgerError` so existing

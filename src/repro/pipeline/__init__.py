@@ -1,27 +1,11 @@
-"""Real-time survey sizing: multi-beam packing, fleets, deployment."""
+"""Real-time survey sizing: multi-beam packing and deployment (Sec. V-D)."""
 
 from repro.pipeline.multibeam import BeamAssignment, MultiBeamScheduler
-from repro.pipeline.fleet import FleetDevice, FleetPlan, execute_plan, plan_fleet
-from repro.pipeline.realtime import (
-    RealtimeReport,
-    realtime_report,
-    accelerators_needed,
-    apertif_deployment,
-    execute_deployment,
-    DeploymentPlan,
-)
+from repro.pipeline.realtime import DeploymentPlan, accelerators_needed
 
 __all__ = [
-    "FleetDevice",
-    "FleetPlan",
-    "execute_plan",
-    "plan_fleet",
     "BeamAssignment",
     "MultiBeamScheduler",
-    "RealtimeReport",
-    "realtime_report",
     "accelerators_needed",
-    "apertif_deployment",
-    "execute_deployment",
     "DeploymentPlan",
 ]

@@ -1,13 +1,11 @@
-"""Real-time feasibility and deployment sizing (paper Sec. V-D).
+"""Deployment sizing under the real-time constraint (paper Sec. V-D).
 
 The real-time constraint: one second of telescope data must be dedispersed
 in less than one second of computation, or the survey falls behind forever.
-This module answers two questions per (device, setup, instance):
-
-* does a tuned kernel meet real time, and with what margin?
-* how many accelerators does a full deployment need?  The paper's worked
-  example: Apertif needs 2,000 DMs x 450 beams, which the HD7970 covers
-  with ~50 GPUs (9 beams each) versus ~1,800 CPUs.
+:func:`accelerators_needed` sizes a full deployment as N copies of one
+tuned accelerator.  The paper's worked example: Apertif needs 2,000 DMs x
+450 beams, which the HD7970 covers with ~50 GPUs (9 beams each) versus
+~1,800 CPUs.
 """
 
 from __future__ import annotations
@@ -15,60 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import ObservationSetup, apertif
-from repro.core.tuner import AutoTuner
-from repro.hardware.catalog import hd7970, xeon_e5_2620
+from repro.astro.observation import ObservationSetup
+from repro.hardware.catalog import xeon_e5_2620
 from repro.hardware.cpu_model import CPUModel
 from repro.hardware.device import DeviceSpec
-from repro.obs import get_registry, span
 from repro.pipeline.multibeam import DEFAULT_DEVICE_MEMORY, MultiBeamScheduler
 from repro.utils.intmath import ceil_div
 from repro.utils.validation import require_positive_int
-
-
-@dataclass(frozen=True)
-class RealtimeReport:
-    """Real-time verdict for one (device, setup, instance)."""
-
-    device_name: str
-    setup_name: str
-    n_dms: int
-    achieved_gflops: float
-    required_gflops: float
-    realtime: bool
-
-    @property
-    def margin(self) -> float:
-        """achieved / required; > 1 means real time with headroom."""
-        return self.achieved_gflops / self.required_gflops
-
-
-def realtime_report(
-    device: DeviceSpec,
-    setup: ObservationSetup,
-    grid: DMTrialGrid,
-) -> RealtimeReport:
-    """Tune the kernel and compare against the real-time line."""
-    with span(
-        "pipeline.realtime_check", device=device.name, n_dms=grid.n_dms
-    ):
-        best = AutoTuner(device, setup).tune(grid).best
-        required = setup.realtime_gflops(grid.n_dms)
-        report = RealtimeReport(
-            device_name=device.name,
-            setup_name=setup.name,
-            n_dms=grid.n_dms,
-            achieved_gflops=best.gflops,
-            required_gflops=required,
-            realtime=best.gflops >= required,
-        )
-    get_registry().gauge(
-        "repro_pipeline_realtime_margin",
-        stage="tuned-kernel",
-        device=device.name,
-        setup=setup.name,
-    ).set(report.margin)
-    return report
 
 
 @dataclass(frozen=True)
@@ -127,53 +78,3 @@ def accelerators_needed(
         seconds_per_beam=assignment.seconds_per_beam,
         cpu_equivalent=cpu_equivalent,
     )
-
-
-def execute_deployment(
-    device: DeviceSpec,
-    setup: ObservationSetup,
-    grid: DMTrialGrid,
-    n_beams: int,
-    duration_s: float = 1.0,
-    device_memory_bytes: int = DEFAULT_DEVICE_MEMORY,
-    **engine_kwargs,
-):
-    """Size a deployment, then actually run it through :mod:`repro.sched`.
-
-    Returns ``(plan, report)``: the Sec. V-D sizing plus the simulated
-    execution that demonstrates (or, under injected faults, stresses)
-    it — ``report.realtime_sustained`` is the empirical verdict the
-    static plan only asserts.  Engine keywords — ``seed``, ``faults``,
-    ``steal`` … — pass through.
-    """
-    from repro.sched import ExecutionEngine  # local: sched sits above pipeline
-
-    plan = accelerators_needed(
-        device, setup, grid, n_beams, device_memory_bytes=device_memory_bytes
-    )
-    engine = ExecutionEngine(
-        [(device, plan.devices_needed, device_memory_bytes)],
-        setup,
-        grid,
-        n_beams,
-        duration_s,
-        **engine_kwargs,
-    )
-    report = engine.run()
-    get_registry().gauge(
-        "repro_pipeline_realtime_margin",
-        stage="fleet-run",
-        device=device.name,
-        setup=setup.name,
-    ).set(report.realtime_margin)
-    return plan, report
-
-
-def apertif_deployment(
-    device: DeviceSpec | None = None,
-    n_dms: int = 2000,
-    n_beams: int = 450,
-) -> DeploymentPlan:
-    """The paper's worked example: Apertif, 2,000 DMs, 450 beams, HD7970."""
-    grid = DMTrialGrid(n_dms=n_dms)
-    return accelerators_needed(device or hd7970(), apertif(), grid, n_beams)

@@ -1,25 +1,23 @@
-"""repro.sched: fault-tolerant sharded execution for fleet-scale surveys.
+"""repro.sched: fault-tolerant sharded execution for multi-beam surveys.
 
-The execution layer above :mod:`repro.pipeline`'s planners: where
-:func:`~repro.pipeline.fleet.plan_fleet` decides *which* devices to buy,
-this package *runs* the survey on them — sharding beams x DM sub-ranges
-x time batches, dispatching to simulated workers driven by the
-:mod:`repro.hardware` model and :class:`~repro.service.TuningService`
-configurations, and surviving injected crashes, transient errors, and
-stragglers while recording every attempt in a checkpointable, seeded,
-byte-reproducible :class:`RunLedger`.
+The survey driver's fleet stage: this package slices a survey into beams
+x DM sub-ranges x time batches, dispatches the shards to simulated
+workers driven by the :mod:`repro.hardware` model and
+:class:`~repro.service.TuningService` configurations, and survives
+injected crashes, transient errors and stragglers while recording every
+attempt in a seeded, exactly-once :class:`RunLedger`.  The survey's own
+resumable checkpoint is the :class:`SurveyLedger`.
 
-Typical use::
+Typical use (what :class:`~repro.survey.SurveyRun` does per survey)::
 
     from repro.sched import ExecutionEngine, FaultProfile
 
-    engine = ExecutionEngine.from_inventory(
-        inventory, setup, grid, n_beams=12, duration_s=2.0,
-        seed=42, faults=FaultProfile.default_injection(),
+    engine = ExecutionEngine(
+        [(hd7970(), 3, 3 * 1024**3)], setup, grid, n_beams=12,
+        duration_s=2.0, seed=42, faults=FaultProfile.default_injection(),
     )
     report = engine.run()
-    print(report.summary())
-    report.ledger.save("ledger.json")
+    assert report.complete and report.ledger.exactly_once()
 
 See ``docs/scheduler.md`` for the architecture and fault model.
 """
@@ -27,8 +25,6 @@ See ``docs/scheduler.md`` for the architecture and fault model.
 from repro.sched.engine import ExecutionEngine, RunReport
 from repro.sched.faults import FaultInjector, FaultProfile
 from repro.sched.ledger import (
-    LEDGER_SCHEMA_VERSION,
-    SUPPORTED_LEDGER_SCHEMAS,
     SUPPORTED_SURVEY_LEDGER_SCHEMAS,
     SURVEY_LEDGER_SCHEMA_VERSION,
     Attempt,
@@ -36,9 +32,7 @@ from repro.sched.ledger import (
     ShardRecord,
     SurveyBeamRecord,
     SurveyLedger,
-    load_ledger,
     load_survey_ledger,
-    validate_document,
 )
 from repro.sched.shard import (
     Shard,
@@ -49,8 +43,6 @@ from repro.sched.shard import (
 from repro.sched.workers import ServiceTimeModel, Worker, WorkerStats
 
 __all__ = [
-    "LEDGER_SCHEMA_VERSION",
-    "SUPPORTED_LEDGER_SCHEMAS",
     "SUPPORTED_SURVEY_LEDGER_SCHEMAS",
     "SURVEY_LEDGER_SCHEMA_VERSION",
     "Attempt",
@@ -67,9 +59,7 @@ __all__ = [
     "Worker",
     "WorkerStats",
     "dm_chunk_for_memory",
-    "load_ledger",
     "load_survey_ledger",
     "shard_memory_bytes",
     "shard_survey",
-    "validate_document",
 ]

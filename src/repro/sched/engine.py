@@ -1,8 +1,10 @@
 """The fault-tolerant sharded execution engine.
 
 A deterministic, seedable discrete-event simulation that takes a device
-inventory (or a :class:`~repro.pipeline.fleet.FleetPlan`) plus a survey
-and runs every shard to completion under injected failure:
+inventory plus a survey and runs every shard to completion under
+injected failure.  The survey driver (:mod:`repro.survey`) is its one
+caller: it dispatches every survey's beams here, so ``repro survey
+--inject`` drives each fault path below:
 
 * **dispatch** is locality-aware (each beam's shards start on one home
   worker, chosen least-loaded by modelled seconds) with **work
@@ -11,10 +13,11 @@ and runs every shard to completion under injected failure:
 * **faults** follow a seeded :class:`~repro.sched.faults.FaultProfile`
   — crashes blacklist the device and re-pack its orphaned shards onto
   survivors (graceful degradation), transient errors retry with
-  exponential backoff under a bounded attempt budget;
-* every attempt lands in a checkpointable
-  :class:`~repro.sched.ledger.RunLedger`, so reruns with the same seed
-  are byte-identical and interrupted runs resume;
+  exponential backoff under a bounded attempt budget
+  (:data:`MAX_ATTEMPTS`);
+* every attempt lands in an in-memory
+  :class:`~repro.sched.ledger.RunLedger` that enforces exactly-once
+  completion, so reruns with the same seed record identical attempts;
 * the whole run is instrumented through :mod:`repro.obs`
   (``repro_sched_*`` counters/gauges/histograms, spans per shard).
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
-from repro.errors import SchedulerError, ShardError
+from repro.errors import SchedulerError
 from repro.obs import get_registry, span
 from repro.sched.faults import FaultInjector, FaultProfile
 from repro.sched.ledger import Attempt, RunLedger
@@ -41,6 +44,14 @@ from repro.sched.shard import Shard, shard_survey
 from repro.sched.workers import ServiceTimeModel, Worker, WorkerStats
 from repro.utils.rng import RandomStreams
 from repro.utils.validation import require_positive, require_positive_int
+
+#: Attempts per shard before it is marked failed.
+MAX_ATTEMPTS = 5
+
+#: Backoff before retrying a transient failure: ``BACKOFF_BASE_S *
+#: BACKOFF_FACTOR ** (attempt - 1)`` virtual seconds.
+BACKOFF_BASE_S = 0.02
+BACKOFF_FACTOR = 2.0
 
 
 def _slug(name: str) -> str:
@@ -51,15 +62,11 @@ def _slug(name: str) -> str:
 class RunReport:
     """Everything a run produced, besides the ledger's attempt detail."""
 
-    setup_name: str
-    n_dms: int
     n_beams: int
     duration_s: float
-    seed: int
     shards_total: int
     shards_done: int
     shards_failed: int
-    shards_resumed: int
     attempts: int
     retries: int
     steals: int
@@ -72,8 +79,8 @@ class RunReport:
     @property
     def complete(self) -> bool:
         """Every shard of the run finished successfully."""
-        return self.shards_failed == 0 and (
-            self.shards_done + self.shards_resumed == self.shards_total
+        return (
+            self.shards_failed == 0 and self.shards_done == self.shards_total
         )
 
     @property
@@ -106,26 +113,6 @@ class RunReport:
         """Beam-seconds of sky processed per second of computation."""
         return self.data_seconds / self.makespan_s if self.makespan_s else 0.0
 
-    def summary(self) -> str:
-        """Human-readable run report."""
-        lines = [
-            f"sched run: {self.setup_name}, {self.n_dms} DMs x "
-            f"{self.n_beams} beams x {self.duration_s:g} s (seed {self.seed})",
-            f"  shards : {self.shards_done}/{self.shards_total} done"
-            + (f" ({self.shards_resumed} resumed)" if self.shards_resumed else "")
-            + (f", {self.shards_failed} FAILED" if self.shards_failed else ""),
-            f"  faults : {len(self.crashed_workers)} crash(es), "
-            f"{self.retries} retries, {self.requeues} requeues, "
-            f"{self.steals} steals",
-            f"  makespan {self.makespan_s:.3f} s, throughput "
-            f"{self.throughput:.2f} beam-seconds/s",
-            f"  real time {'SUSTAINED' if self.realtime_sustained else 'NOT sustained'}"
-            + (" after degradation" if self.degraded else ""),
-        ]
-        for stats in self.worker_stats:
-            lines.append(f"    {stats.describe()}")
-        return "\n".join(lines)
-
 
 class ExecutionEngine:
     """Runs a sharded survey over simulated workers, under faults.
@@ -133,32 +120,20 @@ class ExecutionEngine:
     Parameters
     ----------
     inventory:
-        ``(device_spec, units, memory_bytes)`` triples — use
-        :meth:`from_inventory` / :meth:`from_plan` to build them from
-        the fleet-planner types.
+        ``(device_spec, units, memory_bytes)`` triples; the smallest
+        ``memory_bytes`` sizes every shard's DM chunk.
     setup / grid / n_beams / duration_s:
         The survey: every beam contributes ``duration_s`` seconds of
         data on ``grid``.
     seed:
         Root seed of every stochastic choice (fault draws); two runs
-        with equal seeds produce byte-identical ledgers.
+        with equal seeds record identical attempts.
     faults:
         The :class:`FaultProfile` to inject (default: none).
     service:
         A :class:`~repro.service.TuningService` supplying tuned
         configurations; one is created (and closed) internally if
         omitted.
-    steal:
-        Enable work stealing (disable to measure its benefit).
-    max_attempts:
-        Attempt budget per shard before it is marked failed.
-    backoff_base_s / backoff_factor:
-        Exponential backoff for transient retries (virtual seconds).
-    max_dms_per_shard:
-        Optional cap on the DM chunk (testing / finer load balancing).
-    resume_from:
-        A prior :class:`RunLedger`; its completed shards are skipped and
-        carried into this run's ledger verbatim.
     """
 
     def __init__(
@@ -172,37 +147,19 @@ class ExecutionEngine:
         seed: int = 0,
         faults: FaultProfile | None = None,
         service=None,
-        steal: bool = True,
-        max_attempts: int = 5,
-        backoff_base_s: float = 0.02,
-        backoff_factor: float = 2.0,
-        max_dms_per_shard: int | None = None,
-        resume_from: RunLedger | None = None,
     ):
         require_positive_int(n_beams, "n_beams")
         require_positive(duration_s, "duration_s")
-        require_positive_int(max_attempts, "max_attempts")
-        require_positive(backoff_base_s, "backoff_base_s")
-        if backoff_factor < 1.0:
-            raise SchedulerError(
-                f"backoff_factor must be >= 1, got {backoff_factor}"
-            )
         if not inventory:
             raise SchedulerError("engine inventory is empty")
         self.setup = setup
         self.grid = grid
         self.n_beams = n_beams
         self.duration_s = duration_s
-        self.seed = seed
         self.faults = faults or FaultProfile.none()
-        self.steal = steal
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
         self.streams = RandomStreams(seed)
         self.model = ServiceTimeModel(setup, grid, service=service)
         self._owns_service = service is None
-        self._resume_from = resume_from
 
         self.workers: dict[str, Worker] = {}
         min_memory = None
@@ -223,62 +180,17 @@ class ExecutionEngine:
                     worker_id=worker_id, device=device
                 )
         self.shards = shard_survey(
-            setup,
-            grid,
-            n_beams,
-            duration_s,
-            memory_bytes=min_memory,
-            max_dms_per_shard=max_dms_per_shard,
-        )
-
-    # ------------------------------------------------------------------
-    # Constructors from the fleet-planner types
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_inventory(
-        cls, fleet_devices, setup, grid, n_beams, duration_s=1.0, **kwargs
-    ) -> "ExecutionEngine":
-        """Engine over every unit of a ``list[FleetDevice]`` inventory."""
-        inventory = [
-            (entry.device, entry.available, entry.memory_bytes)
-            for entry in fleet_devices
-        ]
-        return cls(inventory, setup, grid, n_beams, duration_s, **kwargs)
-
-    @classmethod
-    def from_plan(
-        cls, plan, fleet_devices, setup, grid, duration_s=1.0, **kwargs
-    ) -> "ExecutionEngine":
-        """Engine over exactly the units a :class:`FleetPlan` selected.
-
-        ``fleet_devices`` is the inventory the plan was computed from
-        (it supplies the :class:`~repro.hardware.device.DeviceSpec` and
-        memory size per device name).
-        """
-        by_name = {entry.device.name: entry for entry in fleet_devices}
-        inventory = []
-        for assignment in plan.assignments:
-            entry = by_name.get(assignment.device_name)
-            if entry is None:
-                raise SchedulerError(
-                    f"plan uses {assignment.device_name!r} which is not in "
-                    f"the provided inventory"
-                )
-            inventory.append(
-                (entry.device, assignment.units, entry.memory_bytes)
-            )
-        return cls(
-            inventory, setup, grid, plan.n_beams, duration_s, **kwargs
+            setup, grid, n_beams, duration_s, memory_bytes=min_memory
         )
 
     # ------------------------------------------------------------------
     # The run
     # ------------------------------------------------------------------
-    def run(self, strict: bool = False) -> RunReport:
+    def run(self) -> RunReport:
         """Execute every shard; returns the :class:`RunReport`.
 
-        ``strict=True`` raises :class:`ShardError` if any shard exhausts
-        its attempt budget instead of reporting it failed.
+        A shard that exhausts its :data:`MAX_ATTEMPTS` budget is
+        reported failed, and the report is then not ``complete``.
         """
         with span(
             "sched.run",
@@ -291,36 +203,13 @@ class ExecutionEngine:
             run_span.attributes["makespan_s"] = round(report.makespan_s, 6)
             run_span.attributes["degraded"] = report.degraded
         self._record_metrics(report)
-        if strict and report.shards_failed:
-            raise ShardError(
-                f"{report.shards_failed} shard(s) exhausted their "
-                f"{self.max_attempts}-attempt budget"
-            )
         return report
 
     def _run(self) -> RunReport:
         workers = self.workers
         worker_ids = tuple(sorted(workers))
-        ledger = RunLedger(
-            seed=self.seed,
-            setup_name=self.setup.name,
-            n_dms=self.grid.n_dms,
-            n_beams=self.n_beams,
-            duration_s=self.duration_s,
-            profile=self.faults.as_dict(),
-            workers=worker_ids,
-        )
-
-        # Resume: completed shards are carried over and never re-run.
-        resumed_ids: set[str] = set()
-        if self._resume_from is not None:
-            resumed_ids = self._resume_from.completed_ids()
-            for sid in sorted(resumed_ids):
-                prior = self._resume_from.records[sid]
-                record = ledger.register(prior.shard)
-                record.state = prior.state
-                record.attempts = list(prior.attempts)
-        pending = [s for s in self.shards if s.shard_id not in resumed_ids]
+        ledger = RunLedger()
+        pending = list(self.shards)
         for shard in pending:
             ledger.register(shard)
 
@@ -348,7 +237,7 @@ class ExecutionEngine:
                 if not worker.idle:
                     return
                 shard = self._take_local(worker)
-                if shard is None and self.steal:
+                if shard is None:
                     shard = self._steal_for(worker, counters)
                 if shard is None:
                     return
@@ -376,8 +265,7 @@ class ExecutionEngine:
                 counters["requeues"] += 1
                 attempt_no = len(ledger.records[shard.shard_id].attempts)
                 delay = (
-                    self.backoff_base_s
-                    * self.backoff_factor ** max(0, attempt_no - 1)
+                    BACKOFF_BASE_S * BACKOFF_FACTOR ** max(0, attempt_no - 1)
                     if backoff
                     else 0.0
                 )
@@ -420,7 +308,7 @@ class ExecutionEngine:
                     else:
                         counters["retries"] += 1
                         record = ledger.records[shard.shard_id]
-                        if len(record.attempts) >= self.max_attempts:
+                        if len(record.attempts) >= MAX_ATTEMPTS:
                             ledger.mark_failed(shard)
                             failed += 1
                         else:
@@ -449,7 +337,7 @@ class ExecutionEngine:
                         worker.busy_seconds += now - min(started, now)
                         worker.running = None
                         record = ledger.records[shard.shard_id]
-                        if len(record.attempts) >= self.max_attempts:
+                        if len(record.attempts) >= MAX_ATTEMPTS:
                             ledger.mark_failed(shard)
                             failed += 1
                         else:
@@ -498,15 +386,11 @@ class ExecutionEngine:
             for wid in worker_ids
         )
         return RunReport(
-            setup_name=self.setup.name,
-            n_dms=self.grid.n_dms,
             n_beams=self.n_beams,
             duration_s=self.duration_s,
-            seed=self.seed,
             shards_total=len(self.shards),
             shards_done=done,
             shards_failed=failed,
-            shards_resumed=len(resumed_ids),
             attempts=ledger.attempts_total,
             retries=counters["retries"],
             steals=counters["steals"],
@@ -582,7 +466,6 @@ class ExecutionEngine:
             return None
         count = max(1, len(victim.queue) // 2)
         stolen = [victim.queue.pop() for _ in range(count)]  # tail first
-        victim.shards_stolen_from += count
         counters["steals"] += count
         for shard in stolen:
             victim.queued_seconds -= self.model.seconds(

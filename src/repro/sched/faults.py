@@ -70,7 +70,7 @@ class FaultProfile:
 
     @classmethod
     def default_injection(cls) -> "FaultProfile":
-        """The ``repro sched --inject`` scenario: one crash, one 4x
+        """The ``repro survey --inject`` scenario: one crash, one 4x
         straggler, a 5% transient error rate."""
         return cls(
             crashes=1, crash_fraction=0.35,
@@ -78,7 +78,7 @@ class FaultProfile:
         )
 
     def as_dict(self) -> dict:
-        """JSON-ready rendering (recorded in the run ledger)."""
+        """JSON-ready rendering."""
         return {
             "crashes": self.crashes,
             "crash_fraction": self.crash_fraction,

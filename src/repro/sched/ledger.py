@@ -1,13 +1,11 @@
-"""The run ledger: a checkpointable record of every shard attempt.
+"""Ledgers: the engine's per-shard attempt record and the survey journal.
 
-Schema-versioned JSON in the style of :mod:`repro.core.persistence`: a
-self-describing document carrying the run identity (seed, setup, grid,
-beams, fault profile, worker roster) plus one record per shard with its
-full attempt history (worker, virtual start/end, outcome).  Because the
-engine is deterministic, two runs with the same seed serialise to
-byte-identical documents — asserted by the test suite — and a partially
-complete ledger lets a run *resume*: completed shards are skipped, their
-records preserved verbatim.
+:class:`RunLedger` is the execution engine's in-memory record of one
+run: one :class:`ShardRecord` per shard with its full attempt history
+(worker, virtual start/end, outcome).  It enforces exactly-once
+completion at write time — any attempt after a shard is ``done`` raises
+— and because the engine is deterministic, two runs with the same seed
+record identical attempts.
 
 Survey section
 --------------
@@ -34,16 +32,10 @@ from pathlib import Path
 from repro.errors import LedgerError, SchemaVersionError
 from repro.sched.shard import Shard
 
-#: Format version written into every ledger document.
-LEDGER_SCHEMA_VERSION: int = 1
-
-#: Schema versions :func:`load_ledger` still understands.
-SUPPORTED_LEDGER_SCHEMAS: tuple[int, ...] = (1,)
-
-#: The attempt outcomes a valid ledger may record.
+#: The attempt outcomes a ledger may record.
 OUTCOMES: tuple[str, ...] = ("ok", "transient", "crash")
 
-#: The shard states a valid ledger may record.
+#: The shard states a ledger may record.
 STATES: tuple[str, ...] = ("pending", "done", "failed")
 
 
@@ -65,15 +57,6 @@ class Attempt:
                 f"({self.started_s})"
             )
 
-    def as_dict(self) -> dict:
-        """JSON-ready rendering."""
-        return {
-            "worker": self.worker,
-            "started_s": self.started_s,
-            "finished_s": self.finished_s,
-            "outcome": self.outcome,
-        }
-
 
 @dataclass
 class ShardRecord:
@@ -88,39 +71,11 @@ class ShardRecord:
         """Number of successful attempts (1 for a completed shard)."""
         return sum(1 for a in self.attempts if a.outcome == "ok")
 
-    def as_dict(self) -> dict:
-        """JSON-ready rendering."""
-        return {
-            "beam": self.shard.beam,
-            "dm_start": self.shard.dm_start,
-            "dm_count": self.shard.dm_count,
-            "batch": self.shard.batch,
-            "samples": self.shard.samples,
-            "state": self.state,
-            "attempts": [a.as_dict() for a in self.attempts],
-        }
-
 
 class RunLedger:
     """All shard records of one run, keyed by shard id."""
 
-    def __init__(
-        self,
-        seed: int,
-        setup_name: str,
-        n_dms: int,
-        n_beams: int,
-        duration_s: float,
-        profile: dict | None = None,
-        workers: tuple[str, ...] = (),
-    ):
-        self.seed = seed
-        self.setup_name = setup_name
-        self.n_dms = n_dms
-        self.n_beams = n_beams
-        self.duration_s = duration_s
-        self.profile = dict(profile or {})
-        self.workers = tuple(workers)
+    def __init__(self) -> None:
         self.records: dict[str, ShardRecord] = {}
 
     # -- recording -----------------------------------------------------
@@ -149,12 +104,6 @@ class RunLedger:
         self.register(shard).state = "failed"
 
     # -- queries -------------------------------------------------------
-    def completed_ids(self) -> set[str]:
-        """Shard ids already done (the resume skip-set)."""
-        return {
-            sid for sid, rec in self.records.items() if rec.state == "done"
-        }
-
     def counts(self) -> dict[str, int]:
         """State -> number of shards."""
         out = {state: 0 for state in STATES}
@@ -173,147 +122,6 @@ class RunLedger:
             r.state == "done" and r.successes == 1
             for r in self.records.values()
         )
-
-    # -- persistence ---------------------------------------------------
-    def to_document(self) -> dict:
-        """Serialise to a JSON-ready, deterministic document."""
-        return {
-            "schema": LEDGER_SCHEMA_VERSION,
-            "run": {
-                "seed": self.seed,
-                "setup": self.setup_name,
-                "n_dms": self.n_dms,
-                "n_beams": self.n_beams,
-                "duration_s": self.duration_s,
-                "profile": self.profile,
-                "workers": list(self.workers),
-            },
-            "shards": {
-                sid: self.records[sid].as_dict()
-                for sid in sorted(self.records)
-            },
-        }
-
-    def save(self, path: str | Path) -> Path:
-        """Write the document to ``path``; returns the path.
-
-        The rendering is canonical (sorted keys, fixed indent), so equal
-        ledgers produce byte-identical files.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_document(), indent=1, sort_keys=True) + "\n"
-        )
-        return path
-
-
-def validate_document(document: dict) -> None:
-    """Raise :class:`LedgerError` unless ``document`` is a valid ledger.
-
-    Checks the schema version, required keys, attempt outcomes, state
-    consistency (a ``done`` shard has exactly one ``ok`` attempt, a
-    ``pending``/``failed`` shard none), and that shard ids match their
-    record's coordinates.
-    """
-    if not isinstance(document, dict):
-        raise LedgerError("ledger document must be a JSON object")
-    schema = document.get("schema")
-    if schema not in SUPPORTED_LEDGER_SCHEMAS:
-        if isinstance(schema, int) and schema > max(SUPPORTED_LEDGER_SCHEMAS):
-            raise SchemaVersionError(
-                f"unsupported ledger schema {schema!r}: this file was "
-                f"written by a newer version of repro (this build reads "
-                f"schemas up to {max(SUPPORTED_LEDGER_SCHEMAS)}); upgrade "
-                f"repro or re-run the survey to regenerate the ledger"
-            )
-        raise LedgerError(f"unsupported ledger schema {schema!r}")
-    run = document.get("run")
-    if not isinstance(run, dict):
-        raise LedgerError("ledger document lacks a 'run' section")
-    for key in ("seed", "setup", "n_dms", "n_beams", "duration_s", "workers"):
-        if key not in run:
-            raise LedgerError(f"ledger run section lacks {key!r}")
-    shards = document.get("shards")
-    if not isinstance(shards, dict):
-        raise LedgerError("ledger document lacks a 'shards' section")
-    for sid, record in shards.items():
-        state = record.get("state")
-        if state not in STATES:
-            raise LedgerError(f"shard {sid}: unknown state {state!r}")
-        shard = Shard(
-            beam=record["beam"],
-            dm_start=record["dm_start"],
-            dm_count=record["dm_count"],
-            batch=record["batch"],
-            samples=record["samples"],
-        )
-        if shard.shard_id != sid:
-            raise LedgerError(
-                f"shard id {sid!r} does not match its coordinates "
-                f"({shard.shard_id})"
-            )
-        successes = 0
-        for attempt in record.get("attempts", ()):
-            outcome = attempt.get("outcome")
-            if outcome not in OUTCOMES:
-                raise LedgerError(
-                    f"shard {sid}: unknown attempt outcome {outcome!r}"
-                )
-            if attempt["worker"] not in run["workers"]:
-                raise LedgerError(
-                    f"shard {sid}: attempt on unknown worker "
-                    f"{attempt['worker']!r}"
-                )
-            successes += outcome == "ok"
-        if state == "done" and successes != 1:
-            raise LedgerError(
-                f"shard {sid}: done with {successes} successful attempts "
-                f"(exactly one required)"
-            )
-        if state != "done" and successes:
-            raise LedgerError(
-                f"shard {sid}: {state} but has a successful attempt"
-            )
-
-
-def load_ledger(path: str | Path) -> RunLedger:
-    """Load and validate a ledger document, rebuilding the records."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LedgerError(f"cannot read ledger at {path}: {exc}") from exc
-    validate_document(document)
-    run = document["run"]
-    ledger = RunLedger(
-        seed=run["seed"],
-        setup_name=run["setup"],
-        n_dms=run["n_dms"],
-        n_beams=run["n_beams"],
-        duration_s=run["duration_s"],
-        profile=run.get("profile", {}),
-        workers=tuple(run["workers"]),
-    )
-    for record in document["shards"].values():
-        shard = Shard(
-            beam=record["beam"],
-            dm_start=record["dm_start"],
-            dm_count=record["dm_count"],
-            batch=record["batch"],
-            samples=record["samples"],
-        )
-        rebuilt = ledger.register(shard)
-        rebuilt.state = record["state"]
-        rebuilt.attempts = [
-            Attempt(
-                worker=a["worker"],
-                started_s=a["started_s"],
-                finished_s=a["finished_s"],
-                outcome=a["outcome"],
-            )
-            for a in record["attempts"]
-        ]
-    return ledger
 
 
 # ----------------------------------------------------------------------

@@ -107,23 +107,19 @@ def shard_survey(
     n_beams: int,
     duration_s: float = 1.0,
     memory_bytes: int | None = None,
-    max_dms_per_shard: int | None = None,
 ) -> tuple[Shard, ...]:
     """Slice a survey into shards, beam-major.
 
     ``duration_s`` seconds of every beam are processed in batches of
     ``setup.samples_per_batch`` samples; the DM axis is chunked to fit
     ``memory_bytes`` (per-shard device budget; ``None`` leaves the DM
-    axis whole) and never exceeds ``max_dms_per_shard`` when given.
+    axis whole).
     """
     require_positive_int(n_beams, "n_beams")
     require_positive(duration_s, "duration_s")
     chunk = grid.n_dms
     if memory_bytes is not None:
         chunk = dm_chunk_for_memory(setup, grid, memory_bytes)
-    if max_dms_per_shard is not None:
-        require_positive_int(max_dms_per_shard, "max_dms_per_shard")
-        chunk = min(chunk, max_dms_per_shard)
     total_samples = int(round(duration_s * setup.samples_per_second))
     n_batches = max(1, ceil_div(total_samples, setup.samples_per_batch))
     shards = []

@@ -1,7 +1,7 @@
 """Simulated workers: devices executing shards under the hardware model.
 
-Each worker is one physical unit of a :class:`~repro.pipeline.fleet`
-device type.  Its per-shard service time comes from the same machinery
+Each worker is one physical unit of an engine inventory's device
+type.  Its per-shard service time comes from the same machinery
 the tuner trusts: the device's *tuned* kernel configuration (obtained
 once per device type through :class:`~repro.service.TuningService`, so
 the scheduler benefits from the service's caching/warm-start tiers) run
@@ -114,7 +114,6 @@ class Worker:
         self.run_token: int = 0  # invalidates stale finish events
         self.busy_seconds: float = 0.0
         self.shards_done: int = 0
-        self.shards_stolen_from: int = 0
         self.queued_seconds: float = 0.0  # expected seconds of queued work
 
     @property
@@ -137,16 +136,3 @@ class WorkerStats:
     busy_seconds: float
     slowdown: float
     crashed: bool
-
-    def describe(self) -> str:
-        """One line for the report."""
-        flags = []
-        if self.crashed:
-            flags.append("CRASHED")
-        if self.slowdown > 1.0:
-            flags.append(f"straggler x{self.slowdown:g}")
-        suffix = f" [{', '.join(flags)}]" if flags else ""
-        return (
-            f"{self.worker_id}: {self.shards_done} shards, "
-            f"{self.busy_seconds:.3f} s busy{suffix}"
-        )

@@ -197,6 +197,9 @@ class SurveyRunReport:
             f"throughput {self.fleet.throughput:.2f} beam-seconds/s, "
             f"real time "
             f"{'SUSTAINED' if self.fleet.realtime_sustained else 'NOT sustained'}",
+            f"  fleet faults: {len(self.fleet.crashed_workers)} crashed "
+            f"worker(s), {self.fleet.retries} retries, "
+            f"{self.fleet.requeues} requeues, {self.fleet.steals} steals",
             f"  coincidence: {self.score.pre_clusters} per-beam clusters "
             f"-> {self.score.post_groups} kept groups "
             f"({self.score.n_vetoed} vetoed broadband, "

@@ -57,24 +57,22 @@ class TestFileToConfirmation:
 
 
 class TestPlanningLayersAgree:
-    def test_ddplan_grids_feed_fleet_planner(self, setup):
-        """Each DDplan stage produces a grid the fleet planner can size."""
+    def test_ddplan_grids_feed_sizing(self, setup):
+        """Each DDplan stage produces a grid the Sec. V-D sizing can size."""
         from repro.astro.ddplan import build_ddplan
         from repro.hardware.catalog import hd7970
-        from repro.pipeline.fleet import FleetDevice, plan_fleet
+        from repro.pipeline.realtime import accelerators_needed
         from repro.astro.observation import apertif
 
         survey_setup = apertif()
         ddplan = build_ddplan(survey_setup, max_dm=100.0)
         # Size a 100-beam deployment for the busiest (most trials) stage.
         busiest = max(ddplan.stages, key=lambda s: s.n_dms)
-        # The planner needs a power-of-two-friendly count; round up.
+        # The tuner needs a power-of-two-friendly count; round up.
         from repro.utils.intmath import next_power_of_two
 
         n = next_power_of_two(busiest.n_dms)
         grid = DMTrialGrid(n, first=busiest.dm_low, step=busiest.dm_step)
-        plan = plan_fleet(
-            [FleetDevice(hd7970(), available=1000)], survey_setup, grid, 100
-        )
-        assert plan.beams_covered >= 100
-        assert plan.total_units >= 1
+        plan = accelerators_needed(hd7970(), survey_setup, grid, 100)
+        assert plan.devices_needed * plan.beams_per_device >= 100
+        assert plan.devices_needed >= 1

@@ -17,7 +17,6 @@ from repro.core.tuner import AutoTuner
 from repro.hardware.catalog import hd7970
 from repro.obs.registry import use_registry
 from repro.opencl_sim.runtime import CommandQueue, Context, SimDevice
-from repro.pipeline.realtime import realtime_report
 from repro.run import ExecutionRequest, execute
 from repro.service import ServiceClient, TuneRequest, TuningService
 
@@ -129,18 +128,4 @@ class TestPipelineInstrumentation:
             )
             assert reg.counter(
                 "repro_trace_spans_total", span="pipeline.dedisperse"
-            ).value == 1
-
-    def test_realtime_report_sets_margin_gauge(self):
-        with use_registry() as reg:
-            report = realtime_report(DEVICE, apertif(), DMTrialGrid(16))
-            gauge = reg.gauge(
-                "repro_pipeline_realtime_margin",
-                stage="tuned-kernel",
-                device=DEVICE.name,
-                setup="Apertif",
-            )
-            assert gauge.value == pytest.approx(report.margin)
-            assert reg.counter(
-                "repro_trace_spans_total", span="pipeline.realtime_check"
             ).value == 1

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sched.ledger — the checkpointable run ledger."""
+"""Unit tests for repro.sched.ledger — the run ledger and survey journal."""
 
 import json
 
@@ -6,15 +6,12 @@ import pytest
 
 from repro.errors import LedgerError, SchemaVersionError
 from repro.sched.ledger import (
-    LEDGER_SCHEMA_VERSION,
     SURVEY_LEDGER_SCHEMA_VERSION,
     Attempt,
     RunLedger,
     SurveyBeamRecord,
     SurveyLedger,
-    load_ledger,
     load_survey_ledger,
-    validate_document,
 )
 from repro.sched.shard import Shard
 
@@ -24,15 +21,6 @@ def make_shard(beam=0, dm_start=0, dm_count=4, batch=0, samples=100):
         beam=beam, dm_start=dm_start, dm_count=dm_count,
         batch=batch, samples=samples,
     )
-
-
-def make_ledger(**overrides):
-    kwargs = dict(
-        seed=7, setup_name="toy", n_dms=8, n_beams=2, duration_s=1.0,
-        profile={"crashes": 1}, workers=("dev/0", "dev/1"),
-    )
-    kwargs.update(overrides)
-    return RunLedger(**kwargs)
 
 
 class TestAttempt:
@@ -47,22 +35,21 @@ class TestAttempt:
 
 class TestRunLedger:
     def test_register_is_idempotent(self):
-        ledger = make_ledger()
+        ledger = RunLedger()
         shard = make_shard()
         assert ledger.register(shard) is ledger.register(shard)
 
     def test_ok_attempt_completes_shard(self):
-        ledger = make_ledger()
+        ledger = RunLedger()
         shard = make_shard()
         ledger.note_attempt(
             shard, Attempt(worker="dev/0", started_s=0.0, finished_s=0.5, outcome="ok")
         )
         assert ledger.records[shard.shard_id].state == "done"
-        assert ledger.completed_ids() == {shard.shard_id}
         assert ledger.exactly_once()
 
     def test_second_attempt_after_done_violates_exactly_once(self):
-        ledger = make_ledger()
+        ledger = RunLedger()
         shard = make_shard()
         ok = Attempt(worker="dev/0", started_s=0.0, finished_s=0.5, outcome="ok")
         ledger.note_attempt(shard, ok)
@@ -70,7 +57,7 @@ class TestRunLedger:
             ledger.note_attempt(shard, ok)
 
     def test_retries_then_success(self):
-        ledger = make_ledger()
+        ledger = RunLedger()
         shard = make_shard()
         ledger.note_attempt(
             shard,
@@ -86,7 +73,7 @@ class TestRunLedger:
         assert ledger.attempts_total == 2
 
     def test_counts_by_state(self):
-        ledger = make_ledger()
+        ledger = RunLedger()
         done, failed, pending = make_shard(0), make_shard(1), make_shard(0, 4)
         ledger.note_attempt(
             done, Attempt(worker="dev/0", started_s=0, finished_s=1, outcome="ok")
@@ -95,115 +82,6 @@ class TestRunLedger:
         ledger.mark_failed(failed)
         assert ledger.counts() == {"pending": 1, "done": 1, "failed": 1}
         assert not ledger.exactly_once()
-
-
-class TestPersistence:
-    def _filled(self):
-        ledger = make_ledger()
-        for beam in (0, 1):
-            for dm_start in (0, 4):
-                shard = make_shard(beam, dm_start)
-                ledger.note_attempt(
-                    shard,
-                    Attempt(
-                        worker=f"dev/{beam}",
-                        started_s=0.1 * dm_start,
-                        finished_s=0.1 * dm_start + 0.05,
-                        outcome="ok",
-                    ),
-                )
-        return ledger
-
-    def test_save_is_byte_deterministic(self, tmp_path):
-        a = self._filled().save(tmp_path / "a.json")
-        b = self._filled().save(tmp_path / "b.json")
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_round_trip(self, tmp_path):
-        original = self._filled()
-        path = original.save(tmp_path / "ledger.json")
-        loaded = load_ledger(path)
-        assert loaded.seed == original.seed
-        assert loaded.workers == original.workers
-        assert loaded.to_document() == original.to_document()
-
-    def test_document_carries_schema_and_run_identity(self):
-        doc = self._filled().to_document()
-        assert doc["schema"] == LEDGER_SCHEMA_VERSION
-        assert doc["run"]["seed"] == 7
-        assert doc["run"]["profile"] == {"crashes": 1}
-        validate_document(doc)
-
-    def test_load_rejects_missing_file(self, tmp_path):
-        with pytest.raises(LedgerError, match="cannot read"):
-            load_ledger(tmp_path / "absent.json")
-
-    def test_load_rejects_corrupt_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(LedgerError, match="cannot read"):
-            load_ledger(path)
-
-
-class TestValidateDocument:
-    def _doc(self):
-        ledger = make_ledger()
-        shard = make_shard()
-        ledger.note_attempt(
-            shard, Attempt(worker="dev/0", started_s=0, finished_s=1, outcome="ok")
-        )
-        return ledger.to_document()
-
-    def test_valid_document_passes(self):
-        validate_document(self._doc())
-
-    def test_rejects_unsupported_schema(self):
-        doc = self._doc()
-        doc["schema"] = 99
-        with pytest.raises(LedgerError, match="schema"):
-            validate_document(doc)
-
-    def test_rejects_missing_run_key(self):
-        doc = self._doc()
-        del doc["run"]["seed"]
-        with pytest.raises(LedgerError, match="seed"):
-            validate_document(doc)
-
-    def test_rejects_unknown_state(self):
-        doc = self._doc()
-        next(iter(doc["shards"].values()))["state"] = "limbo"
-        with pytest.raises(LedgerError, match="state"):
-            validate_document(doc)
-
-    def test_rejects_unknown_worker(self):
-        doc = self._doc()
-        next(iter(doc["shards"].values()))["attempts"][0]["worker"] = "ghost"
-        with pytest.raises(LedgerError, match="unknown worker"):
-            validate_document(doc)
-
-    def test_rejects_mismatched_shard_id(self):
-        doc = self._doc()
-        sid, record = doc["shards"].popitem()
-        doc["shards"]["b0009/d00000+4/t0000"] = record
-        with pytest.raises(LedgerError, match="does not match"):
-            validate_document(doc)
-
-    def test_rejects_done_without_exactly_one_success(self):
-        doc = self._doc()
-        record = next(iter(doc["shards"].values()))
-        record["attempts"].append(dict(record["attempts"][0]))
-        with pytest.raises(LedgerError, match="exactly one"):
-            validate_document(doc)
-
-    def test_rejects_pending_with_success(self):
-        doc = self._doc()
-        next(iter(doc["shards"].values()))["state"] = "pending"
-        with pytest.raises(LedgerError, match="successful"):
-            validate_document(doc)
-
-    def test_rejects_non_object(self):
-        with pytest.raises(LedgerError):
-            validate_document(json.loads("[]"))
 
 
 IDENTITY = {

@@ -83,10 +83,16 @@ class TestShardSizing:
             dm_chunk_for_memory(toy_low, toy_grid, 16)
 
 
+def budget_for(setup, grid, dm_count):
+    """The memory budget whose largest fitting DM chunk is ``dm_count``."""
+    return shard_memory_bytes(setup, grid, dm_count, setup.samples_per_batch)
+
+
 class TestShardSurvey:
     def test_counts_beams_chunks_batches(self, toy_low, toy_grid):
         shards = shard_survey(
-            toy_low, toy_grid, n_beams=3, duration_s=2.0, max_dms_per_shard=4
+            toy_low, toy_grid, n_beams=3, duration_s=2.0,
+            memory_bytes=budget_for(toy_low, toy_grid, 4),
         )
         # 3 beams x 2 DM chunks x 2 one-second batches.
         assert len(shards) == 12
@@ -101,18 +107,17 @@ class TestShardSurvey:
 
     def test_uneven_chunk_remainder(self, toy_low, toy_grid):
         shards = shard_survey(
-            toy_low, toy_grid, n_beams=1, duration_s=1.0, max_dms_per_shard=3
+            toy_low, toy_grid, n_beams=1, duration_s=1.0,
+            memory_bytes=budget_for(toy_low, toy_grid, 3),
         )
         counts = [s.dm_count for s in shards]
         assert counts == [3, 3, 2]
         assert sum(counts) == toy_grid.n_dms
 
     def test_memory_budget_chunks_dm_axis(self, toy_low, toy_grid):
-        budget = shard_memory_bytes(
-            toy_low, toy_grid, 2, toy_low.samples_per_batch
-        )
         shards = shard_survey(
-            toy_low, toy_grid, n_beams=1, duration_s=1.0, memory_bytes=budget
+            toy_low, toy_grid, n_beams=1, duration_s=1.0,
+            memory_bytes=budget_for(toy_low, toy_grid, 2),
         )
         assert all(s.dm_count <= 2 for s in shards)
 
@@ -121,12 +126,12 @@ class TestShardSurvey:
         assert len(shards) == 1
 
     @pytest.mark.parametrize(
-        "n_beams,duration_s,max_dms",
+        "n_beams,duration_s,dm_chunk",
         [(1, 1.0, None), (3, 2.0, 4), (2, 1.0, 3), (2, 3.0, 5)],
         ids=["whole-grid", "even-chunks", "remainder", "remainder-3-batches"],
     )
     def test_each_batch_covers_every_row_once(
-        self, toy_low, toy_grid, n_beams, duration_s, max_dms
+        self, toy_low, toy_grid, n_beams, duration_s, dm_chunk
     ):
         # The decomposition is lossless only if, within every time
         # batch, each (beam, DM row) belongs to exactly one shard.
@@ -135,7 +140,10 @@ class TestShardSurvey:
             toy_grid,
             n_beams=n_beams,
             duration_s=duration_s,
-            max_dms_per_shard=max_dms,
+            memory_bytes=(
+                None if dm_chunk is None
+                else budget_for(toy_low, toy_grid, dm_chunk)
+            ),
         )
         batches = sorted({s.batch for s in shards})
         assert batches == list(range(int(np.ceil(duration_s))))

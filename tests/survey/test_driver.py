@@ -3,8 +3,8 @@
 The acceptance criteria live here: at 8 beams the two headline
 scenarios must hit recall >= 0.95 with the coincidence stage never
 adding false positives (and strictly removing them on ``rfi_storm``),
-and an injected crash plus resume must reproduce the uninterrupted
-ledger byte for byte.
+an injected crash plus resume must reproduce the uninterrupted
+ledger byte for byte, and fleet faults must leave the candidates alone.
 """
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from repro.astro.candidates import Candidate, SiftedCandidate
 from repro.errors import LedgerError, PipelineError
 from repro.obs import use_registry
+from repro.sched import FaultProfile
 from repro.sched.ledger import load_survey_ledger
 from repro.survey import (
     SurveyPlan,
@@ -135,6 +136,29 @@ class TestPinnedCoincidence:
             "n_vetoed": 4,
             "n_promoted": 5,
         }
+
+
+class TestFleetFaults:
+    def test_injected_faults_leave_candidates_unchanged(self, storm_report):
+        # The fleet stage schedules the same beams under a crash, a 4x
+        # straggler and transient errors; detection never sees it.
+        injected = run_survey(
+            SurveyPlan(
+                scenario="rfi_storm", n_beams=8,
+                faults=FaultProfile.default_injection(),
+            )
+        )
+        assert injected.score.as_dict() == storm_report.score.as_dict()
+        assert [r.as_dict() for r in injected.beams] == [
+            r.as_dict() for r in storm_report.beams
+        ]
+        fleet = injected.fleet
+        assert fleet.complete
+        assert fleet.ledger.exactly_once()
+        assert len(fleet.crashed_workers) >= 1
+        assert fleet.retries > 0
+        assert fleet.requeues > 0
+        assert storm_report.fleet.retries == 0
 
 
 class TestResume:

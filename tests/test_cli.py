@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -266,6 +268,23 @@ class TestSurvey:
         out = capsys.readouterr().out
         assert "resumed" in out
 
+    def test_inject_reports_fleet_faults(self, capsys):
+        # One of the fleet's three devices crashes; the survivors retry
+        # and requeue its shards and the survey still completes.
+        assert main(["survey", "--inject", "--beams", "16"]) == 0
+        out = capsys.readouterr().out
+        match = re.search(
+            r"fleet faults: (\d+) crashed worker\(s\), (\d+) retries, "
+            r"(\d+) requeues",
+            out,
+        )
+        assert match, out
+        crashed, retries, requeues = map(int, match.groups())
+        assert crashed == 1
+        assert retries > 0
+        assert requeues > 0
+        assert "recall 1.00" in out
+
 
 class TestExport:
     def test_experiment_export(self, capsys, tmp_path):
@@ -274,55 +293,6 @@ class TestExport:
         ) == 0
         assert (tmp_path / "table1.csv").exists()
         assert (tmp_path / "table1.json").exists()
-
-
-class TestSched:
-    ARGS = [
-        "sched",
-        "--inventory", "HD7970:2",
-        "--dms", "32",
-        "--beams", "2",
-        "--duration", "1",
-    ]
-
-    def test_plan_and_run_to_completion(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "fleet for" in out
-        assert "shards" in out
-        assert "real time" in out
-
-    def test_ledger_write_then_resume(self, capsys, tmp_path):
-        path = tmp_path / "run.json"
-        assert main(self.ARGS + ["--ledger", str(path)]) == 0
-        assert path.exists()
-        capsys.readouterr()
-        assert main(self.ARGS + ["--resume", str(path)]) == 0
-        assert "resumed" in capsys.readouterr().out
-
-    def test_inject_still_completes(self, capsys):
-        # Enough beams that the plan spans two devices, so one injected
-        # crash leaves a survivor to finish the survey.
-        argv = [
-            "sched",
-            "--inventory", "HD7970:2",
-            "--dms", "32",
-            "--beams", "60",
-            "--duration", "1",
-            "--inject",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "1 crash(es)" in out
-        assert "degradation" in out
-
-    def test_malformed_inventory_fails_cleanly(self, capsys):
-        assert main(["sched", "--inventory", "HD7970"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_unknown_device_fails_cleanly(self, capsys):
-        assert main(["sched", "--inventory", "RTX4090:2"]) == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestSearch:

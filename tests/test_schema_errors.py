@@ -1,6 +1,6 @@
 """Newer-than-supported schema versions fail cleanly, end to end.
 
-A ledger or sweep store written by a *future* repro must not crash with
+A survey ledger or sweep store written by a *future* repro must not crash with
 a traceback (or worse, be deleted as corrupt): it raises
 :class:`repro.errors.SchemaVersionError`, which the CLI renders as a
 one-line error, and persistent files are left intact for the newer
@@ -21,7 +21,11 @@ from repro.errors import (
     ValidationError,
 )
 from repro.hardware.catalog import hd7970
-from repro.sched.ledger import SUPPORTED_LEDGER_SCHEMAS, load_ledger
+from repro.sched.ledger import (
+    SUPPORTED_SURVEY_LEDGER_SCHEMAS,
+    SurveyLedger,
+    load_survey_ledger,
+)
 from repro.service.cache import DiskSweepStore
 from repro.service.keys import InstanceKey
 
@@ -36,37 +40,40 @@ class TestErrorType:
         assert issubclass(SchemaVersionError, LedgerError)
 
 
+def write_survey_ledger(path, schema):
+    """A one-line survey ledger whose header claims ``schema``."""
+    ledger = SurveyLedger(
+        {"seed": 0, "scenario": "rfi_storm", "setup": "low",
+         "n_beams": 8, "n_dms": 12}
+    )
+    header = {**ledger.header_doc(), "schema": schema}
+    path.write_text(json.dumps(header, sort_keys=True) + "\n")
+    return path
+
+
 class TestLedger:
     def test_newer_schema_raises_schema_version_error(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        path.write_text(json.dumps({"schema": NEWER, "run": {}, "shards": {}}))
+        path = write_survey_ledger(tmp_path / "survey.jsonl", NEWER)
         with pytest.raises(SchemaVersionError, match="newer version"):
-            load_ledger(path)
+            load_survey_ledger(path)
 
     def test_older_schema_keeps_plain_ledger_error(self, tmp_path):
-        path = tmp_path / "ledger.json"
-        path.write_text(json.dumps({"schema": 0, "run": {}, "shards": {}}))
+        path = write_survey_ledger(tmp_path / "survey.jsonl", 0)
         with pytest.raises(LedgerError) as excinfo:
-            load_ledger(path)
+            load_survey_ledger(path)
         assert not isinstance(excinfo.value, SchemaVersionError)
 
-    def test_sched_resume_fails_cleanly(self, tmp_path, capsys):
-        assert NEWER > max(SUPPORTED_LEDGER_SCHEMAS)
-        path = tmp_path / "ledger.json"
-        path.write_text(json.dumps({"schema": NEWER, "run": {}, "shards": {}}))
-        code = main([
-            "sched",
-            "--inventory", "HD7970:1",
-            "--dms", "8",
-            "--beams", "1",
-            "--duration", "1",
-            "--resume", str(path),
-        ])
+    def test_survey_resume_fails_cleanly(self, tmp_path, capsys):
+        assert NEWER > max(SUPPORTED_SURVEY_LEDGER_SCHEMAS)
+        path = write_survey_ledger(tmp_path / "survey.jsonl", NEWER)
+        code = main(["survey", "--ledger", str(path), "--resume"])
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err
         assert "upgrade" in err
         assert "Traceback" not in err
+        # Left intact for the newer build that can read it.
+        assert json.loads(path.read_text())["schema"] == NEWER
 
 
 class TestSweepStore:

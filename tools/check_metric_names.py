@@ -27,7 +27,6 @@ from pathlib import Path
 
 METRIC_NAME_RE = re.compile(r"^repro(_[a-z0-9]+)*$")
 FAMILY_PREFIXES = (
-    "repro_fleet_",
     "repro_kernel_",
     "repro_pipeline_",
     "repro_run_",
