@@ -28,8 +28,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.astro.signal_gen import SyntheticPulsar

@@ -1,4 +1,4 @@
-"""Serve tuned configurations to many tenants from one shared cache.
+"""Serve tuned configurations to many clients from one shared cache.
 
 A production survey does not re-run the exhaustive sweep for every
 pipeline that needs a kernel configuration — it asks a long-lived tuning
@@ -8,15 +8,11 @@ through its whole repertoire:
 1. **Warm-up** — pre-tune a ladder of instances; each sweep after the
    first is warm-started from its cached neighbour, so most of the
    optimisation space is never simulated.
-2. **Concurrent tenants** — nine tenants hammer the service through one
-   :class:`~repro.service.ServiceClient` each; every instance was swept
-   once, so every authoritative answer comes from the cache.
-3. **Admission** — every tenant has its own token bucket; the greedy
-   tenant overdraws its own and is answered by the budgeted heuristic
-   while the others keep their authoritative answers.
-4. **Restart** — a fresh service pointed at the same store directory
+2. **Concurrent clients** — eight pipelines ask the service at once;
+   every instance was swept once, so every answer comes from the cache.
+3. **Restart** — a fresh service pointed at the same store directory
    answers from disk without re-sweeping.
-5. **Stats** — the counter surface that makes all of the above visible.
+4. **Stats** — the counter surface that makes all of the above visible.
 
 Run with::
 
@@ -30,35 +26,26 @@ from concurrent.futures import ThreadPoolExecutor
 from repro import DMTrialGrid, apertif
 from repro.hardware.catalog import hd7970
 from repro.obs import MetricsRegistry
-from repro.service import (
-    ServiceClient,
-    TenantAdmission,
-    TuneRequest,
-    TuningService,
-)
+from repro.service import TuneRequest, TuningService
 from repro.utils.rng import RandomStreams
 
 INSTANCES = (32, 64, 128, 256, 512)
-TENANTS = 8
-REQUESTS_PER_TENANT = 10
-#: Every tenant's burst allowance; the greedy tenant asks for more.
-BUCKET = 16
-GREEDY_REQUESTS = 2 * BUCKET
+CLIENTS = 8
+REQUESTS_PER_CLIENT = 10
 
 
-def tenant(service: TuningService, name: str, requests: int) -> list:
-    """One simulated science team; returns its responses."""
-    client = ServiceClient(service, tenant=name)
-    rng = RandomStreams(seed=sum(map(ord, name))).python("load")
+def client(service: TuningService, index: int) -> list:
+    """One simulated pipeline; returns its responses."""
+    rng = RandomStreams(seed=index).python("load")
     return [
-        client.resolve(
+        service.resolve(
             TuneRequest(
                 setup="apertif",
                 n_dms=DMTrialGrid(rng.choice(INSTANCES)),
                 device="HD7970",
             )
         )
-        for _ in range(requests)
+        for _ in range(REQUESTS_PER_CLIENT)
     ]
 
 
@@ -70,26 +57,21 @@ def main() -> int:
         store_dir = scratch.name
 
     device, setup = hd7970(), apertif()
-    admission = TenantAdmission(capacity=BUCKET, refill_per_s=0.0)
-    with TuningService(
-        store_dir=store_dir, admission=admission, max_workers=2
-    ) as service:
+    with TuningService(store_dir=store_dir, max_workers=2) as service:
         print("— warm-up (each sweep seeds the next) —")
         for response in service.warm_up(device, setup, INSTANCES):
             print(f"  {response.describe()}")
 
-        loads = {f"team{i}": REQUESTS_PER_TENANT for i in range(TENANTS)}
-        loads["greedy"] = GREEDY_REQUESTS
-        print(f"\n— {len(loads)} concurrent tenants, one client each —")
-        with ThreadPoolExecutor(max_workers=len(loads)) as pool:
-            answers = dict(zip(loads, pool.map(
-                lambda name: tenant(service, name, loads[name]), loads
-            )))
-        for name, responses in answers.items():
+        print(f"\n— {CLIENTS} concurrent clients —")
+        with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
+            answers = list(pool.map(
+                lambda index: client(service, index), range(CLIENTS)
+            ))
+        for index, responses in enumerate(answers):
             slowest = max(r.elapsed_s for r in responses)
-            throttled = sum(r.degraded for r in responses)
-            print(f"  {name:>6}: {len(responses)} requests, "
-                  f"{throttled} throttled, slowest {1e3 * slowest:.2f} ms")
+            sources = sorted({r.source for r in responses})
+            print(f"  client{index}: {len(responses)} requests from "
+                  f"{'/'.join(sources)}, slowest {1e3 * slowest:.2f} ms")
 
         print("\n— service statistics —")
         print(service.snapshot().render())
@@ -98,8 +80,7 @@ def main() -> int:
     with TuningService(
         store_dir=store_dir, registry=MetricsRegistry()
     ) as reborn:
-        client = ServiceClient(reborn, tenant="restart")
-        response = client.resolve(
+        response = reborn.resolve(
             TuneRequest(
                 setup=setup, n_dms=DMTrialGrid(max(INSTANCES)), device=device
             )

@@ -113,10 +113,8 @@ from repro.tune import (
 )
 from repro.service import (
     TuningService,
-    ServiceClient,
     TuneRequest,
     TuneResponse,
-    TenantAdmission,
     ServiceStats,
     StatsSnapshot,
 )
@@ -256,10 +254,8 @@ __all__ = [
     "AblationReport",
     # serving layer
     "TuningService",
-    "ServiceClient",
     "TuneRequest",
     "TuneResponse",
-    "TenantAdmission",
     "ServiceStats",
     "StatsSnapshot",
     # execution engine

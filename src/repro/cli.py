@@ -233,14 +233,7 @@ def _cmd_ddplan(args: argparse.Namespace) -> int:
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.service import (
-        ServiceClient,
-        TenantAdmission,
-        TuneRequest,
-        TuningService,
-    )
+    from repro.service import TuneRequest, TuningService
     from repro.utils.rng import RandomStreams
 
     device = device_by_name(args.device)
@@ -258,20 +251,11 @@ def _cmd_service(args: argparse.Namespace) -> int:
             ) from None
     if not instances:
         raise ReproError("no instances given (use --instances N,N,...)")
-    if args.tenants < 1:
-        raise ReproError("--tenants must be >= 1")
     if args.load < 1:
         raise ReproError("--load must be >= 1")
 
-    admission = None
-    if args.admission_rate is not None:
-        admission = TenantAdmission(
-            capacity=args.admission_burst, refill_per_s=args.admission_rate
-        )
-
     with TuningService(
         store_dir=args.store or None,
-        admission=admission,
         max_workers=args.workers,
         timeout_s=args.timeout,
     ) as service:
@@ -279,35 +263,25 @@ def _cmd_service(args: argparse.Namespace) -> int:
             for response in service.warm_up(device, setup, instances):
                 print(f"warm-up  {response.describe()}")
 
-        def tenant_worker(tenant_id: int) -> list:
-            client = ServiceClient(service, tenant=f"tenant{tenant_id}")
-            streams = RandomStreams(seed=tenant_id)
-            wanted = instances * args.load
-            streams.python("order").shuffle(wanted)
-            return [
-                client.resolve(
-                    TuneRequest(
-                        setup=setup,
-                        n_dms=n,
-                        device=device,
-                        priority=args.priority,
-                        strategy=args.strategy or None,
-                    )
+        wanted = instances * args.load
+        RandomStreams(seed=0).python("order").shuffle(wanted)
+        responses = [
+            service.resolve(
+                TuneRequest(
+                    setup=setup,
+                    n_dms=n,
+                    device=device,
+                    strategy=args.strategy or None,
                 )
-                for n in wanted
-            ]
-
-        with ThreadPoolExecutor(max_workers=args.tenants) as pool:
-            per_tenant = list(pool.map(tenant_worker, range(args.tenants)))
-        all_responses = [r for responses in per_tenant for r in responses]
+            )
+            for n in wanted
+        ]
 
         print(
-            f"\n{args.tenants} tenants x "
-            f"{len(instances) * args.load} requests against "
-            f"{device.name}/{setup.name}:"
+            f"\n{len(wanted)} requests against {device.name}/{setup.name}:"
         )
         for n in instances:
-            best = next(r.best for r in all_responses if r.key.n_dms == n)
+            best = next(r.best for r in responses if r.key.n_dms == n)
             print(
                 f"  {n:>6} DMs -> {best.config.describe()} "
                 f"{best.gflops:.1f} GFLOP/s"
@@ -315,24 +289,8 @@ def _cmd_service(args: argparse.Namespace) -> int:
         print()
         print(service.snapshot().render())
 
-        def throttled(responses) -> int:
-            return sum(r.source == "degraded-admission" for r in responses)
-
-        print(
-            f"tenants: {len(all_responses)} requests, "
-            f"{throttled(all_responses)} throttled; "
-            f"{sum(r.degraded for r in all_responses)} degraded"
-        )
-        for responses in per_tenant:
-            print(
-                f"  tenant {responses[0].tenant}: {len(responses)} requests, "
-                f"{throttled(responses)} throttled"
-            )
-
         if args.smoke:
-            _service_pipeline_smoke(
-                ServiceClient(service, tenant="smoke"), device
-            )
+            _service_pipeline_smoke(service, device)
 
     from repro.obs import get_registry, render_table
 
@@ -342,11 +300,11 @@ def _cmd_service(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_pipeline_smoke(client, device) -> None:
+def _service_pipeline_smoke(service, device) -> None:
     """Run one tuned configuration end to end through the pipeline.
 
     Proves the service's answer actually executes: a small synthetic
-    instance is tuned *through the client*, the resulting plan
+    instance is tuned *through the service*, the resulting plan
     dedisperses one chunk through the facade's streaming mode, and the
     same launch goes through the mini OpenCL runtime — so one ``repro
     service`` run populates tuner, service, pipeline, and simulator
@@ -369,7 +327,7 @@ def _service_pipeline_smoke(client, device) -> None:
         samples_per_batch=1000,
     )
     grid = DMTrialGrid(n_dms=8, first=1.0, step=1.0)
-    response = client.resolve(
+    response = service.resolve(
         TuneRequest(setup=setup, n_dms=grid, device=device)
     )
     plan = DedispersionPlan.create(
@@ -870,21 +828,17 @@ def build_parser() -> argparse.ArgumentParser:
     ddplan.set_defaults(func=_cmd_ddplan)
 
     service = sub.add_parser(
-        "service", help="multi-tenant tuning service with cache statistics"
+        "service", help="tuning service with cache statistics"
     )
     service.add_argument("--device", default="HD7970")
     service.add_argument("--setup", default="apertif")
     service.add_argument(
         "--instances", default="32,64,128,256",
-        help="comma-separated DM counts tenants will request",
-    )
-    service.add_argument(
-        "--tenants", type=int, default=4,
-        help="concurrent tenant threads (one ServiceClient each)",
+        help="comma-separated DM counts to request",
     )
     service.add_argument(
         "--load", type=int, default=3,
-        help="requests per tenant per instance",
+        help="requests per instance (issued in a seeded shuffled order)",
     )
     service.add_argument(
         "--workers", type=int, default=2,
@@ -892,23 +846,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--timeout", type=float, default=None,
-        help="per-request tuning budget in seconds before degrading",
-    )
-    service.add_argument(
-        "--priority", choices=("low", "normal", "high"), default="normal",
-        help="TuneRequest priority stamped on the generated load",
+        help="seconds a request waits for its sweep before degrading "
+        "(inf: no limit)",
     )
     service.add_argument(
         "--strategy", default="",
         help="per-request search strategy name (e.g. model-guided)",
-    )
-    service.add_argument(
-        "--admission-rate", type=float, default=None, metavar="TOKENS_PER_S",
-        help="per-tenant token-bucket refill rate (enables admission)",
-    )
-    service.add_argument(
-        "--admission-burst", type=float, default=8.0, metavar="TOKENS",
-        help="per-tenant token-bucket capacity",
     )
     service.add_argument(
         "--store", metavar="DIR", default="",
@@ -916,11 +859,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--warm-up", action="store_true",
-        help="pre-tune all instances before starting the tenants",
+        help="pre-tune all instances before the generated load",
     )
     service.add_argument(
         "--no-smoke", dest="smoke", action="store_false",
-        help="skip the end-to-end pipeline smoke after the tenant traffic",
+        help="skip the end-to-end pipeline smoke after the generated load",
     )
     service.set_defaults(func=_cmd_service, smoke=True)
 

@@ -77,16 +77,6 @@ class FaultProfile:
             transient_rate=0.05, stragglers=1, slowdown=4.0,
         )
 
-    def as_dict(self) -> dict:
-        """JSON-ready rendering."""
-        return {
-            "crashes": self.crashes,
-            "crash_fraction": self.crash_fraction,
-            "transient_rate": self.transient_rate,
-            "stragglers": self.stragglers,
-            "slowdown": self.slowdown,
-        }
-
 
 class FaultInjector:
     """Concrete, seeded fault assignments for one run.

@@ -35,9 +35,6 @@ from repro.sched.shard import Shard
 #: The attempt outcomes a ledger may record.
 OUTCOMES: tuple[str, ...] = ("ok", "transient", "crash")
 
-#: The shard states a ledger may record.
-STATES: tuple[str, ...] = ("pending", "done", "failed")
-
 
 @dataclass(frozen=True)
 class Attempt:
@@ -104,13 +101,6 @@ class RunLedger:
         self.register(shard).state = "failed"
 
     # -- queries -------------------------------------------------------
-    def counts(self) -> dict[str, int]:
-        """State -> number of shards."""
-        out = {state: 0 for state in STATES}
-        for record in self.records.values():
-            out[record.state] += 1
-        return out
-
     @property
     def attempts_total(self) -> int:
         """All attempts across all shards."""

@@ -70,9 +70,7 @@ class ServiceTimeModel:
 
             service = self._ensure_service()
             grid = self.grid.subgrid(0, n_dms)
-            request = TuneRequest(
-                setup=self.setup, n_dms=grid, device=device, tenant="sched"
-            )
+            request = TuneRequest(setup=self.setup, n_dms=grid, device=device)
             config = service.resolve(request).best.config
             self._configs[key] = config
         return config

@@ -1,4 +1,4 @@
-"""A multi-tenant tuning service.
+"""The tuning service.
 
 The paper's auto-tuner is an offline exhaustive sweep per (device, setup,
 DM-count) instance; production surveys tune once and reuse the result for
@@ -7,23 +7,16 @@ layer that makes reuse automatic: :class:`TuningService` is a
 thread-safe, in-process front to :class:`~repro.core.tuner.AutoTuner`
 with an in-memory LRU over the on-disk JSON store, in-flight request
 deduplication, warm-start tuning seeded from neighbouring instances,
-per-tenant token-bucket admission (:class:`TenantAdmission`), and
-graceful degradation to budgeted heuristics under load.
+and graceful degradation to budgeted heuristics under load.
 
 It is driven through one request vocabulary — build a
-:class:`TuneRequest`, hand it to :meth:`ServiceClient.resolve`, read the
+:class:`TuneRequest`, hand it to :meth:`TuningService.resolve`, read the
 :class:`TuneResponse`.
 """
 
-from repro.service.admission import TenantAdmission, TokenBucket
 from repro.service.cache import DiskSweepStore, SweepLRUCache
-from repro.service.client import ServiceClient
 from repro.service.keys import InstanceKey
-from repro.service.request import (
-    PRIORITIES,
-    TuneRequest,
-    TuneResponse,
-)
+from repro.service.request import TuneRequest, TuneResponse
 from repro.service.service import TuningService
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.service.warmstart import (
@@ -33,15 +26,11 @@ from repro.service.warmstart import (
 )
 
 __all__ = [
-    "PRIORITIES",
     "DiskSweepStore",
     "InstanceKey",
-    "ServiceClient",
     "ServiceStats",
     "StatsSnapshot",
     "SweepLRUCache",
-    "TenantAdmission",
-    "TokenBucket",
     "TuneRequest",
     "TuneResponse",
     "TuningService",

@@ -2,21 +2,16 @@
 
 Two frozen dataclasses make up the service's surface:
 
-* :class:`TuneRequest` — everything a caller can say about one tuning
-  request: which instance, who is asking (``tenant``), how the answer
-  may be produced (``strategy``), how long the caller will wait
-  (``budget``) and how urgent it is (``priority``).  It is resolved
-  against a :class:`~repro.service.TuningService` through the one
-  blessed entrypoint ``ServiceClient.resolve(request)``.
+* :class:`TuneRequest` — which instance to tune and, optionally, how a
+  cold sweep may search it (``strategy``).  It is resolved through the
+  one entrypoint ``TuningService.resolve(request)``.
 * :class:`TuneResponse` — the answer plus its provenance: which cache
-  tier or sweep produced it (``source``), which tenant asked, which
-  named service served it (``replica``), and whether it is a degraded
+  tier or sweep produced it (``source``) and whether it is a degraded
   heuristic answer rather than the authoritative optimum (``degraded``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.astro.dm_trials import DMTrialGrid
@@ -27,20 +22,10 @@ from repro.hardware.device import DeviceSpec
 from repro.service.keys import InstanceKey
 from repro.tune import build_strategy
 
-#: Admission/degradation priorities, least to most urgent.
-PRIORITIES = ("low", "normal", "high")
-
-#: Degradation-budget multiplier per priority: when a request must be
-#: answered heuristically, higher-priority requests are granted a larger
-#: evaluation budget (a better degraded answer), lower-priority a smaller
-#: one.  Admission itself charges every request the same one token —
-#: priority buys answer quality under pressure, not queue jumping.
-PRIORITY_BUDGET_SCALE = {"low": 0.5, "normal": 1.0, "high": 2.0}
-
 
 @dataclass(frozen=True)
 class TuneRequest:
-    """One tenant's request for a tuned configuration.
+    """One request for a tuned configuration.
 
     Parameters
     ----------
@@ -52,11 +37,6 @@ class TuneRequest:
         :class:`~repro.astro.dm_trials.DMTrialGrid`.
     device:
         The target accelerator, or its catalogue name.
-    tenant:
-        Who is asking.  Tenancy drives the service's admission (each
-        tenant has its own token bucket); it is *not* part of the cache
-        identity — one tenant's sweep warms every other tenant of the
-        same instance.
     strategy:
         Optional :class:`~repro.tune.SearchStrategy` (or its registry
         name) for a cold sweep instead of the exhaustive one.  A name is
@@ -64,41 +44,14 @@ class TuneRequest:
         :class:`~repro.errors.TuningError` before the request reaches a
         service.  When concurrent requests share one sweep, the leader's
         strategy wins.
-    budget:
-        Seconds the caller will wait for an authoritative answer before
-        degrading to the budgeted heuristic.  ``None`` uses the service
-        default; ``math.inf`` waits indefinitely.
-    priority:
-        ``"low"`` / ``"normal"`` / ``"high"``; scales the evaluation
-        budget of a degraded answer (see :data:`PRIORITY_BUDGET_SCALE`).
     """
 
     setup: ObservationSetup | str
     n_dms: int | DMTrialGrid
     device: DeviceSpec | str
-    tenant: str = "default"
     strategy: object = None
-    budget: float | None = None
-    priority: str = "normal"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tenant, str) or not self.tenant:
-            raise ValidationError("tenant must be a non-empty string")
-        if self.priority not in PRIORITIES:
-            raise ValidationError(
-                f"priority must be one of {PRIORITIES}, got {self.priority!r}"
-            )
-        if self.budget is not None:
-            if (
-                not isinstance(self.budget, (int, float))
-                or isinstance(self.budget, bool)
-                or math.isnan(self.budget)
-                or self.budget < 0
-            ):
-                raise ValidationError(
-                    "budget must be >= 0 seconds, math.inf, or None "
-                    f"(got {self.budget!r})"
-                )
         if isinstance(self.n_dms, int):
             if self.n_dms < 1:
                 raise ValidationError("n_dms must be >= 1")
@@ -133,40 +86,23 @@ class TuneRequest:
     def key(self) -> InstanceKey:
         """The cache identity of this request's instance.
 
-        Tenant, strategy, budget, and priority are deliberately *not*
-        part of the key: they describe how to produce and account for
-        the answer, not which answer is correct — that is what lets the
-        service share one cache entry across every tenant.
+        The strategy is deliberately *not* part of the key: it describes
+        how to produce the answer, not which answer is correct — that is
+        what lets every caller of the service share one cache entry.
         """
         return InstanceKey.for_instance(
             self.resolved_device(), self.resolved_setup(), self.resolved_grid()
         )
 
-    def degraded_budget(self, base: int) -> int:
-        """The heuristic evaluation budget, scaled by priority."""
-        return max(1, int(base * PRIORITY_BUDGET_SCALE[self.priority]))
-
-    def describe(self) -> str:
-        """One-line human identity for logs and CLI output."""
-        grid = self.resolved_grid()
-        return (
-            f"{self.tenant}: {self.resolved_device().name}/"
-            f"{self.resolved_setup().name}/{grid.n_dms} DMs "
-            f"[{self.priority}]"
-        )
-
 
 @dataclass(frozen=True)
 class TuneResponse:
-    """One answered request: the sweep, how it was produced, and for whom.
+    """One answered request: the sweep and how it was produced.
 
     ``source`` is one of ``memory``, ``disk``, ``sweep``, ``warm``,
     ``warm-fallback``, ``strategy-<name>``, ``degraded-timeout``,
     ``degraded-admission``.  Degraded responses carry a heuristic
     (budget-bounded) result rather than the exhaustive optimum.
-    ``tenant`` echoes the requester and ``replica`` names the
-    :class:`~repro.service.TuningService` that served the request (its
-    ``name``; ``None`` when the service is unnamed).
     """
 
     key: InstanceKey
@@ -174,8 +110,6 @@ class TuneResponse:
     source: str
     elapsed_s: float
     degraded: bool = False
-    tenant: str = "default"
-    replica: str | None = None
 
     @property
     def best(self) -> ConfigurationSample:
@@ -185,12 +119,8 @@ class TuneResponse:
     def describe(self) -> str:
         """One-line summary for logs and CLI output."""
         flag = " DEGRADED" if self.degraded else ""
-        extras = [self.tenant]
-        if self.replica:
-            extras.append(self.replica)
         return (
             f"{self.key.describe()} -> {self.best.config.describe()} "
             f"{self.best.gflops:.1f} GFLOP/s "
-            f"[{self.source}{flag}, {1e3 * self.elapsed_s:.1f} ms] "
-            f"({', '.join(extras)})"
+            f"[{self.source}{flag}, {1e3 * self.elapsed_s:.1f} ms]"
         )

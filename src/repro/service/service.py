@@ -5,27 +5,23 @@
 request tuned configurations for overlapping problem instances.  The
 request path, in order:
 
-1. **Tenant admission** — with a
-   :class:`~repro.service.admission.TenantAdmission` configured, each
-   request is charged one token from its tenant's bucket; a throttled
-   tenant goes straight to degradation, so it degrades only itself.
-2. **Memory tier** — an LRU of complete sweeps; hits cost microseconds.
-3. **Disk tier** — persisted JSON sweeps (optional); a hit re-simulates,
+1. **Memory tier** — an LRU of complete sweeps; hits cost microseconds.
+2. **Disk tier** — persisted JSON sweeps (optional); a hit re-simulates,
    verifies, and promotes the sweep into memory.  A restarted service
    on the same directory answers from here without re-sweeping.
-4. **In-flight deduplication** — N concurrent requests for the same
-   instance, from any tenants, share one sweep; followers just wait on
-   the leader's future.
-5. **Pool admission** — sweeps run on a bounded worker pool behind a
+3. **In-flight deduplication** — N concurrent requests for the same
+   instance share one sweep; followers just wait on the leader's
+   future.
+4. **Pool admission** — sweeps run on a bounded worker pool behind a
    bounded queue.  A request that cannot even queue degrades immediately.
-6. **Warm start** — a sweep seeded by the nearest cached neighbour (same
+5. **Warm start** — a sweep seeded by the nearest cached neighbour (same
    device/setup/model, different DM count) prunes most of the space, with
    a probe guard that falls back to the exhaustive sweep when refuted.
-7. **Degradation** — when the tuning budget is exhausted (timeout,
-   throttled tenant, or full pool) the caller gets a deterministic
-   budgeted heuristic answer (:func:`repro.tune.budgeted_tune`),
-   flagged ``degraded`` and never cached; the authoritative sweep, if one
-   is running, still completes in the background and lands in the cache.
+6. **Degradation** — when the tuning budget is exhausted (timeout or
+   full pool) the caller gets a deterministic budgeted heuristic answer
+   (:func:`repro.tune.budgeted_tune`), flagged ``degraded`` and never
+   cached; the authoritative sweep, if one is running, still completes
+   in the background and lands in the cache.
 
 The request surface is :meth:`TuningService.resolve`, taking a
 :class:`~repro.service.TuneRequest`.  Every step is metered through
@@ -50,7 +46,6 @@ from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError
 from repro.hardware.device import DeviceSpec
 from repro.obs import MetricsRegistry, span
-from repro.service.admission import TenantAdmission
 from repro.service.cache import DiskSweepStore, SweepLRUCache
 from repro.service.keys import InstanceKey
 from repro.service.request import TuneRequest, TuneResponse
@@ -64,6 +59,36 @@ __all__ = ["TuningService"]
 #: tests can count or stall sweeps without monkey-patching).
 TunerFactory = Callable[[DeviceSpec, ObservationSetup], AutoTuner]
 
+#: Memory-tier LRU capacity, in complete sweeps.
+CACHE_CAPACITY = 128
+
+#: Model evaluations granted to the degradation path,
+#: :func:`repro.tune.budgeted_tune`.
+DEGRADED_BUDGET = 48
+
+
+def _wait_seconds(timeout_s) -> float | None:
+    """``timeout_s`` as a ``Future.result`` timeout (``None``: no limit).
+
+    ``None`` and ``math.inf`` wait indefinitely; anything else must be
+    a finite number of seconds >= 0.  NaN compares false against every
+    deadline, so it would degrade every request silently.
+    """
+    if timeout_s is None:
+        return None
+    if (
+        isinstance(timeout_s, bool)
+        or not isinstance(timeout_s, (int, float))
+        or math.isnan(timeout_s)
+        or timeout_s < 0
+    ):
+        raise PipelineError(
+            "timeout_s must be >= 0 seconds, math.inf, or None "
+            f"(got {timeout_s!r})"
+        )
+    return None if math.isinf(timeout_s) else float(timeout_s)
+
+
 class TuningService:
     """Thread-safe tuning frontend with caching, dedup, and degradation.
 
@@ -74,8 +99,6 @@ class TuningService:
 
     Parameters
     ----------
-    capacity:
-        Memory-tier LRU capacity (complete sweeps).
     store_dir:
         Directory for the persistent tier; ``None`` disables it.
     max_workers:
@@ -83,19 +106,10 @@ class TuningService:
     queue_limit:
         Sweeps allowed to wait beyond the running ones; a request that
         finds pool *and* queue full degrades immediately.
-    admission:
-        A :class:`~repro.service.admission.TenantAdmission` charged one
-        token per request, per tenant, before any cache tier; a
-        throttled request is answered by the degradation path.  ``None``
-        admits everything.
     timeout_s:
-        Default per-request budget to wait for a sweep before degrading;
-        ``None`` waits indefinitely.  A request's ``budget`` field
-        overrides it per call.
-    degraded_budget:
-        Model evaluations granted to the degradation path,
-        :func:`repro.tune.budgeted_tune`, before the request's priority
-        scaling.
+        Seconds a request waits for a sweep before degrading; ``None``
+        or ``math.inf`` waits indefinitely.  Anything but a number
+        >= 0 raises :class:`~repro.errors.PipelineError`.
     warm_start:
         Seed sweeps from the nearest cached neighbouring instance
         (:func:`repro.service.warmstart.warm_start_tune`).
@@ -104,40 +118,30 @@ class TuningService:
         testing.
     registry:
         The :class:`~repro.obs.MetricsRegistry` service metrics are
-        recorded into (default: the process-wide registry).
-    name:
-        The ``instance`` label on this service's metric series
-        (auto-assigned ``svc0``, ``svc1``, ... when omitted), echoed as
-        ``TuneResponse.replica`` when given.
+        recorded into (default: the process-wide registry), under an
+        auto-assigned ``instance`` label (``svc0``, ``svc1``, ...).
     """
 
     def __init__(
         self,
-        capacity: int = 128,
         store_dir=None,
         max_workers: int = 2,
         queue_limit: int = 8,
-        admission: TenantAdmission | None = None,
         timeout_s: float | None = None,
-        degraded_budget: int = 48,
         warm_start: bool = True,
         tuner_factory: TunerFactory | None = None,
         registry: MetricsRegistry | None = None,
-        name: str | None = None,
     ):
         if max_workers < 1:
             raise PipelineError("max_workers must be >= 1")
         if queue_limit < 0:
             raise PipelineError("queue_limit must be >= 0")
-        self.admission = admission
-        self.timeout_s = timeout_s
-        self.degraded_budget = degraded_budget
+        self._wait_s = _wait_seconds(timeout_s)
         self.warm_start = warm_start
         self._tuner_factory = tuner_factory or AutoTuner
-        self.name = name
-        self.cache = SweepLRUCache(capacity)
+        self.cache = SweepLRUCache(CACHE_CAPACITY)
         self.store = DiskSweepStore(store_dir) if store_dir else None
-        self.stats = ServiceStats(registry=registry, instance=name)
+        self.stats = ServiceStats(registry=registry)
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-tune"
         )
@@ -152,32 +156,23 @@ class TuningService:
     def resolve(self, request: TuneRequest) -> TuneResponse:
         """The tuned sweep for ``request``, produced as cheaply as possible.
 
-        The one blessed request entrypoint: walks tenant admission →
-        memory → disk → deduplicated (possibly warm-started or
-        strategy-driven) sweep → heuristic degradation, honouring the
-        request's ``budget`` and ``priority`` and stamping the response
-        with this service's name and the request's tenant.
+        The one request entrypoint: walks memory → disk → deduplicated
+        (possibly warm-started or strategy-driven) sweep → heuristic
+        degradation once ``timeout_s`` has passed or the pool is full.
         """
         if self._closed:
             raise PipelineError("TuningService is closed")
-        admitted = self.admission is None or self.admission.try_acquire(
-            request.tenant
-        )
         device = request.resolved_device()
         setup = request.resolved_setup()
         grid = request.resolved_grid()
-        budget = self._budget_seconds(request.budget)
         key = InstanceKey.for_instance(device, setup, grid)
         self.stats.incr("requests")
         started = time.perf_counter()
-        if not admitted:  # the tenant's bucket is empty
-            self.stats.incr("degraded_admission")
-            return self._degrade(request, key, "admission", started)
 
         cached = self.cache.get(key)
         if cached is not None:
             self.stats.incr("hits_memory")
-            return self._respond(request, key, cached, "memory", started)
+            return self._respond(key, cached, "memory", started)
 
         if self.store is not None:
             present = key in self.store
@@ -185,7 +180,7 @@ class TuningService:
             if loaded is not None:
                 self.cache.put(key, loaded)
                 self.stats.incr("hits_disk")
-                return self._respond(request, key, loaded, "disk", started)
+                return self._respond(key, loaded, "disk", started)
             if present:
                 self.stats.incr("invalidations")
 
@@ -194,19 +189,17 @@ class TuningService:
             # The sweep we raced with completed between the cache check
             # and the in-flight check; its result is already cached.
             self.stats.incr("hits_memory")
-            return self._respond(
-                request, key, self.cache.get(key), "memory", started
-            )
+            return self._respond(key, self.cache.get(key), "memory", started)
         self.stats.incr("misses")
         if verdict == "rejected":  # admission control: pool and queue full
             self.stats.incr("degraded_admission")
             return self._degrade(request, key, "admission", started)
         try:
-            result, source = future.result(timeout=budget)
+            result, source = future.result(timeout=self._wait_s)
         except FutureTimeoutError:
             self.stats.incr("degraded_timeout")
             return self._degrade(request, key, "timeout", started)
-        return self._respond(request, key, result, source, started)
+        return self._respond(key, result, source, started)
 
     def warm_up(
         self,
@@ -241,17 +234,8 @@ class TuningService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _budget_seconds(self, budget: float | None) -> float | None:
-        """Request budget -> ``Future.result`` timeout semantics."""
-        if budget is None:
-            return self.timeout_s
-        if math.isinf(budget):
-            return None
-        return budget
-
     def _respond(
         self,
-        request: TuneRequest,
         key: InstanceKey,
         result,
         source: str,
@@ -266,8 +250,6 @@ class TuningService:
             source=source,
             elapsed_s=elapsed,
             degraded=degraded,
-            tenant=request.tenant,
-            replica=self.name,
         )
 
     def _join_or_lead(
@@ -369,24 +351,18 @@ class TuningService:
 
         Runs :func:`~repro.tune.budgeted_tune` on the *caller's* thread
         (it must not need pool capacity — a full pool is one reason we
-        are here, a throttled tenant the other) and is never cached: if
-        an authoritative sweep is still in flight it will populate the
-        cache when it completes.  The request's priority scales the
-        evaluation budget granted, and the model evaluations actually
-        spent are surfaced in ``ServiceStats.degraded_evaluations``.
+        are here) and is never cached: if an authoritative sweep is still
+        in flight it will populate the cache when it completes.  The
+        model evaluations actually spent are surfaced in
+        ``ServiceStats.degraded_evaluations``.
         """
         outcome = budgeted_tune(
             request.resolved_device(),
             request.resolved_setup(),
             request.resolved_grid(),
-            budget=request.degraded_budget(self.degraded_budget),
+            budget=DEGRADED_BUDGET,
         )
         self.stats.incr("degraded_evaluations", by=outcome.measurements)
         return self._respond(
-            request,
-            key,
-            outcome.result,
-            f"degraded-{reason}",
-            started,
-            degraded=True,
+            key, outcome.result, f"degraded-{reason}", started, degraded=True
         )

@@ -133,9 +133,10 @@ class ServiceStats:
         The :class:`~repro.obs.MetricsRegistry` to record into; defaults
         to the process-wide registry, which is what makes the service
         visible to ``repro obs export``.
-    instance:
-        Label isolating this service's series from other services in the
-        same process; auto-assigned (``svc0``, ``svc1``, ...) when omitted.
+
+    Each instance records under its own auto-assigned ``instance`` label
+    (``svc0``, ``svc1``, ...), isolating its series from other services
+    in the same process.
     """
 
     #: Counter names — must match the integer fields of StatsSnapshot.
@@ -145,12 +146,9 @@ class ServiceStats:
         self,
         latency_window: int = 2048,
         registry: MetricsRegistry | None = None,
-        instance: str | None = None,
     ):
         self.registry = registry if registry is not None else get_registry()
-        self.instance = (
-            instance if instance is not None else f"svc{next(_instance_ids)}"
-        )
+        self.instance = f"svc{next(_instance_ids)}"
         self._counters = {
             name: self.registry.counter(
                 metric, instance=self.instance, **labels

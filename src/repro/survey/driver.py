@@ -30,6 +30,7 @@ from repro.astro.candidates import Candidate, SiftedCandidate
 from repro.errors import LedgerError, PipelineError
 from repro.hardware import device_by_name
 from repro.obs import get_registry, span
+from repro.pipeline.multibeam import DEFAULT_DEVICE_MEMORY
 from repro.sched import ExecutionEngine, RunReport
 from repro.sched.ledger import (
     SurveyBeamRecord,
@@ -45,9 +46,6 @@ from repro.survey.coincidence import (
 )
 from repro.survey.observation import realize_survey
 from repro.survey.plan import SurveyPlan
-
-#: Memory per simulated fleet device (matches the multi-beam planner).
-DEFAULT_DEVICE_MEMORY = 3 * 1024**3
 
 #: Devices in the simulated fleet a survey dispatches its beams to.
 FLEET_UNITS = 3

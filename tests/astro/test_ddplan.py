@@ -1,6 +1,5 @@
 """Unit tests for repro.astro.ddplan — smearing-optimal DM planning."""
 
-import numpy as np
 import pytest
 
 from repro.astro.ddplan import (

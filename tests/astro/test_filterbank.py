@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.astro.filterbank import (
-    FilterbankHeader,
     read_filterbank,
     write_filterbank,
 )

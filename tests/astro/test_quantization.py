@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.astro.quantization import (
-    QuantizedData,
     ai_bound_with_input_bytes,
     quantization_noise_sigma,
     quantize,

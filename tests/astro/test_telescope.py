@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.telescope import Beam, StreamChunk, Telescope
 from repro.errors import ValidationError

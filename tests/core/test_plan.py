@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.astro.dm_trials import DMTrialGrid
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import ConfigurationError

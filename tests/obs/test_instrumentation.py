@@ -18,7 +18,7 @@ from repro.hardware.catalog import hd7970
 from repro.obs.registry import use_registry
 from repro.opencl_sim.runtime import CommandQueue, Context, SimDevice
 from repro.run import ExecutionRequest, execute
-from repro.service import ServiceClient, TuneRequest, TuningService
+from repro.service import TuneRequest, TuningService
 
 DEVICE = hd7970()
 REQUEST = TuneRequest(setup=apertif(), n_dms=16, device=DEVICE)
@@ -48,9 +48,8 @@ class TestServiceInstrumentation:
     def test_cache_tiers_and_latency_reach_registry(self):
         with use_registry() as reg:
             with TuningService(warm_start=False) as service:
-                client = ServiceClient(service)
-                client.resolve(REQUEST)
-                client.resolve(REQUEST)
+                service.resolve(REQUEST)
+                service.resolve(REQUEST)
                 instance = service.stats.instance
             assert reg.counter(
                 "repro_service_requests_total", instance=instance
@@ -74,7 +73,7 @@ class TestServiceInstrumentation:
     def test_snapshot_and_registry_agree(self):
         with use_registry() as reg:
             with TuningService(warm_start=False) as service:
-                ServiceClient(service).resolve(REQUEST)
+                service.resolve(REQUEST)
                 snap = service.snapshot()
                 instance = service.stats.instance
             assert snap.requests == reg.counter(

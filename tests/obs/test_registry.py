@@ -10,7 +10,6 @@ from repro.obs.registry import (
     DEFAULT_WINDOW,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     percentile,

@@ -1,6 +1,5 @@
 """Property-based tests on the performance-model invariants."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -33,13 +33,6 @@ class TestFaultProfile:
         with pytest.raises(ValidationError):
             FaultProfile(crashes=-1)
 
-    def test_as_dict_round_trip_keys(self):
-        d = FaultProfile.default_injection().as_dict()
-        assert set(d) == {
-            "crashes", "crash_fraction", "transient_rate",
-            "stragglers", "slowdown",
-        }
-
 
 class TestFaultInjector:
     def _injector(self, profile, seed=0, horizon=10.0, workers=WORKERS):

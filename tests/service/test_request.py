@@ -1,54 +1,17 @@
 """Validation and resolution semantics of TuneRequest/TuneResponse."""
 
-import math
-
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.errors import ValidationError
 from repro.hardware.catalog import hd7970
-from repro.service import PRIORITIES, TuneRequest
-from repro.service.request import PRIORITY_BUDGET_SCALE
+from repro.service import TuneRequest
 
 DEVICE = hd7970()
 
 
 class TestValidation:
-    def test_defaults_are_normal_priority_default_tenant(self):
-        request = TuneRequest(setup="apertif", n_dms=32, device="HD7970")
-        assert request.tenant == "default"
-        assert request.priority == "normal"
-        assert request.budget is None
-        assert request.strategy is None
-
-    @pytest.mark.parametrize("tenant", ["", None, 7])
-    def test_rejects_bad_tenant(self, tenant):
-        with pytest.raises(ValidationError):
-            TuneRequest(
-                setup="apertif", n_dms=32, device="HD7970", tenant=tenant
-            )
-
-    def test_rejects_unknown_priority(self):
-        with pytest.raises(ValidationError):
-            TuneRequest(
-                setup="apertif", n_dms=32, device="HD7970", priority="urgent"
-            )
-
-    @pytest.mark.parametrize("budget", [-1.0, -math.inf, "fast"])
-    def test_rejects_bad_budget(self, budget):
-        with pytest.raises(ValidationError):
-            TuneRequest(
-                setup="apertif", n_dms=32, device="HD7970", budget=budget
-            )
-
-    def test_accepts_inf_and_zero_budget(self):
-        for budget in (0, 0.0, math.inf):
-            request = TuneRequest(
-                setup="apertif", n_dms=32, device="HD7970", budget=budget
-            )
-            assert request.budget == budget
-
     @pytest.mark.parametrize("n_dms", [0, -4, "many", 3.5])
     def test_rejects_bad_n_dms(self, n_dms):
         with pytest.raises(ValidationError):
@@ -57,7 +20,7 @@ class TestValidation:
     def test_request_is_frozen(self):
         request = TuneRequest(setup="apertif", n_dms=32, device="HD7970")
         with pytest.raises(Exception):
-            request.tenant = "other"
+            request.n_dms = 64
 
 
 class TestResolution:
@@ -86,36 +49,9 @@ class TestResolution:
         )
         assert by_name.key() == by_object.key()
 
-    def test_key_ignores_tenant_strategy_budget_priority(self):
+    def test_key_ignores_strategy(self):
         base = TuneRequest(setup="apertif", n_dms=32, device="HD7970")
         varied = TuneRequest(
-            setup="apertif", n_dms=32, device="HD7970",
-            tenant="other", strategy="halving", budget=1.5, priority="high",
+            setup="apertif", n_dms=32, device="HD7970", strategy="halving"
         )
         assert base.key() == varied.key()
-
-    def test_describe_names_tenant_and_priority(self):
-        request = TuneRequest(
-            setup="apertif", n_dms=32, device="HD7970",
-            tenant="survey", priority="high",
-        )
-        text = request.describe()
-        assert "survey" in text and "high" in text and "32 DMs" in text
-
-
-class TestPriorityBudget:
-    def test_priority_scales_degraded_budget(self):
-        for priority in PRIORITIES:
-            request = TuneRequest(
-                setup="apertif", n_dms=32, device="HD7970", priority=priority
-            )
-            expected = max(
-                1, int(48 * PRIORITY_BUDGET_SCALE[priority])
-            )
-            assert request.degraded_budget(48) == expected
-
-    def test_budget_never_drops_below_one_evaluation(self):
-        request = TuneRequest(
-            setup="apertif", n_dms=32, device="HD7970", priority="low"
-        )
-        assert request.degraded_budget(1) == 1

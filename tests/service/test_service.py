@@ -8,11 +8,12 @@ Covers the PR's acceptance criteria directly:
   Apertif and LOFAR reference instances,
 
 plus in-flight deduplication under real threads, both cache tiers,
-stale-entry invalidation, the timeout/admission degradation paths, and
-per-tenant token-bucket admission.
+stale-entry invalidation, the timeout and full-pool degradation paths,
+and the validation of ``timeout_s``.
 """
 
 import json
+import math
 import threading
 import time
 
@@ -23,23 +24,17 @@ from repro.astro.observation import apertif, lofar
 from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError, TuningError
 from repro.hardware.catalog import hd7970
-from repro.service import (
-    InstanceKey,
-    ServiceClient,
-    TenantAdmission,
-    TuneRequest,
-    TuningService,
-)
-from tests.service.test_admission import FakeClock
+from repro.service import InstanceKey, TuneRequest, TuningService
+from repro.service.service import DEGRADED_BUDGET
 
 DEVICE = hd7970()
 
 
-def resolve(service, n_dms, tenant=None, **request_kwargs):
-    """Resolve one Apertif request for ``DEVICE`` through a client."""
-    return ServiceClient(service, tenant=tenant).resolve(
+def resolve(service, n_dms, strategy=None):
+    """Resolve one Apertif request for ``DEVICE``."""
+    return service.resolve(
         TuneRequest(
-            setup=apertif(), n_dms=n_dms, device=DEVICE, **request_kwargs
+            setup=apertif(), n_dms=n_dms, device=DEVICE, strategy=strategy
         )
     )
 
@@ -139,11 +134,9 @@ class TestDeduplication:
             results = []
             threads = [
                 threading.Thread(
-                    target=lambda i=i: results.append(
-                        resolve(service, 32, f"tenant{i}")
-                    )
+                    target=lambda: results.append(resolve(service, 32))
                 )
-                for i in range(n_clients)
+                for _ in range(n_clients)
             ]
             for t in threads:
                 t.start()
@@ -161,10 +154,6 @@ class TestDeduplication:
         assert snap.dedups == n_clients - 1
         assert len(results) == n_clients
         assert len({r.best.config for r in results}) == 1
-        # M tenants, one sweep, M responses, each stamped with its asker.
-        assert sorted(r.tenant for r in results) == sorted(
-            f"tenant{i}" for i in range(n_clients)
-        )
 
 
 class TestDiskTier:
@@ -277,54 +266,16 @@ class TestDegradation:
             resolve(service, 8)
 
 
-class TestTenantAdmission:
-    def test_aggressor_degrades_only_itself(self):
-        admission = TenantAdmission(
-            capacity=2, refill_per_s=0.0, clock=FakeClock()
-        )
-        with TuningService(admission=admission, warm_start=False) as service:
-            aggressor = [resolve(service, 16, "aggressor") for _ in range(5)]
-            victim = [resolve(service, 16, "victim") for _ in range(2)]
-        assert [r.degraded for r in aggressor] == [
-            False, False, True, True, True,
-        ]
-        assert all(
-            r.source == "degraded-admission"
-            for r in aggressor if r.degraded
-        )
-        assert [r.degraded for r in victim] == [False, False]
-        assert service.snapshot().degraded_admission == 3
+class TestTimeoutValidation:
+    @pytest.mark.parametrize("timeout_s", [-1, -math.inf, math.nan, "fast"])
+    def test_rejects_bad_timeout(self, timeout_s):
+        with pytest.raises(PipelineError, match="timeout_s"):
+            TuningService(timeout_s=timeout_s)
 
-    def test_throttled_answers_are_never_cached(self):
-        admission = TenantAdmission(
-            capacity=1, refill_per_s=0.0, clock=FakeClock()
-        )
-        with TuningService(admission=admission, warm_start=False) as service:
-            first = resolve(service, 16, "t")
-            throttled = resolve(service, 24, "t")
-            assert not first.degraded and throttled.degraded
-            # Re-admitting the tenant later performs the real sweep.
-            admission.bucket("t")._tokens = 1.0
-            real = resolve(service, 24, "t")
-            assert not real.degraded
-            assert real.source == "sweep"
-
-    def test_priority_scales_the_degraded_budget(self):
-        def degraded_evaluations(priority: str) -> int:
-            admission = TenantAdmission(
-                capacity=1, refill_per_s=0.0, clock=FakeClock()
-            )
-            with TuningService(
-                admission=admission, warm_start=False, degraded_budget=8,
-            ) as service:
-                resolve(service, 16, "t")  # drain the bucket
-                response = resolve(service, 24, "t", priority=priority)
-                assert response.degraded
-                return service.snapshot().degraded_evaluations
-
-        # high priority quadruples low's evaluation budget (16 vs 4);
-        # the heuristic always spends at least its probe half.
-        assert degraded_evaluations("high") > degraded_evaluations("low")
+    @pytest.mark.parametrize("timeout_s", [0, 0.0, math.inf, None])
+    def test_accepts_zero_inf_and_none(self, timeout_s):
+        with TuningService(timeout_s=timeout_s, max_workers=1) as service:
+            assert resolve(service, 8).best.gflops > 0
 
 
 class TestSearchStrategies:
@@ -388,7 +339,7 @@ class TestSearchStrategies:
             release.set()
         assert degraded.degraded
         snap = service.snapshot()
-        assert 0 < snap.degraded_evaluations <= service.degraded_budget
+        assert 0 < snap.degraded_evaluations <= DEGRADED_BUDGET
 
 
 @pytest.mark.slow

@@ -112,32 +112,51 @@ class TestStudy:
 
 
 class TestService:
-    def test_serves_concurrent_tenants_and_prints_stats(self, capsys):
+    def test_serves_shuffled_load_and_prints_stats(self, capsys):
         code = main([
             "service",
             "--instances", "16,32",
-            "--tenants", "2",
             "--load", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
+        assert "4 requests against" in out
         assert "sweeps executed" in out
         assert "hit rate" in out
         assert "16 DMs" in out and "32 DMs" in out
-        assert "tenant tenant0" in out and "tenant tenant1" in out
 
-    def test_single_tenant_single_request(self, capsys):
+    def test_single_request(self, capsys):
         code = main([
             "service",
             "--instances", "16",
-            "--tenants", "1",
             "--load", "1",
             "--no-smoke",
         ])
         assert code == 0
         assert "sweeps executed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--clients", "--requests"])
+    def test_inf_timeout_waits_for_every_sweep(self, capsys):
+        code = main([
+            "service",
+            "--instances", "16,32",
+            "--load", "1",
+            "--timeout", "inf",
+            "--no-smoke",
+        ])
+        assert code == 0
+        import re
+
+        assert re.search(
+            r"degraded \(timeout\)\s*: 0\b", capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--clients", "--requests", "--tenants", "--priority",
+            "--admission-rate", "--admission-burst",
+        ],
+    )
     def test_retired_flag_spellings_rejected(self, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["service", "--instances", "16", flag, "1", "--no-smoke"])
@@ -147,7 +166,6 @@ class TestService:
         code = main([
             "service",
             "--instances", "16,32",
-            "--tenants", "1",
             "--load", "1",
             "--warm-up",
         ])
@@ -160,7 +178,6 @@ class TestService:
         argv = [
             "service",
             "--instances", "16",
-            "--tenants", "1",
             "--load", "1",
             "--store", str(tmp_path),
         ]
@@ -172,33 +189,15 @@ class TestService:
 
         assert re.search(r"cache hits \(disk\)\s*: 1\b", out)
 
-    def test_admission_throttles_under_load(self, capsys):
-        code = main([
-            "service",
-            "--instances", "16",
-            "--tenants", "2",
-            "--load", "4",
-            "--admission-rate", "0.001",
-            "--admission-burst", "1",
-            "--no-smoke",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        import re
-
-        match = re.search(r"(\d+) throttled;", out)
-        assert match and int(match.group(1)) > 0
-
     @pytest.mark.parametrize(
         "argv",
         [
             ["--instances", ""],
             ["--instances", "16", "--load", "0"],
-            ["--instances", "16", "--tenants", "0"],
-            ["--instances", "16", "--admission-rate", "1",
-             "--admission-burst", "nan"],
+            ["--instances", "16", "--timeout", "nan"],
+            ["--instances", "16", "--timeout", "-1"],
         ],
-        ids=["no-instances", "zero-load", "zero-tenants", "nan-burst"],
+        ids=["no-instances", "zero-load", "nan-timeout", "negative-timeout"],
     )
     def test_rejects_empty_instances(self, argv, capsys):
         assert main(["service", *argv]) == 2

@@ -41,8 +41,7 @@ class TestCuratedAll:
 
     def test_service_names_are_blessed(self):
         for name in ("TuningService", "ServiceStats", "StatsSnapshot",
-                     "ServiceClient", "TuneRequest", "TuneResponse",
-                     "TenantAdmission"):
+                     "TuneRequest", "TuneResponse"):
             assert name in repro.__all__
 
     def test_blessed_objects_match_home_modules(self):

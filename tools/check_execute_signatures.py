@@ -14,13 +14,13 @@ Two checks:
 * every pinned entrypoint (``PINNED``) carries exactly the agreed
   parameter list, in order.  The pins are the facade's ``execute``,
   the kernel body it dispatches to, the :class:`SignalSource`
-  protocol and the tuning service's ``resolve`` entrypoints; a pinned
-  file or name that goes missing is an error.  A pinned *class* is a
-  dataclass whose settable fields (annotated names not declared
-  ``field(init=False)``) are pinned the same way: ``execute(request)``
-  takes one :class:`ExecutionRequest`, so its fields are the facade's
-  real keyword set, and a new request setting needs a visible edit
-  here;
+  protocol, the tuning service's ``resolve`` entrypoint and its
+  :class:`TuneRequest`; a pinned file or name that goes missing is an
+  error.  A pinned *class* is a dataclass whose settable fields
+  (annotated names not declared ``field(init=False)``) are pinned the
+  same way: ``execute(request)`` takes one :class:`ExecutionRequest`,
+  so its fields are the facade's real keyword set, and a new request
+  setting needs a visible edit here;
 * no ``execute``/``generate``/``add_to``/``resolve``-family function,
   and no pinned class, in the pinned files reintroduces a banned alias
   (``ALIASES``) for one of the agreed names.
@@ -77,14 +77,15 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         ("data", "setup", "streams"),
     ),
     # resolve(request) is the one request entrypoint of the tuning
-    # service and its client.
+    # service; a request names its instance and, optionally, a search
+    # strategy, and nothing else.
     "TuningService.resolve": (
         "repro/service/service.py",
         ("request",),
     ),
-    "ServiceClient.resolve": (
-        "repro/service/client.py",
-        ("request",),
+    "TuneRequest": (
+        "repro/service/request.py",
+        ("setup", "n_dms", "device", "strategy"),
     ),
 }
 
