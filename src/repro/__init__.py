@@ -103,13 +103,6 @@ from repro.tune import (
     SuccessiveHalving,
     ModelGuidedSearch,
     build_strategy,
-    StudyConfig,
-    StudyResult,
-    run_study,
-    save_study,
-    load_study,
-    run_ablation,
-    AblationReport,
 )
 from repro.service import (
     TuningService,
@@ -238,20 +231,13 @@ __all__ = [
     "use_registry",
     "percentile",
     "span",
-    # model-guided search & ablation
+    # model-guided search
     "SearchStrategy",
     "SearchOutcome",
     "ExhaustiveSearch",
     "SuccessiveHalving",
     "ModelGuidedSearch",
     "build_strategy",
-    "StudyConfig",
-    "StudyResult",
-    "run_study",
-    "save_study",
-    "load_study",
-    "run_ablation",
-    "AblationReport",
     # serving layer
     "TuningService",
     "TuneRequest",

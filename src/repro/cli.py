@@ -27,6 +27,8 @@ Subcommands:
   matched filtering, sifting with RFI vetoes) and verify the injected
   candidate is recovered; ``--backend both`` runs the tiled and
   vectorized kernel executors back to back.
+* ``scenarios`` — list the seeded scenario catalogue, run its matrix,
+  or record / check the golden regression files.
 * ``obs`` — dump, export (Prometheus text / JSON lines / JSON), or reset
   the observability snapshot accumulated by the other subcommands.
 """
@@ -121,71 +123,11 @@ def _parse_instances(text: str) -> list[int]:
             instances.append(int(token))
         except ValueError:
             raise ReproError(
-                f"invalid instance {token!r} (expected integers)"
+                f"invalid instance {token!r} in --instances (expected integers)"
             ) from None
     if not instances:
-        raise ReproError("no instances given (expected N,N,...)")
+        raise ReproError("no instances given (use --instances N,N,...)")
     return instances
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    from repro.tune import run_ablation
-
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    setups = [s.strip() for s in args.setups.split(",") if s.strip()]
-    report = run_ablation(
-        devices,
-        setups,
-        _parse_instances(args.instances),
-        strategy=args.strategy,
-        dm_step=args.dm_step,
-        seed=args.seed,
-    )
-    print(report.render())
-    full = report.full
-    print(
-        f"\nfull {report.strategy}: "
-        f"{100.0 * full.match_rate:.0f}% optimum match at "
-        f"{100.0 * full.mean_fraction:.1f}% mean cost"
-    )
-    if args.out:
-        print(f"report written to {report.save(args.out)}")
-    _persist_obs(quiet=True)
-    return 0
-
-
-def _cmd_study(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from pathlib import Path
-
-    from repro.tune import StudyConfig, run_study, save_study
-
-    if args.config:
-        document = json_module.loads(Path(args.config).read_text())
-        config = StudyConfig.from_dict(document)
-    else:
-        config = StudyConfig(
-            title=args.title,
-            devices=tuple(
-                d.strip() for d in args.devices.split(",") if d.strip()
-            ),
-            setups=tuple(
-                s.strip() for s in args.setups.split(",") if s.strip()
-            ),
-            instances=tuple(_parse_instances(args.instances)),
-            strategies=tuple(
-                s.strip() for s in args.strategies.split(",") if s.strip()
-            ),
-            seed=args.seed,
-            dm_step=args.dm_step,
-        )
-    result = run_study(config)
-    print(result.summary())
-    if args.out:
-        print(f"study written to {save_study(result, args.out)}")
-    _persist_obs(quiet=True)
-    return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -238,19 +180,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
 
     device = device_by_name(args.device)
     setup = setup_by_name(args.setup)
-    instances = []
-    for token in args.instances.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            instances.append(int(token))
-        except ValueError:
-            raise ReproError(
-                f"invalid instance {token!r} in --instances (expected integers)"
-            ) from None
-    if not instances:
-        raise ReproError("no instances given (use --instances N,N,...)")
+    instances = _parse_instances(args.instances)
     if args.load < 1:
         raise ReproError("--load must be >= 1")
 
@@ -286,11 +216,14 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 f"  {n:>6} DMs -> {best.config.describe()} "
                 f"{best.gflops:.1f} GFLOP/s"
             )
-        print()
-        print(service.snapshot().render())
 
         if args.smoke:
             _service_pipeline_smoke(service, device)
+
+    # Leaving the block drains the pool, so the stats count the
+    # background sweeps of requests that degraded on timeout too.
+    print()
+    print(service.snapshot().render())
 
     from repro.obs import get_registry, render_table
 
@@ -753,56 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of the space; see docs/tuning.md)",
     )
     tune.set_defaults(func=_cmd_tune)
-
-    ablate = sub.add_parser(
-        "ablate", help="quantify each search heuristic's contribution"
-    )
-    ablate.add_argument(
-        "--strategy", choices=["halving", "model-guided"],
-        default="model-guided",
-    )
-    ablate.add_argument(
-        "--devices", default="HD7970",
-        help="comma-separated device names",
-    )
-    ablate.add_argument(
-        "--setups", default="apertif,lofar",
-        help="comma-separated setup names",
-    )
-    ablate.add_argument(
-        "--instances", default="64,256",
-        help="comma-separated DM counts",
-    )
-    ablate.add_argument("--dm-step", type=float, default=0.25)
-    ablate.add_argument("--seed", type=int, default=0)
-    ablate.add_argument(
-        "--out", metavar="PATH", default="",
-        help="also write the report as JSON to PATH",
-    )
-    ablate.set_defaults(func=_cmd_ablate)
-
-    study = sub.add_parser(
-        "study", help="run a declarative tuning study"
-    )
-    study.add_argument(
-        "--config", metavar="PATH", default="",
-        help="JSON StudyConfig document (overrides the other options)",
-    )
-    study.add_argument("--title", default="cli-study")
-    study.add_argument("--devices", default="HD7970")
-    study.add_argument("--setups", default="apertif")
-    study.add_argument("--instances", default="64,256")
-    study.add_argument(
-        "--strategies", default="model-guided",
-        help="comma-separated strategy names to evaluate",
-    )
-    study.add_argument("--dm-step", type=float, default=0.25)
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument(
-        "--out", metavar="PATH", default="",
-        help="persist the study result JSON to PATH",
-    )
-    study.set_defaults(func=_cmd_study)
 
     exp = sub.add_parser("experiment", help="regenerate a table/figure")
     exp.add_argument(

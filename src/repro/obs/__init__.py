@@ -38,7 +38,6 @@ from repro.obs.registry import (
 )
 from repro.obs.tracing import Span, Tracer, get_tracer, span
 from repro.obs.export import (
-    JsonLinesExporter,
     default_snapshot_path,
     from_jsonl,
     load_snapshot,
@@ -67,7 +66,6 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "span",
-    "JsonLinesExporter",
     "default_snapshot_path",
     "from_jsonl",
     "load_snapshot",

@@ -289,35 +289,6 @@ def from_jsonl(
     return registry_from_dict({"version": 1, "series": series}, into=into)
 
 
-class JsonLinesExporter:
-    """Append-only JSON-lines event log for finished spans and snapshots.
-
-    Attach to code manually (``exporter.write_span(span)``) or dump a
-    whole registry (``exporter.write_registry(registry)``); every call
-    appends complete lines, so the file is always parseable.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def write_span(self, span) -> None:
-        """Append one finished span tree as a single JSON line."""
-        with self.path.open("a") as fh:
-            fh.write(json.dumps({"event": "span", **span.to_dict()}) + "\n")
-
-    def write_registry(self, registry: MetricsRegistry) -> None:
-        """Append every series of ``registry``, one line each."""
-        with self.path.open("a") as fh:
-            for instrument in registry.series():
-                fh.write(
-                    json.dumps(
-                        {"event": "series", **_series_doc(instrument)},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-
-
 # ----------------------------------------------------------------------
 # Human-readable dump (CLI)
 # ----------------------------------------------------------------------

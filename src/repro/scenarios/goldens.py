@@ -10,12 +10,11 @@ structure, strings, integers and booleans, tolerant
 survives harmless floating-point drift (library upgrades, FMA
 differences) but fails loudly on real behaviour change.
 
-Documents are timestamp-free and serialised with sorted keys, the same
-byte-determinism contract as :mod:`repro.tune.study`: the golden bytes
-are a pure function of (scenario, setup, seed, code).  ``schema``
-versioning matches the rest of the repo — files written by a newer
-repro raise :class:`~repro.errors.SchemaVersionError` instead of being
-misread (and are left untouched on disk).
+Documents are timestamp-free and serialised with sorted keys, so the
+golden bytes are a pure function of (scenario, setup, seed, code).
+``schema`` versioning matches the rest of the repo — files written by a
+newer repro raise :class:`~repro.errors.SchemaVersionError` instead of
+being misread (and are left untouched on disk).
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ Every strategy returns a :class:`SearchOutcome` whose ``evaluations``
 field is the search cost in *full-evaluation equivalents* (a rung at a
 quarter of the DM trials costs 0.25), which is what
 ``benchmarks/bench_tune.py`` audits against the <=10%-of-candidates
-target.  Each strategy also declares its ablatable ``COMPONENTS`` so the
-:mod:`repro.tune.ablation` driver can toggle one heuristic at a time.
+target.  Both searches are fixed algorithms: their budgets and rung
+shapes are the module constants below, so a strategy name alone
+identifies a search and its result.
 
 Four classic budgeted heuristics share the same evaluator, space and
 greedy ascent, as plain functions rather than registered strategies:
@@ -38,7 +39,6 @@ ablation-tuner`` compares the first three with the exhaustive optimum.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -61,6 +61,21 @@ from repro.utils.validation import require_positive_int
 
 #: Relative GFLOP/s slack when judging an optimum match (ties only).
 MATCH_RTOL = 1e-9
+
+#: Successive halving: the survivor ratio per rung, the number of
+#: sub-instance rungs, the prior-ranked share of the space that enters
+#: the race (at least ``HALVING_ENTRY_FLOOR`` configurations) and the
+#: fewest survivors a rung keeps.
+HALVING_ETA = 4
+HALVING_RUNGS = 2
+HALVING_ENTRY_FRACTION = 0.25
+HALVING_ENTRY_FLOOR = 24
+HALVING_KEEP_FLOOR = 16
+
+#: Model-guided search measures ``max(GUIDED_MIN_MEASUREMENTS,
+#: GUIDED_FRACTION * N)`` configurations of an N-configuration space.
+GUIDED_FRACTION = 0.08
+GUIDED_MIN_MEASUREMENTS = 20
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,19 @@ def prior_scores(
         c: model.simulate(c, samples=samples, validate=False).gflops
         for c in configs
     }
+
+
+def _prior_ranking(
+    tuner: AutoTuner,
+    grid: DMTrialGrid,
+    configs: list[KernelConfiguration],
+    samples: int,
+) -> list[KernelConfiguration]:
+    """``configs`` best first by :func:`prior_scores` (ties by tuple)."""
+    scores = prior_scores(
+        tuner.device, tuner.setup, grid, configs, samples=samples
+    )
+    return sorted(configs, key=lambda c: (-scores[c], c.as_tuple()))
 
 
 class _CostedEvaluator:
@@ -277,14 +305,11 @@ class SearchStrategy(ABC):
     :meth:`search` wraps the strategy-specific :meth:`_search` with the
     ``tune.search`` span and the ``repro_tune_*`` metrics, so every
     strategy is metered identically no matter who invokes it (CLI,
-    service, study driver, benchmarks).
+    service, benchmarks).
     """
 
     #: Registry name of the strategy (also its CLI spelling).
     name: ClassVar[str] = ""
-
-    #: Ablatable component -> boolean field that disables it.
-    COMPONENTS: ClassVar[dict[str, str]] = {}
 
     def search(
         self,
@@ -330,21 +355,6 @@ class SearchStrategy(ABC):
     ) -> SearchOutcome:
         """Strategy-specific search body (no instrumentation)."""
 
-    @property
-    def components(self) -> tuple[str, ...]:
-        """Names of this strategy's ablatable components."""
-        return tuple(self.COMPONENTS)
-
-    def without(self, component: str) -> "SearchStrategy":
-        """A copy of this strategy with one component disabled."""
-        field = self.COMPONENTS.get(component)
-        if field is None:
-            raise TuningError(
-                f"strategy {self.name!r} has no ablatable component "
-                f"{component!r}; known: {', '.join(sorted(self.COMPONENTS))}"
-            )
-        return dataclasses.replace(self, **{field: False})
-
 
 @dataclass(frozen=True)
 class ExhaustiveSearch(SearchStrategy):
@@ -373,39 +383,16 @@ class ExhaustiveSearch(SearchStrategy):
 class SuccessiveHalving(SearchStrategy):
     """Race configurations on progressively larger DM sub-instances.
 
-    An entry cohort (the prior's top ``entry_fraction`` of the space, or
-    a seeded random cohort when the prior is ablated) is evaluated on a
-    small DM sub-instance, the best ``1/eta`` survive to the next rung,
-    and the finalists are measured at full fidelity.  Per-config rung
-    sizes are rounded up to the config's own ``tile_dms`` multiple so
-    every sub-instance tiles exactly.  A short full-fidelity neighbour
-    ascent (``refine``) polishes the winner.
+    An entry cohort (the prior's top ``HALVING_ENTRY_FRACTION`` of the
+    space) is evaluated on a small DM sub-instance, the best
+    ``1/HALVING_ETA`` survive to the next rung, and the finalists are
+    measured at full fidelity.  Per-config rung sizes are rounded up to
+    the config's own ``tile_dms`` multiple so every sub-instance tiles
+    exactly.  A short full-fidelity neighbour ascent polishes the
+    winner.
     """
 
-    eta: int = 4
-    rungs: int = 2
-    entry_fraction: float = 0.25
-    entry_floor: int = 24
-    keep_floor: int = 16
-    seed: int = 0
-    prior: bool = True
-    racing: bool = True
-    refine: bool = True
-
     name: ClassVar[str] = "halving"
-    COMPONENTS: ClassVar[dict[str, str]] = {
-        "prior": "prior",
-        "racing": "racing",
-        "refine": "refine",
-    }
-
-    def __post_init__(self) -> None:
-        if self.eta < 2:
-            raise TuningError("eta must be >= 2")
-        if self.rungs < 1:
-            raise TuningError("rungs must be >= 1")
-        if not 0.0 < self.entry_fraction <= 1.0:
-            raise TuningError("entry_fraction must be in (0, 1]")
 
     def _search(
         self,
@@ -418,36 +405,27 @@ class SuccessiveHalving(SearchStrategy):
         n = len(configs)
         evaluator = _CostedEvaluator(tuner, grid, s)
 
-        entry = min(n, max(self.entry_floor, round(self.entry_fraction * n)))
-        if self.prior:
-            scores = prior_scores(
-                tuner.device, tuner.setup, grid, configs, samples=s
-            )
-            entrants = sorted(
-                configs, key=lambda c: (-scores[c], c.as_tuple())
-            )[:entry]
-        else:
-            pool = sorted(configs, key=lambda c: c.as_tuple())
-            rng = RandomStreams(self.seed).python("halving-entry")
-            entrants = rng.sample(pool, entry)
+        entry = min(
+            n, max(HALVING_ENTRY_FLOOR, round(HALVING_ENTRY_FRACTION * n))
+        )
+        entrants = _prior_ranking(tuner, grid, configs, s)[:entry]
 
-        if self.racing:
-            for k in range(self.rungs):
-                n_k = max(1, grid.n_dms // self.eta ** (self.rungs - k))
-                if n_k >= grid.n_dms:
-                    break
-                scored = [
-                    (evaluator.evaluate_at(c, n_k).gflops, c)
-                    for c in entrants
-                ]
-                keep = max(self.keep_floor, ceil_div(len(entrants), self.eta))
-                scored.sort(key=lambda t: (-t[0], t[1].as_tuple()))
-                entrants = [c for _, c in scored[:keep]]
+        for k in range(HALVING_RUNGS):
+            n_k = max(1, grid.n_dms // HALVING_ETA ** (HALVING_RUNGS - k))
+            if n_k >= grid.n_dms:
+                break
+            scored = [
+                (evaluator.evaluate_at(c, n_k).gflops, c) for c in entrants
+            ]
+            keep = max(
+                HALVING_KEEP_FLOOR, ceil_div(len(entrants), HALVING_ETA)
+            )
+            scored.sort(key=lambda t: (-t[0], t[1].as_tuple()))
+            entrants = [c for _, c in scored[:keep]]
 
         for config in entrants:
             evaluator.evaluate(config)
-        if self.refine:
-            _greedy_ascent(evaluator, configs, max(8, round(0.01 * n)))
+        _greedy_ascent(evaluator, configs, max(8, round(0.01 * n)))
 
         return _outcome(self.name, evaluator, n)
 
@@ -500,28 +478,11 @@ class ModelGuidedSearch(SearchStrategy):
     those measurements re-ranks the remainder and the most promising
     predictions are measured too; greedy neighbour ascent spends the
     rest of the budget escaping any residual prior bias.  Total
-    measurements are capped at ``max(min_measurements, fraction * N)``.
+    measurements are capped at ``max(GUIDED_MIN_MEASUREMENTS,
+    GUIDED_FRACTION * N)``.
     """
 
-    fraction: float = 0.08
-    min_measurements: int = 20
-    seed: int = 0
-    prior: bool = True
-    surrogate: bool = True
-    ascent: bool = True
-
     name: ClassVar[str] = "model-guided"
-    COMPONENTS: ClassVar[dict[str, str]] = {
-        "prior": "prior",
-        "surrogate": "surrogate",
-        "ascent": "ascent",
-    }
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise TuningError("fraction must be in (0, 1]")
-        if self.min_measurements < 3:
-            raise TuningError("min_measurements must be >= 3")
 
     def _search(
         self,
@@ -534,35 +495,24 @@ class ModelGuidedSearch(SearchStrategy):
         n = len(configs)
         evaluator = _CostedEvaluator(tuner, grid, s)
 
-        budget = min(n, max(self.min_measurements, round(self.fraction * n)))
-        refine_budget = max(2, round(0.2 * budget)) if self.surrogate else 0
-        climb_budget = max(4, round(0.2 * budget)) if self.ascent else 0
+        budget = min(
+            n, max(GUIDED_MIN_MEASUREMENTS, round(GUIDED_FRACTION * n))
+        )
+        refine_budget = max(2, round(0.2 * budget))
+        climb_budget = max(4, round(0.2 * budget))
         measure_budget = max(1, budget - refine_budget - climb_budget)
 
-        if self.prior:
-            scores = prior_scores(
-                tuner.device, tuner.setup, grid, configs, samples=s
-            )
-            ranked = sorted(
-                configs, key=lambda c: (-scores[c], c.as_tuple())
-            )
-        else:
-            ranked = sorted(configs, key=lambda c: c.as_tuple())
-            RandomStreams(self.seed).python("model-guided").shuffle(ranked)
+        ranked = _prior_ranking(tuner, grid, configs, s)
         for config in ranked[:measure_budget]:
             evaluator.evaluate(config)
 
-        if self.surrogate and refine_budget > 0:
-            unmeasured = [
-                c for c in configs if c not in evaluator.full_cache
-            ]
-            for config in _surrogate_rank(
-                list(evaluator.full_cache.values()), unmeasured
-            )[:refine_budget]:
-                evaluator.evaluate(config)
+        unmeasured = [c for c in configs if c not in evaluator.full_cache]
+        for config in _surrogate_rank(
+            list(evaluator.full_cache.values()), unmeasured
+        )[:refine_budget]:
+            evaluator.evaluate(config)
 
-        if self.ascent:
-            _greedy_ascent(evaluator, configs, climb_budget)
+        _greedy_ascent(evaluator, configs, climb_budget)
 
         return _outcome(self.name, evaluator, n)
 
@@ -575,23 +525,9 @@ STRATEGIES: dict[str, type[SearchStrategy]] = {
 }
 
 
-def strategy_accepts(name: str, parameter: str) -> bool:
-    """Whether the named strategy's constructor takes ``parameter``."""
-    cls = STRATEGIES.get(name)
-    if cls is None:
-        return False
-    return parameter in {f.name for f in dataclasses.fields(cls)}
-
-
-def build_strategy(
-    spec: "SearchStrategy | str", **kwargs
-) -> SearchStrategy:
+def build_strategy(spec: "SearchStrategy | str") -> SearchStrategy:
     """Resolve a strategy instance from a name (or pass one through)."""
     if isinstance(spec, SearchStrategy):
-        if kwargs:
-            raise TuningError(
-                "cannot combine a strategy instance with keyword overrides"
-            )
         return spec
     cls = STRATEGIES.get(str(spec))
     if cls is None:
@@ -599,12 +535,7 @@ def build_strategy(
             f"unknown search strategy {spec!r}; "
             f"known: {', '.join(sorted(STRATEGIES))}"
         )
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise TuningError(
-            f"bad arguments for strategy {spec!r}: {exc}"
-        ) from None
+    return cls()
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs.export import (
     EXPORT_QUANTILES,
-    JsonLinesExporter,
     default_snapshot_path,
     from_jsonl,
     load_snapshot,
@@ -20,7 +19,6 @@ from repro.obs.export import (
     to_prometheus,
 )
 from repro.obs.registry import MetricsRegistry, use_registry
-from repro.obs.tracing import Tracer
 
 
 @pytest.fixture
@@ -186,22 +184,6 @@ class TestSnapshotFile:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_snapshot(tmp_path / "absent.json")
-
-
-class TestJsonLinesExporter:
-    def test_span_and_registry_events_append(self, populated, tmp_path):
-        log = tmp_path / "events.jsonl"
-        exporter = JsonLinesExporter(log)
-        tracer = Tracer(registry=MetricsRegistry())
-        with tracer.span("export.check", device="HD7970") as s:
-            pass
-        exporter.write_span(s)
-        exporter.write_registry(populated)
-        lines = [json.loads(x) for x in log.read_text().splitlines()]
-        assert lines[0]["event"] == "span"
-        assert lines[0]["span"] == "export.check"
-        assert {x["event"] for x in lines[1:]} == {"series"}
-        assert len(lines) == 1 + len(populated)
 
 
 class TestRenderTable:

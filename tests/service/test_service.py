@@ -305,7 +305,7 @@ class TestSearchStrategies:
         from repro.tune import SuccessiveHalving
 
         with TuningService() as service:
-            response = resolve(service, 32, strategy=SuccessiveHalving(seed=1))
+            response = resolve(service, 32, strategy=SuccessiveHalving())
         assert response.source == "strategy-halving"
 
     def test_unknown_strategy_name_rejected(self):

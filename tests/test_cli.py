@@ -58,59 +58,6 @@ class TestTune:
         assert "search :" not in capsys.readouterr().out
 
 
-class TestAblate:
-    def test_reports_every_variant(self, capsys, tmp_path):
-        out_path = tmp_path / "ablation.json"
-        code = main(
-            ["ablate", "--strategy", "model-guided", "--devices", "HD7970",
-             "--setups", "lofar", "--instances", "64",
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        for variant in ("full", "no-prior", "no-surrogate", "no-ascent"):
-            assert variant in out
-        assert "optimum match" in out
-        assert out_path.exists()
-
-    def test_bad_instances_fail_cleanly(self, capsys):
-        assert main(
-            ["ablate", "--instances", "sixty-four"]
-        ) == 2
-        assert "error" in capsys.readouterr().err
-
-
-class TestStudy:
-    def test_runs_flag_built_study(self, capsys, tmp_path):
-        out_path = tmp_path / "study.json"
-        code = main(
-            ["study", "--title", "smoke", "--devices", "HD7970",
-             "--setups", "lofar", "--instances", "64",
-             "--strategies", "model-guided", "--out", str(out_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "smoke" in out
-        assert "HD7970:lofar:64:model-guided" in out
-        assert out_path.exists()
-
-    def test_runs_config_file_study(self, capsys, tmp_path):
-        import json
-
-        from repro.tune import StudyConfig
-
-        config = StudyConfig(
-            title="from-file", devices=("HD7970",), setups=("lofar",),
-            instances=(64,), strategies=("halving",),
-        )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()))
-        assert main(["study", "--config", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "from-file" in out
-        assert "halving" in out
-
-
 class TestService:
     def test_serves_shuffled_load_and_prints_stats(self, capsys):
         code = main([
@@ -134,6 +81,27 @@ class TestService:
         ])
         assert code == 0
         assert "sweeps executed" in capsys.readouterr().out
+
+    def test_stats_count_sweeps_of_timed_out_requests(self, capsys):
+        from repro.obs import use_registry
+
+        # Both requests degrade at once; their sweeps finish in the
+        # background and must be counted once the pool has drained.
+        with use_registry() as registry:
+            code = main([
+                "service",
+                "--instances", "16,32",
+                "--load", "1",
+                "--timeout", "0.0001",
+                "--no-smoke",
+            ])
+        assert code == 0
+        assert re.search(r"sweeps executed\s*: 2\b", capsys.readouterr().out)
+        sweeps = [
+            series.value for series in registry.series()
+            if series.name == "repro_service_sweeps_total"
+        ]
+        assert sweeps == [2]
 
     def test_inf_timeout_waits_for_every_sweep(self, capsys):
         code = main([
@@ -193,11 +161,15 @@ class TestService:
         "argv",
         [
             ["--instances", ""],
+            ["--instances", "sixty-four"],
             ["--instances", "16", "--load", "0"],
             ["--instances", "16", "--timeout", "nan"],
             ["--instances", "16", "--timeout", "-1"],
         ],
-        ids=["no-instances", "zero-load", "nan-timeout", "negative-timeout"],
+        ids=[
+            "no-instances", "non-integer-instances", "zero-load",
+            "nan-timeout", "negative-timeout",
+        ],
     )
     def test_rejects_empty_instances(self, argv, capsys):
         assert main(["service", *argv]) == 2
@@ -324,6 +296,13 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", ["study", "ablate"])
+    def test_retired_subcommands_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTuneSaveLoad:

@@ -58,10 +58,13 @@ class TestCuratedAll:
             assert name in listing
 
 
-#: Top-level aliases and helpers that used to resolve through a
-#: deprecation shim, as (module, attribute).
+#: Retired top-level names, as (module, attribute): aliases and helpers
+#: that used to resolve through a deprecation shim, and the exports of
+#: deleted modules.
 RETIRED = (
+    ("repro", "AblationReport"),
     ("repro", "CPUModel"),
+    ("repro", "StudyConfig"),
     ("repro", "SubbandPlan"),
     ("repro", "best_fixed_configuration"),
     ("repro", "dedisperse_reference"),
@@ -69,6 +72,8 @@ RETIRED = (
     ("repro", "generate_observation"),
     ("repro", "hill_climb"),
     ("repro", "random_search"),
+    ("repro", "run_ablation"),
+    ("repro", "run_study"),
     ("repro.service.stats", "_percentile"),
 )
 

@@ -13,8 +13,6 @@ SCHED_SRC = SRC / "sched"
 #: Modules outside sched that must also draw only from RandomStreams.
 EXTRA_SEEDED_MODULES = (
     SRC / "tune" / "strategy.py",
-    SRC / "tune" / "study.py",
-    SRC / "tune" / "ablation.py",
     SRC / "astro" / "source.py",
     SRC / "scenarios" / "catalog.py",
     SRC / "scenarios" / "truth.py",
