@@ -31,11 +31,17 @@ from pathlib import Path
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import Telescope
+from repro.astro.source import (
+    CompositeSource,
+    NoiseSource,
+    PulsarSource,
+    stream_chunks,
+)
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import hd7970
 from repro.search import SearchConfig, search_stream
 from repro.search.detect import MatchedFilterDetector
+from repro.utils.rng import RandomStreams
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_search.json"
 
@@ -71,16 +77,13 @@ def bench_scale(label, setup_factory, samples, n_dms, dm_step, n_chunks, repeats
     chunk_seconds = plan.samples / setup.samples_per_second
 
     true_dm = float(grid.values[n_dms // 2])
-    telescope = Telescope(setup=setup, noise_sigma=1.0, seed=42)
-    beam = telescope.add_beam(
-        pulsars=(
-            SyntheticPulsar(
-                n_chunks * chunk_seconds / 3.0, dm=true_dm, amplitude=0.5
-            ),
-        )
+    pulsar = SyntheticPulsar(
+        n_chunks * chunk_seconds / 3.0, dm=true_dm, amplitude=0.5
     )
-    chunks = list(
-        telescope.stream(beam, n_chunks, grid, chunk_seconds=chunk_seconds)
+    chunks, _ = stream_chunks(
+        CompositeSource((NoiseSource(1.0), PulsarSource(pulsar))),
+        setup, grid, n_chunks, RandomStreams(42),
+        chunk_samples=plan.samples,
     )
 
     # End to end: facade-executed dedispersion into detection + sifting.
@@ -98,7 +101,7 @@ def bench_scale(label, setup_factory, samples, n_dms, dm_step, n_chunks, repeats
     from repro.run import ExecutionRequest, execute
 
     plane = execute(
-        ExecutionRequest(plan=plan, chunks=tuple(chunks), backend="vectorized")
+        ExecutionRequest(plan=plan, chunks=chunks, backend="vectorized")
     ).output
     detector = MatchedFilterDetector()
     detector.detect(plane, grid.values)  # warm-up

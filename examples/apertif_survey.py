@@ -18,10 +18,16 @@ Run with::
 
 from repro import DMTrialGrid, ObservationSetup, SyntheticPulsar, hd7970
 from repro.astro.snr import detect_dm
-from repro.astro.telescope import Telescope
+from repro.astro.source import (
+    CompositeSource,
+    NoiseSource,
+    PulsarSource,
+    stream_chunks,
+)
 from repro.core.plan import DedispersionPlan
 from repro.experiments.deployment import run_deployment
 from repro.run import ExecutionRequest, execute
+from repro.utils.rng import RandomStreams
 
 
 def survey_demo() -> list[str]:
@@ -37,24 +43,32 @@ def survey_demo() -> list[str]:
     )
     grid = DMTrialGrid(n_dms=32, step=0.5)
 
-    telescope = Telescope(setup=setup, noise_sigma=1.0, seed=1234)
-    telescope.add_beam(label="B01 (empty)")
-    telescope.add_beam(
-        label="B02 (pulsar DM 4.0)",
-        pulsars=(SyntheticPulsar(period_seconds=0.08, dm=4.0, amplitude=0.9),),
-    )
-    telescope.add_beam(label="B03 (empty)")
-    telescope.add_beam(
-        label="B04 (pulsar DM 11.5)",
-        pulsars=(SyntheticPulsar(period_seconds=0.15, dm=11.5, amplitude=1.1),),
-    )
+    beams = [
+        ("B01 (empty)", ()),
+        (
+            "B02 (pulsar DM 4.0)",
+            (SyntheticPulsar(period_seconds=0.08, dm=4.0, amplitude=0.9),),
+        ),
+        ("B03 (empty)", ()),
+        (
+            "B04 (pulsar DM 11.5)",
+            (SyntheticPulsar(period_seconds=0.15, dm=11.5, amplitude=1.1),),
+        ),
+    ]
 
     # One tuned plan serves every beam: same setup, same DM grid.
     plan = DedispersionPlan.create(setup, grid, hd7970())
 
     report: list[str] = []
-    for beam in telescope.beams:
-        chunks = telescope.stream(beam, n_chunks=2, grid=grid)
+    for b, (label, pulsars) in enumerate(beams):
+        # Each beam's receiver noise comes from its own named stream.
+        source = CompositeSource((
+            NoiseSource(1.0, stream=f"noise.b{b:03d}"),
+            *(PulsarSource(p) for p in pulsars),
+        ))
+        chunks, _ = stream_chunks(
+            source, setup, grid, 2, RandomStreams(1234), beam_index=b
+        )
         best_snr, best_dm = 0.0, 0.0
         streamed = execute(ExecutionRequest(plan=plan, chunks=chunks))
         for result in streamed.chunk_results:
@@ -66,7 +80,7 @@ def survey_demo() -> list[str]:
             if best_snr >= 6.0
             else f"no candidate (best S/N {best_snr:.1f})"
         )
-        report.append(f"{beam.label:22s} -> {verdict}")
+        report.append(f"{label:22s} -> {verdict}")
     return report
 
 

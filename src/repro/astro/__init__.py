@@ -33,10 +33,10 @@ from repro.astro.source import (
     SignalComponent,
     SignalSource,
     SignalTruth,
+    StreamChunk,
     stream_chunks,
 )
 from repro.astro.snr import boxcar_snr, best_boxcar_snr, detect_dm, folded_profile
-from repro.astro.telescope import Beam, Telescope, StreamChunk
 from repro.astro.ddplan import (
     DDPlan,
     DDPlanStage,
@@ -99,14 +99,12 @@ __all__ = [
     "BroadbandRFISource",
     "NarrowbandRFISource",
     "CompositeSource",
+    "StreamChunk",
     "stream_chunks",
     "boxcar_snr",
     "best_boxcar_snr",
     "detect_dm",
     "folded_profile",
-    "Beam",
-    "Telescope",
-    "StreamChunk",
     "DDPlan",
     "DDPlanStage",
     "build_ddplan",

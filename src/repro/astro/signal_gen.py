@@ -1,11 +1,13 @@
 """Synthetic channelised observations with dispersed pulsar injections.
 
 The paper assumes telescope data is already resident in accelerator memory;
-for an end-to-end reproduction we need that data.  This module produces
-channelised time-series (the ``c x t`` single-precision matrix of
-Sec. III-A) containing radiometer noise plus a periodic pulsar dispersed
-according to Eq. 1, so that dedispersion at the true DM demonstrably
-recovers the pulse while wrong trial DMs smear it below the noise.
+for an end-to-end reproduction we need that data.  This module injects a
+periodic pulsar, dispersed according to Eq. 1, into the channelised
+time-series (the ``c x t`` single-precision matrix of Sec. III-A), so
+that dedispersion at the true DM demonstrably recovers the pulse while
+wrong trial DMs smear it below the noise.
+:class:`~repro.astro.source.PulsarSource` wraps the injection and
+:class:`~repro.astro.source.NoiseSource` adds the radiometer noise.
 """
 
 from __future__ import annotations
@@ -91,42 +93,4 @@ def _inject_pulse(
         else:
             contribution = pulsar.profile.evaluate(phase)
         data[ch] += (amps[ch] * contribution).astype(data.dtype, copy=False)
-    return data
-
-
-def _generate_observation(
-    setup: ObservationSetup,
-    duration_seconds: float,
-    pulsars: tuple[SyntheticPulsar, ...] | list[SyntheticPulsar] = (),
-    noise_sigma: float = 1.0,
-    max_dm: float | None = None,
-    rng: np.random.Generator | None = None,
-    smear: bool = True,
-) -> np.ndarray:
-    """Produce a channelised time-series of shape ``(channels, t)``.
-
-    ``t`` covers ``duration_seconds`` plus, when ``max_dm`` is given, the
-    maximum dispersion delay so that every output sample of a subsequent
-    dedispersion at DMs up to ``max_dm`` has valid input (the paper's
-    definition of the input time dimension).
-    """
-    require_positive(duration_seconds, "duration_seconds")
-    require_non_negative(noise_sigma, "noise_sigma")
-    rng = rng or np.random.default_rng(0)
-
-    samples = int(round(duration_seconds * setup.samples_per_second))
-    if max_dm is not None:
-        from repro.astro.dispersion import max_delay_samples
-
-        samples += max_delay_samples(setup, max_dm)
-    if samples <= 0:
-        raise ValidationError("observation would contain no samples")
-
-    if noise_sigma > 0:
-        data = rng.normal(0.0, noise_sigma, size=(setup.channels, samples))
-        data = data.astype(np.float32)
-    else:
-        data = np.zeros((setup.channels, samples), dtype=np.float32)
-    for pulsar in pulsars:
-        _inject_pulse(data, setup, pulsar, smear=smear)
     return data

@@ -11,7 +11,9 @@ Every injector in :mod:`repro.astro` sits behind one contract::
   component (kind, DM, amplitude, event positions) — the machine-checkable
   ground truth the :mod:`repro.scenarios` matrix scores against;
 * sources compose: :class:`CompositeSource` sums any number of children
-  into one observation and merges their truths.
+  into one observation and merges their truths;
+* :func:`stream_chunks` cuts one source-generated observation into the
+  overlapped :class:`StreamChunk` objects that every pipeline consumes.
 
 The injection physics lives in the private bodies of
 :mod:`repro.astro.signal_gen` and :mod:`repro.astro.rfi`, which the
@@ -30,7 +32,6 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.astro.signal_gen import SyntheticPulsar, _inject_pulse
 from repro.astro.rfi import _inject_broadband_rfi, _inject_narrowband_rfi
-from repro.astro.telescope import StreamChunk
 from repro.errors import ValidationError
 from repro.utils.rng import RandomStreams
 from repro.utils.validation import (
@@ -449,6 +450,32 @@ class CompositeSource(SignalSource):
 # ----------------------------------------------------------------------
 # Chunked streaming on top of a source
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class StreamChunk:
+    """One second-scale block of channelised data from one beam.
+
+    ``data`` has shape ``(channels, samples + overlap)``: the trailing
+    ``overlap`` samples duplicate the head of the next chunk so that the
+    final output samples of this chunk can be dedispersed at the highest
+    trial DM without waiting for future data.
+    """
+
+    beam_index: int
+    sequence: int
+    data: np.ndarray
+    samples: int
+    overlap: int
+
+    def __post_init__(self) -> None:
+        if self.data.ndim != 2:
+            raise ValidationError("chunk data must be 2-D (channels, time)")
+        if self.data.shape[1] != self.samples + self.overlap:
+            raise ValidationError(
+                f"chunk time dimension {self.data.shape[1]} != "
+                f"samples {self.samples} + overlap {self.overlap}"
+            )
+
+
 def stream_chunks(
     source: SignalSource,
     setup: ObservationSetup,
@@ -460,12 +487,11 @@ def stream_chunks(
 ) -> tuple[tuple[StreamChunk, ...], SignalTruth]:
     """Cut one long source-generated observation into overlapped chunks.
 
-    Mirrors :meth:`repro.astro.telescope.Telescope.stream`: a single
-    contiguous observation (``n_chunks * chunk_samples`` output samples
-    plus the maximum dispersion delay at ``grid.last``) is generated once
-    and sliced, so signals spanning chunk boundaries are reproduced
-    consistently and the overlap region lets every chunk be dedispersed
-    at the highest trial DM without future data.
+    A single contiguous observation (``n_chunks * chunk_samples`` output
+    samples plus the maximum dispersion delay at ``grid.last``) is
+    generated once and sliced, so signals spanning chunk boundaries are
+    reproduced consistently and the overlap region lets every chunk be
+    dedispersed at the highest trial DM without future data.
     """
     require_positive_int(n_chunks, "n_chunks")
     samples = (
@@ -500,5 +526,6 @@ __all__ = [
     "NarrowbandRFISource",
     "ScaledSource",
     "CompositeSource",
+    "StreamChunk",
     "stream_chunks",
 ]

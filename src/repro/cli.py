@@ -29,7 +29,7 @@ Subcommands:
   vectorized kernel executors back to back.
 * ``scenarios`` — list the seeded scenario catalogue, run its matrix,
   or record / check the golden regression files.
-* ``obs`` — dump, export (Prometheus text / JSON lines / JSON), or reset
+* ``obs`` — dump, export (Prometheus text / JSON), or reset
   the observability snapshot accumulated by the other subcommands.
 """
 
@@ -237,19 +237,16 @@ def _service_pipeline_smoke(service, device) -> None:
     """Run one tuned configuration end to end through the pipeline.
 
     Proves the service's answer actually executes: a small synthetic
-    instance is tuned *through the service*, the resulting plan
-    dedisperses one chunk through the facade's streaming mode, and the
-    same launch goes through the mini OpenCL runtime — so one ``repro
-    service`` run populates tuner, service, pipeline, and simulator
-    metrics for ``repro obs export``.
+    instance is tuned *through the service*, and the resulting plan
+    dedisperses one noise chunk through the facade's streaming mode —
+    so one ``repro service`` run populates tuner, service, pipeline and
+    kernel metrics for ``repro obs export``.
     """
-    import numpy as np
-
-    from repro.astro.telescope import StreamChunk
+    from repro.astro.source import NoiseSource, stream_chunks
     from repro.core.plan import DedispersionPlan
-    from repro.opencl_sim import CommandQueue, Context, SimDevice
     from repro.run import ExecutionRequest, execute
     from repro.service import TuneRequest
+    from repro.utils.rng import RandomStreams
 
     setup = ObservationSetup(
         name="obs-smoke",
@@ -266,37 +263,32 @@ def _service_pipeline_smoke(service, device) -> None:
     plan = DedispersionPlan.create(
         setup, grid, device, config=response.best.config
     )
-    overlap = int(plan.delays.max(initial=0))
-    rng = np.random.default_rng(0)
-    data = rng.normal(
-        size=(setup.channels, plan.samples + overlap)
-    ).astype(np.float32)
-    chunk = StreamChunk(
-        beam_index=0, sequence=0, data=data,
-        samples=plan.samples, overlap=overlap,
+    chunks, _ = stream_chunks(
+        NoiseSource(), setup, grid, 1, RandomStreams(0),
+        chunk_samples=plan.samples,
     )
     result = execute(
-        ExecutionRequest(plan=plan, chunks=(chunk,))
+        ExecutionRequest(plan=plan, chunks=chunks)
     ).chunk_results[0]
-    context = Context(SimDevice(device))
-    queue = CommandQueue(context)
-    input_buffer = context.alloc(data.shape)
-    input_buffer.write(data)
-    output_buffer = context.alloc((grid.n_dms, plan.samples))
-    event = plan.enqueue(queue, input_buffer, output_buffer)
     print(
         f"\npipeline smoke: {response.source} config "
         f"{response.best.config.describe()} processed 1 chunk "
         f"({'real-time' if result.realtime else 'NOT real-time'}, "
-        f"modelled {1e3 * (event.simulated_seconds or 0):.2f} ms)"
+        f"modelled {1e3 * result.simulated_seconds:.2f} ms)"
     )
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.astro.signal_gen import SyntheticPulsar
-    from repro.astro.telescope import Telescope
+    from repro.astro.source import (
+        CompositeSource,
+        NoiseSource,
+        PulsarSource,
+        stream_chunks,
+    )
     from repro.core.plan import DedispersionPlan
     from repro.search import SearchConfig, StreamingSearch
+    from repro.utils.rng import RandomStreams
 
     import dataclasses
 
@@ -314,12 +306,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     true_trial = args.dms // 2
     # A few pulses inside the stream regardless of chunk cadence.
     period = args.chunks * chunk_seconds / 3.0
-    telescope = Telescope(setup=setup, noise_sigma=1.0, seed=args.seed)
-    beam = telescope.add_beam(
-        pulsars=(SyntheticPulsar(period, dm=true_dm, amplitude=0.3),)
-    )
-    chunks = list(
-        telescope.stream(beam, args.chunks, grid, chunk_seconds=chunk_seconds)
+    source = CompositeSource((
+        NoiseSource(1.0),
+        PulsarSource(SyntheticPulsar(period, dm=true_dm, amplitude=0.3)),
+    ))
+    chunks, _ = stream_chunks(
+        source, setup, grid, args.chunks, RandomStreams(args.seed),
+        chunk_samples=plan.samples,
     )
 
     backends = (
@@ -366,7 +359,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         load_snapshot,
         registry_to_dict,
         render_table,
-        to_jsonl,
         to_prometheus,
     )
     from pathlib import Path
@@ -397,8 +389,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     # action == "export"
     if args.format == "prom":
         text = to_prometheus(registry)
-    elif args.format == "jsonl":
-        text = to_jsonl(registry)
     else:
         text = json.dumps(registry_to_dict(registry), indent=1) + "\n"
     if args.output:
@@ -758,8 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump: human table; export: machine format; reset: clear",
     )
     obs.add_argument(
-        "--format", choices=["prom", "jsonl", "json"], default="prom",
-        help="export format (Prometheus text, JSON lines, JSON snapshot)",
+        "--format", choices=["prom", "json"], default="prom",
+        help="export format (Prometheus text, JSON snapshot)",
     )
     obs.add_argument(
         "--input", metavar="PATH", default="",

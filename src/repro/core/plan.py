@@ -79,26 +79,6 @@ class DedispersionPlan:
         """Minimum input length: batch plus the maximum delay."""
         return self.samples + int(self.delays.max(initial=0))
 
-    def enqueue(self, queue, input_buffer, output_buffer):
-        """Run the kernel through a mini-runtime command queue.
-
-        ``queue`` is a :class:`repro.opencl_sim.CommandQueue`;
-        ``input_buffer``/``output_buffer`` are device
-        :class:`~repro.opencl_sim.runtime.Buffer` objects of shapes
-        ``(channels, >= required_input_samples)`` and
-        ``(n_dms, samples)``.  The profiling event carries both the wall
-        clock of the functional execution and the model-predicted device
-        time — the host-code shape of the paper's measurement loop.
-        """
-        simulated = self.predict().seconds
-
-        def launch() -> None:
-            self.kernel._execute(
-                input_buffer.array, self.delays, out=output_buffer.array
-            )
-
-        return queue.enqueue("dedisperse", launch, simulated_seconds=simulated)
-
     def predict(self) -> KernelMetrics:
         """Model-predicted metrics for one batch on the plan's device.
 

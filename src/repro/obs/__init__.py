@@ -11,16 +11,15 @@ every subsystem reports through:
   path records into).
 * :class:`Tracer` / :func:`span` — nested wall-clock spans with child
   aggregation; every span also lands in the registry.
-* Exporters — Prometheus text (:func:`to_prometheus`), JSON lines
-  (:func:`to_jsonl`), and in-memory/file snapshots
-  (:func:`registry_to_dict`, :func:`save_snapshot`) behind the
-  ``repro obs`` CLI.
+* Exporters — Prometheus text (:func:`to_prometheus`) and
+  in-memory/file snapshots (:func:`registry_to_dict`,
+  :func:`save_snapshot`) behind the ``repro obs`` CLI.
 
 Instrumented out of the box: ``AutoTuner.tune`` (sweep spans, configs
 evaluated, best GFLOP/s), ``TuningService`` (cache tiers, dedups,
-degradations, request latency), the ``opencl_sim`` runtime (kernel
-launches, modelled seconds), and every pipeline stage (spans plus
-real-time margin gauges).  Conventions live in ``docs/observability.md``.
+degradations, request latency), every kernel launch (per-backend
+counts and wall time), and every pipeline stage (spans plus real-time
+margin gauges).  Conventions live in ``docs/observability.md``.
 """
 
 from repro.obs.registry import (
@@ -39,14 +38,12 @@ from repro.obs.registry import (
 from repro.obs.tracing import Span, Tracer, get_tracer, span
 from repro.obs.export import (
     default_snapshot_path,
-    from_jsonl,
     load_snapshot,
     parse_prometheus,
     registry_from_dict,
     registry_to_dict,
     render_table,
     save_snapshot,
-    to_jsonl,
     to_prometheus,
 )
 
@@ -67,13 +64,11 @@ __all__ = [
     "get_tracer",
     "span",
     "default_snapshot_path",
-    "from_jsonl",
     "load_snapshot",
     "parse_prometheus",
     "registry_from_dict",
     "registry_to_dict",
     "render_table",
     "save_snapshot",
-    "to_jsonl",
     "to_prometheus",
 ]

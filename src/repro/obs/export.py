@@ -1,18 +1,16 @@
 """Exporters for the metrics registry.
 
-Three formats, one source of truth:
+Two formats, one source of truth:
 
 * **Prometheus text** (:func:`to_prometheus`) — counters and gauges as-is,
   histograms in summary form (``quantile`` labels plus ``_count`` and
   ``_sum``).  :func:`parse_prometheus` round-trips the output back into
   ``{(name, labels): value}`` so tests can assert export fidelity.
-* **JSON lines** (:func:`to_jsonl` / :func:`from_jsonl`) — one JSON
-  object per series per line; the machine-readable event-log format and
-  the lossless one (histograms keep their reservoir).
 * **In-memory snapshot** (:func:`registry_to_dict` /
   :func:`registry_from_dict`) — a plain dict for tests and for the
   cross-process snapshot file behind ``repro obs`` (counters merge by
-  sum, gauges by last-write, histograms by reservoir union).
+  sum, gauges by last-write, histograms by reservoir union); lossless,
+  since histograms keep their reservoir.
 
 The snapshot file location is ``$REPRO_OBS_PATH`` or ``.repro-obs.json``
 in the working directory (:func:`default_snapshot_path`).
@@ -236,7 +234,6 @@ def registry_from_dict(
 def save_snapshot(
     registry: MetricsRegistry,
     path: str | Path | None = None,
-    merge: bool = True,
 ) -> Path:
     """Persist the registry as JSON, merging into any existing snapshot.
 
@@ -245,7 +242,7 @@ def save_snapshot(
     file, and ``repro obs export`` sees both.
     """
     target = Path(path) if path is not None else default_snapshot_path()
-    if merge and target.exists():
+    if target.exists():
         base = load_snapshot(target)
         merged = registry_from_dict(registry_to_dict(registry), into=base)
     else:
@@ -266,27 +263,6 @@ def load_snapshot(
             f"cannot read obs snapshot {source}: {exc}"
         ) from exc
     return registry_from_dict(doc, into=into)
-
-
-# ----------------------------------------------------------------------
-# JSON-lines event log
-# ----------------------------------------------------------------------
-def to_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per series per line (lossless for histograms)."""
-    return "\n".join(
-        json.dumps(_series_doc(i), sort_keys=True)
-        for i in registry.series()
-    ) + ("\n" if len(registry) else "")
-
-
-def from_jsonl(
-    text: str, into: MetricsRegistry | None = None
-) -> MetricsRegistry:
-    """Rebuild (or merge into) a registry from :func:`to_jsonl` output."""
-    series = [
-        json.loads(line) for line in text.splitlines() if line.strip()
-    ]
-    return registry_from_dict({"version": 1, "series": series}, into=into)
 
 
 # ----------------------------------------------------------------------

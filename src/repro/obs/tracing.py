@@ -33,9 +33,7 @@ SPAN_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 class Span:
     """One timed unit of work, possibly containing child spans."""
 
-    __slots__ = (
-        "name", "attributes", "children", "_start", "_end", "started_at"
-    )
+    __slots__ = ("name", "attributes", "children", "_start", "_end")
 
     def __init__(self, name: str, attributes: dict):
         if not SPAN_NAME_RE.match(name):
@@ -45,7 +43,6 @@ class Span:
         self.name = name
         self.attributes = attributes
         self.children: list[Span] = []
-        self.started_at = time.time()
         self._start = time.perf_counter()
         self._end: float | None = None
 
@@ -80,28 +77,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.iter_tree()
-
-    def to_dict(self) -> dict:
-        """JSON-friendly tree rendering (for the event-log exporter)."""
-        return {
-            "span": self.name,
-            "started_at": self.started_at,
-            "duration_s": self.duration_s,
-            "self_s": self.self_seconds,
-            "attributes": dict(self.attributes),
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    def render(self, indent: int = 0) -> str:
-        """Human-readable tree, one span per line."""
-        attrs = " ".join(f"{k}={v}" for k, v in self.attributes.items())
-        line = (
-            f"{'  ' * indent}{self.name} {1e3 * self.duration_s:.2f} ms"
-            + (f" [{attrs}]" if attrs else "")
-        )
-        return "\n".join(
-            [line] + [c.render(indent + 1) for c in self.children]
-        )
 
 
 class Tracer:

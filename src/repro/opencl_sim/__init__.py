@@ -1,4 +1,4 @@
-"""A miniature OpenCL-like runtime executing kernels functionally.
+"""Run-time kernel generation and functional execution, OpenCL style.
 
 The paper generates its kernel source at run time from the four tuning
 parameters and executes it through OpenCL.  This subpackage mirrors that
@@ -7,7 +7,8 @@ OpenCL C source a configuration would produce (useful for inspection and
 for tests over the generated structure), and builds an equivalent NumPy
 executor that performs the *same tiled decomposition* a work-group grid
 would — so the correctness of every point of the tuning space is testable
-against the sequential reference.
+against the sequential reference.  Every launch goes through
+:func:`repro.run.execute`.
 
 Two executors implement each kernel (see
 :mod:`~repro.opencl_sim.backend`): the tiled reference and the
@@ -23,14 +24,6 @@ from repro.opencl_sim.backend import (
     resolve_backend,
 )
 from repro.opencl_sim.ndrange import NDRange, WorkGroup
-from repro.opencl_sim.runtime import (
-    Buffer,
-    CommandQueue,
-    Context,
-    Event,
-    SimDevice,
-    SimPlatform,
-)
 from repro.opencl_sim.codegen import generate_kernel_source, build_kernel
 from repro.opencl_sim.kernel import DedispersionKernel
 from repro.opencl_sim.vectorized import accumulate_channels
@@ -43,12 +36,6 @@ __all__ = [
     "accumulate_channels",
     "NDRange",
     "WorkGroup",
-    "Buffer",
-    "CommandQueue",
-    "Context",
-    "Event",
-    "SimDevice",
-    "SimPlatform",
     "generate_kernel_source",
     "build_kernel",
     "DedispersionKernel",

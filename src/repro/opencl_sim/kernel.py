@@ -70,7 +70,6 @@ class DedispersionKernel:
         self,
         input_data: np.ndarray,
         delay_table: np.ndarray,
-        out: np.ndarray | None = None,
         backend: str | None = None,
     ) -> np.ndarray:
         """Dedisperse ``input_data`` for every DM row of ``delay_table``.
@@ -79,12 +78,9 @@ class DedispersionKernel:
         ``t >= samples + max(delay_table)`` so every shifted read is valid;
         ``delay_table`` has shape ``(n_dms, channels)`` and an integer
         dtype (non-negative shifts; float and bool tables are rejected,
-        not truncated).  Returns the ``(n_dms, samples)`` output matrix.
-
-        ``out``, when given, must be a float32 array of the output shape
-        (the executors accumulate in float32; any other dtype would
-        silently change the arithmetic).  ``backend`` overrides the
-        kernel's default executor for this launch.
+        not truncated).  Returns a fresh float32 ``(n_dms, samples)``
+        output matrix.  ``backend`` overrides the kernel's default
+        executor for this launch.
 
         This is the body the :mod:`repro.run` facade dispatches to.
         """
@@ -114,11 +110,7 @@ class DedispersionKernel:
                 f"input has {input_data.shape[1]} samples; needs {needed} "
                 f"(samples + max delay)"
             )
-        if out is None:
-            out = np.zeros((n_dms, self.samples), dtype=np.float32)
-        else:
-            check_out(out, (n_dms, self.samples))
-            out[...] = 0.0
+        out = np.zeros((n_dms, self.samples), dtype=np.float32)
 
         ndr = self.ndrange(n_dms)
         choice = resolve_backend(
@@ -171,22 +163,3 @@ class DedispersionKernel:
                     start = t0 + int(shifts[row])
                     accum[row] += input_data[channel, start : start + tile_t]
         out[d0 : d0 + tile_d, t0 : t0 + tile_t] = accum
-
-
-def check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Validate a caller-supplied output buffer: shape and float32 dtype.
-
-    Both executors accumulate in float32; writing through a float64 (or
-    any other) ``out`` would silently change the arithmetic and break
-    the bit-for-bit agreement of the two executors.
-    """
-    if not isinstance(out, np.ndarray) or out.shape != shape:
-        raise ValidationError(
-            f"out must be an ndarray of shape {shape}, got "
-            f"{out.shape if isinstance(out, np.ndarray) else type(out).__name__}"
-        )
-    if out.dtype != np.float32:
-        raise ValidationError(
-            f"out must be float32 (the executors accumulate in float32), "
-            f"got {out.dtype}"
-        )

@@ -10,7 +10,7 @@ mode           meaning
 ``kernel``     one beam, one batch: 2-D ``(channels, t)`` ``data=``
                through a configured kernel (or a tuned plan's kernel)
 ``streaming``  a tuned plan driven over ``chunks=``, an iterable of
-               :class:`~repro.astro.telescope.StreamChunk` objects
+               :class:`~repro.astro.source.StreamChunk` objects
 ``fused``      streaming with a ``detector=``: each chunk is dedispersed
                and searched slab-by-slab through a
                :class:`~repro.search.detect.MatchedFilterDetector`

@@ -91,7 +91,7 @@ def run_fused_chunk(
     """Dedisperse and detect one stream chunk slab-by-slab.
 
     ``plan`` is a tuned :class:`~repro.core.plan.DedispersionPlan`,
-    ``chunk`` a :class:`~repro.astro.telescope.StreamChunk` whose payload
+    ``chunk`` a :class:`~repro.astro.source.StreamChunk` whose payload
     matches the plan's batch, ``detector`` a
     :class:`~repro.search.detect.MatchedFilterDetector`.  Each chunk
     must meet the same contract as in streaming mode

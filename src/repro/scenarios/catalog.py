@@ -3,7 +3,7 @@
 Each :class:`Scenario` composes :mod:`repro.astro.source` generators
 under :class:`~repro.utils.rng.RandomStreams` and, when realized against
 a concrete (setup, grid) pair, yields overlapped
-:class:`~repro.astro.telescope.StreamChunk` data plus a
+:class:`~repro.astro.source.StreamChunk` data plus a
 :class:`~repro.scenarios.truth.GroundTruth`.  Realization is
 byte-deterministic: the stream seed is derived from
 ``(seed, "scenario", name, setup.name)``, so the same cell always
@@ -49,9 +49,9 @@ from repro.astro.source import (
     PulsarSource,
     SignalSource,
     SignalTruth,
+    StreamChunk,
     stream_chunks,
 )
-from repro.astro.telescope import StreamChunk
 from repro.errors import ValidationError
 from repro.scenarios.truth import ExpectedCandidate, GroundTruth
 from repro.search.sift import SiftPolicy

@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.astro.rfi import mask_noisy_channels, zero_dm_filter
-from repro.astro.telescope import StreamChunk
+from repro.astro.source import StreamChunk
 from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.obs import get_registry, span
@@ -512,20 +512,14 @@ class StreamingSearch:
 
     # ------------------------------------------------------------------
     def _prepare(self, chunk: StreamChunk) -> StreamChunk:
-        """RFI-mitigate a copy of the chunk (telescope chunks share storage)."""
+        """RFI-mitigate a copy of the chunk (stream chunks share storage)."""
         if not self.config.rfi_mitigation:
             return chunk
         data = np.array(chunk.data, dtype=np.float32, copy=True)
         with span("search.rfi", sequence=chunk.sequence):
             mask_noisy_channels(data)
             zero_dm_filter(data)
-        return StreamChunk(
-            beam_index=chunk.beam_index,
-            sequence=chunk.sequence,
-            data=data,
-            samples=chunk.samples,
-            overlap=chunk.overlap,
-        )
+        return replace(chunk, data=data)
 
 
 def search_stream(

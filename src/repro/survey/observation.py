@@ -46,9 +46,9 @@ from repro.astro.source import (
     ScaledSource,
     SignalSource,
     SignalTruth,
+    StreamChunk,
     stream_chunks,
 )
-from repro.astro.telescope import StreamChunk
 from repro.scenarios.catalog import (
     _SIGNAL_KINDS,
     _apply_chunk_faults,

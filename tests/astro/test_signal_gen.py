@@ -1,7 +1,6 @@
 """Unit tests for repro.astro.signal_gen.
 
-``_generate_observation`` is the body :class:`~repro.astro.telescope.Telescope`
-draws its beams from; the pulse physics is reached through
+The pulse physics is reached through
 :class:`~repro.astro.source.PulsarSource`, which wraps ``_inject_pulse``.
 """
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.astro.dispersion import delay_table, max_delay_samples
-from repro.astro.signal_gen import SyntheticPulsar, _generate_observation
+from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.source import PulsarSource
 from repro.errors import ValidationError
 from repro.utils.rng import RandomStreams
@@ -46,35 +45,6 @@ class TestSyntheticPulsar:
         p = SyntheticPulsar(period_seconds=0.1, dm=1.0, spectral_index=-2.0)
         amps = p.channel_amplitudes(toy_low.channel_frequencies)
         assert amps[0] > amps[-1]
-
-
-class TestGenerateObservation:
-    def test_shape_without_max_dm(self, toy_low, rng):
-        data = _generate_observation(toy_low, 1.0, rng=rng)
-        assert data.shape == (toy_low.channels, toy_low.samples_per_second)
-        assert data.dtype == np.float32
-
-    def test_max_dm_extends_time(self, toy_low, rng):
-        short = _generate_observation(toy_low, 1.0, rng=rng)
-        long = _generate_observation(toy_low, 1.0, max_dm=8.0, rng=rng)
-        assert long.shape[1] > short.shape[1]
-
-    def test_noise_statistics(self, toy_low, rng):
-        data = _generate_observation(toy_low, 1.0, noise_sigma=2.0, rng=rng)
-        assert float(data.std()) == pytest.approx(2.0, rel=0.05)
-
-    def test_noiseless_is_zero_without_pulsars(self, toy_low):
-        data = _generate_observation(toy_low, 0.5, noise_sigma=0.0)
-        assert np.all(data == 0.0)
-
-    def test_deterministic_with_seed(self, toy_low):
-        a = _generate_observation(toy_low, 0.5, rng=np.random.default_rng(7))
-        b = _generate_observation(toy_low, 0.5, rng=np.random.default_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_rejects_zero_duration(self, toy_low):
-        with pytest.raises(ValidationError):
-            _generate_observation(toy_low, 0.0)
 
 
 class TestInjectPulse:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.astro.dispersion import max_delay_samples
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.astro.signal_gen import SyntheticPulsar
@@ -15,6 +16,7 @@ from repro.astro.source import (
     NoiseSource,
     PulsarSource,
     SignalTruth,
+    StreamChunk,
     stream_chunks,
 )
 from repro.errors import ValidationError
@@ -52,6 +54,14 @@ class TestNoiseSource:
         a, _ = _generate(NoiseSource(stream="a"))
         b, _ = _generate(NoiseSource(stream="b"))
         assert not np.array_equal(a, b)
+
+    def test_noise_statistics(self):
+        data, _ = _generate(NoiseSource(sigma=2.0), n_samples=2000)
+        assert float(data.std()) == pytest.approx(2.0, rel=0.05)
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValidationError):
+            _generate(NoiseSource(), n_samples=0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -202,21 +212,101 @@ class TestSignalTruth:
         assert "dm" not in doc and doc["kind"] == "noise"
 
 
+class TestStreamChunk:
+    def test_shape_enforced(self):
+        with pytest.raises(ValidationError):
+            StreamChunk(
+                beam_index=0,
+                sequence=0,
+                data=np.zeros((4, 100), dtype=np.float32),
+                samples=90,
+                overlap=20,  # 90 + 20 != 100
+            )
+
+
 class TestStreamChunks:
     def test_chunks_tile_one_observation(self):
         source = NoiseSource(sigma=1.0)
         chunks, _ = stream_chunks(
             source, SETUP, GRID, 3, RandomStreams(0)
         )
-        assert [c.sequence for c in chunks] == [0, 1, 2]
         samples = SETUP.samples_per_batch
         overlap = chunks[0].overlap
-        assert chunks[0].data.shape == (SETUP.channels, samples + overlap)
-        # Consecutive chunks share the overlap region.
-        assert np.array_equal(
-            chunks[0].data[:, samples:samples + 1],
-            chunks[1].data[:, 0:1],
+        whole, _ = source.generate(
+            SETUP, 3 * samples + overlap, RandomStreams(0)
         )
+        for i, chunk in enumerate(chunks):
+            assert np.array_equal(
+                chunk.data,
+                whole[:, i * samples:(i + 1) * samples + overlap],
+            )
+
+    def test_consecutive_chunks_overlap_consistently(self):
+        chunks, _ = stream_chunks(
+            NoiseSource(sigma=1.0), SETUP, GRID, 3, RandomStreams(0)
+        )
+        samples = SETUP.samples_per_batch
+        overlap = chunks[0].overlap
+        assert overlap > 0
+        # Each chunk's trailing overlap is the head of the next chunk:
+        # both are cut from the same underlying observation.
+        for this, following in zip(chunks, chunks[1:]):
+            assert np.array_equal(
+                this.data[:, samples:samples + overlap],
+                following.data[:, :overlap],
+            )
+
+    @pytest.mark.parametrize(
+        "chunk_samples,samples",
+        [(None, SETUP.samples_per_batch), (50, 50)],
+        ids=["batch", "chunk_samples"],
+    )
+    def test_stream_chunk_geometry(self, chunk_samples, samples):
+        chunks, _ = stream_chunks(
+            NoiseSource(), SETUP, GRID, 3, RandomStreams(0),
+            chunk_samples=chunk_samples,
+        )
+        assert len(chunks) == 3
+        for i, chunk in enumerate(chunks):
+            assert chunk.sequence == i
+            assert chunk.beam_index == 0
+            assert chunk.samples == samples
+            assert chunk.data.shape == (
+                SETUP.channels,
+                chunk.samples + chunk.overlap,
+            )
+
+    def test_overlap_matches_max_delay(self):
+        chunks, _ = stream_chunks(
+            NoiseSource(), SETUP, GRID, 2, RandomStreams(0)
+        )
+        expected = max_delay_samples(SETUP, GRID.last)
+        assert [c.overlap for c in chunks] == [expected, expected]
+
+    def test_rejects_zero_chunks(self):
+        with pytest.raises(ValidationError):
+            stream_chunks(NoiseSource(), SETUP, GRID, 0, RandomStreams(0))
+
+    def test_beams_get_independent_noise(self):
+        # One seed for every beam, as the survey realizes it: renaming
+        # each beam's noise stream decorrelates the noise.
+        beams = [
+            stream_chunks(
+                NoiseSource(stream=f"noise.b{b:03d}"),
+                SETUP, GRID, 1, RandomStreams(0), beam_index=b,
+            )[0][0]
+            for b in range(2)
+        ]
+        assert [c.beam_index for c in beams] == [0, 1]
+        assert not np.array_equal(beams[0].data, beams[1].data)
+
+    def test_beam_pulsar_visible(self):
+        source = CompositeSource((
+            NoiseSource(sigma=0.0),
+            PulsarSource(SyntheticPulsar(period_seconds=0.2, dm=1.0)),
+        ))
+        (chunk,), _ = stream_chunks(source, SETUP, GRID, 1, RandomStreams(0))
+        assert chunk.data.max() > 0.5
 
     def test_burst_spanning_boundary_is_consistent(self):
         source = CompositeSource((

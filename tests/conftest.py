@@ -128,6 +128,38 @@ def make_observation(
     return data
 
 
+def make_chunks(
+    setup: ObservationSetup,
+    grid: DMTrialGrid,
+    pulsars=(),
+    n_chunks: int = 2,
+    seed: int = 0,
+    sigma: float = 0.5,
+) -> tuple:
+    """Seeded noise plus pulsars, cut into overlapped stream chunks.
+
+    Composes the same sources as :func:`make_observation` and cuts them
+    with :func:`~repro.astro.source.stream_chunks`, the one stream
+    generator: one batch of ``setup`` per chunk, each carrying the
+    overlap needed to dedisperse it at ``grid.last``.
+    """
+    from repro.astro.source import (
+        CompositeSource,
+        NoiseSource,
+        PulsarSource,
+        stream_chunks,
+    )
+    from repro.utils.rng import RandomStreams
+
+    source = CompositeSource(
+        (NoiseSource(sigma), *(PulsarSource(p) for p in pulsars))
+    )
+    chunks, _ = stream_chunks(
+        source, setup, grid, n_chunks, RandomStreams(seed)
+    )
+    return chunks
+
+
 def run_kernel(kernel, data, table, **kwargs) -> np.ndarray:
     """Dedisperse one batch with ``kernel`` through the facade."""
     from repro.run import ExecutionRequest, execute

@@ -98,26 +98,3 @@ class TestPrediction:
         assert "toy-low" in text
         assert "HD7970" in text
         assert "GFLOP/s" in text
-
-
-class TestEnqueue:
-    def test_runs_through_command_queue(self, plan, toy_low, toy_grid, rng):
-        from repro.opencl_sim import CommandQueue, Context, SimDevice
-        from tests.conftest import make_input
-
-        device = SimDevice(plan.device)
-        context = Context(device)
-        input_buf = context.alloc(
-            (toy_low.channels, plan.required_input_samples)
-        )
-        output_buf = context.alloc((toy_grid.n_dms, plan.samples))
-        data = make_input(toy_low, toy_grid, rng)
-        input_buf.write(data[:, : plan.required_input_samples])
-
-        queue = CommandQueue(context)
-        event = plan.enqueue(queue, input_buf, output_buf)
-        assert event.simulated_seconds == plan.predict().seconds
-        expected = run_plan(plan, data[:, : plan.required_input_samples])
-        import numpy as np
-
-        np.testing.assert_array_equal(output_buf.array, expected)

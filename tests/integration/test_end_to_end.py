@@ -1,4 +1,4 @@
-"""End-to-end integration: telescope -> stream -> tuned kernel -> detection."""
+"""End-to-end integration: stream -> tuned kernel -> detection."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.snr import detect_dm, folded_profile
-from repro.astro.telescope import Telescope
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import gtx_titan, hd7970
 from repro.run import ExecutionRequest, execute
-from tests.conftest import run_plan
+from tests.conftest import make_chunks, run_plan
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +32,17 @@ class TestSurveyPipeline:
         at the right trial DM, in every chunk, in (simulated) real time."""
         grid = DMTrialGrid(n_dms=16, step=1.0)
         true_dm = 7.0
-        telescope = Telescope(setup=survey_setup, noise_sigma=1.0, seed=11)
-        beam = telescope.add_beam(
-            pulsars=(
-                SyntheticPulsar(
-                    period_seconds=0.25, dm=true_dm, amplitude=1.0
-                ),
-            )
+        pulsar = SyntheticPulsar(
+            period_seconds=0.25, dm=true_dm, amplitude=1.0
+        )
+        chunks = make_chunks(
+            survey_setup, grid, (pulsar,), n_chunks=3, seed=11, sigma=1.0
         )
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
         results = execute(
-            ExecutionRequest(plan=plan, chunks=telescope.stream(beam, 3, grid))
+            ExecutionRequest(plan=plan, chunks=chunks)
         ).chunk_results
         assert len(results) == 3
         for result in results:
@@ -59,16 +56,13 @@ class TestSurveyPipeline:
         the signal into a few phase bins."""
         grid = DMTrialGrid(n_dms=8, step=1.0)
         period = 0.2
-        telescope = Telescope(setup=survey_setup, noise_sigma=1.0, seed=5)
-        beam = telescope.add_beam(
-            pulsars=(
-                SyntheticPulsar(period_seconds=period, dm=4.0, amplitude=0.8),
-            )
-        )
+        pulsar = SyntheticPulsar(period_seconds=period, dm=4.0, amplitude=0.8)
         plan = DedispersionPlan.create(
             survey_setup, grid, gtx_titan(), samples=1000
         )
-        chunk = next(iter(telescope.stream(beam, 1, grid)))
+        (chunk,) = make_chunks(
+            survey_setup, grid, (pulsar,), n_chunks=1, seed=5, sigma=1.0
+        )
         output = run_plan(plan, chunk.data)
         trial = grid.index_of(4.0)
         profile = folded_profile(
@@ -82,16 +76,13 @@ class TestSurveyPipeline:
         """Trials far from the true DM recover visibly less S/N — the
         physical reason the search space cannot be pruned (Sec. II)."""
         grid = DMTrialGrid(n_dms=16, step=1.0)
-        telescope = Telescope(setup=survey_setup, noise_sigma=0.5, seed=2)
-        beam = telescope.add_beam(
-            pulsars=(
-                SyntheticPulsar(period_seconds=0.25, dm=7.0, amplitude=1.0),
-            )
-        )
+        pulsar = SyntheticPulsar(period_seconds=0.25, dm=7.0, amplitude=1.0)
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
-        chunk = next(iter(telescope.stream(beam, 1, grid)))
+        (chunk,) = make_chunks(
+            survey_setup, grid, (pulsar,), n_chunks=1, seed=2
+        )
         detection = detect_dm(run_plan(plan, chunk.data), grid.values)
         per_trial = detection.snr_per_trial
         best = per_trial[detection.dm_index]
@@ -101,18 +92,19 @@ class TestSurveyPipeline:
     def test_two_beam_survey_independent_detections(self, survey_setup):
         """Two beams hosting different pulsars are detected independently."""
         grid = DMTrialGrid(n_dms=16, step=1.0)
-        telescope = Telescope(setup=survey_setup, noise_sigma=0.8, seed=21)
-        beam_a = telescope.add_beam(
-            pulsars=(SyntheticPulsar(period_seconds=0.2, dm=3.0),)
-        )
-        beam_b = telescope.add_beam(
-            pulsars=(SyntheticPulsar(period_seconds=0.3, dm=9.0),)
+        beams = (
+            (SyntheticPulsar(period_seconds=0.2, dm=3.0), 3.0),
+            (SyntheticPulsar(period_seconds=0.3, dm=9.0), 9.0),
         )
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
-        for beam, expected_dm in ((beam_a, 3.0), (beam_b, 9.0)):
-            chunks = telescope.stream(beam, 1, grid)
+        for b, (pulsar, expected_dm) in enumerate(beams):
+            # Each beam draws its own receiver noise.
+            chunks = make_chunks(
+                survey_setup, grid, (pulsar,), n_chunks=1, seed=21 + b,
+                sigma=0.8,
+            )
             output = execute(ExecutionRequest(plan=plan, chunks=chunks)).output
             detection = detect_dm(output, grid.values)
             assert abs(detection.dm - expected_dm) <= grid.step

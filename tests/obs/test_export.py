@@ -1,21 +1,17 @@
 """Unit tests for repro.obs.export: formats, round-trips, snapshots."""
 
-import json
-
 import pytest
 
 from repro.errors import ValidationError
 from repro.obs.export import (
     EXPORT_QUANTILES,
     default_snapshot_path,
-    from_jsonl,
     load_snapshot,
     parse_prometheus,
     registry_from_dict,
     registry_to_dict,
     render_table,
     save_snapshot,
-    to_jsonl,
     to_prometheus,
 )
 from repro.obs.registry import MetricsRegistry, use_registry
@@ -130,22 +126,6 @@ class TestDictSnapshot:
             registry_from_dict(doc)
 
 
-class TestJsonl:
-    def test_round_trip_identical(self, populated):
-        rebuilt = from_jsonl(to_jsonl(populated))
-        assert registry_to_dict(rebuilt) == registry_to_dict(populated)
-
-    def test_one_parseable_object_per_line(self, populated):
-        lines = to_jsonl(populated).splitlines()
-        assert len(lines) == len(populated)
-        for line in lines:
-            doc = json.loads(line)
-            assert doc["name"].startswith("repro_")
-
-    def test_empty_registry_is_empty_text(self):
-        assert to_jsonl(MetricsRegistry()) == ""
-
-
 class TestSnapshotFile:
     def test_env_var_controls_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_PATH", str(tmp_path / "obs.json"))
@@ -168,18 +148,6 @@ class TestSnapshotFile:
         save_snapshot(second, target)
         merged = load_snapshot(target)
         assert merged.counter("repro_test_events_total").value == 7
-
-    def test_merge_false_overwrites(self, tmp_path):
-        target = tmp_path / "snap.json"
-        first = MetricsRegistry()
-        first.counter("repro_test_events_total").inc(2)
-        save_snapshot(first, target)
-        second = MetricsRegistry()
-        second.counter("repro_test_events_total").inc(5)
-        save_snapshot(second, target, merge=False)
-        assert load_snapshot(target).counter(
-            "repro_test_events_total"
-        ).value == 5
 
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):

@@ -1,24 +1,23 @@
 """Instrumented hot paths emit the documented metric series.
 
 Each test isolates the process-wide registry with ``use_registry`` and
-drives one subsystem — tuner sweep, tuning service, simulator queue,
-streaming/realtime pipeline — then asserts the series the observability
-docs promise (``docs/observability.md``) actually appear.
+drives one subsystem — tuner sweep, tuning service, streaming pipeline —
+then asserts the series the observability docs promise
+(``docs/observability.md``) actually appear.
 """
 
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif
-from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.core.tuner import AutoTuner
 from repro.hardware.catalog import hd7970
 from repro.obs.registry import use_registry
-from repro.opencl_sim.runtime import CommandQueue, Context, SimDevice
 from repro.run import ExecutionRequest, execute
 from repro.service import TuneRequest, TuningService
+from tests.conftest import make_chunks
 
 DEVICE = hd7970()
 REQUEST = TuneRequest(setup=apertif(), n_dms=16, device=DEVICE)
@@ -81,22 +80,6 @@ class TestServiceInstrumentation:
             ).value
 
 
-class TestSimulatorInstrumentation:
-    def test_enqueue_counts_launches_and_modelled_seconds(self):
-        with use_registry() as reg:
-            queue = CommandQueue(Context(SimDevice(DEVICE)))
-            queue.enqueue("dedisperse", lambda: None,
-                          simulated_seconds=0.25)
-            queue.enqueue("dedisperse", lambda: None)
-            labels = {"device": DEVICE.name, "kernel": "dedisperse"}
-            assert reg.counter(
-                "repro_sim_kernel_launches_total", **labels
-            ).value == 2
-            modelled = reg.get("repro_sim_modelled_seconds", **labels)
-            assert modelled.count == 1  # unprofiled launch not observed
-            assert modelled.sum == pytest.approx(0.25)
-
-
 class TestPipelineInstrumentation:
     def test_streaming_chunk_emits_margin_and_span(self, toy_low, toy_grid):
         plan = DedispersionPlan.create(
@@ -106,12 +89,10 @@ class TestPipelineInstrumentation:
             config=KernelConfiguration(16, 4, 5, 2),
             samples=toy_low.samples_per_second,
         )
-        telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=9)
-        beam = telescope.add_beam()
-        chunk = next(iter(telescope.stream(beam, 1, toy_grid)))
+        chunks = make_chunks(toy_low, toy_grid, n_chunks=1, seed=9)
         with use_registry() as reg:
             (result,) = execute(
-                ExecutionRequest(plan=plan, chunks=(chunk,))
+                ExecutionRequest(plan=plan, chunks=chunks)
             ).chunk_results
             labels = {"device": DEVICE.name, "setup": toy_low.name}
             assert reg.counter(

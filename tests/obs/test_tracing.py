@@ -145,29 +145,5 @@ class TestThreadLocalStacks:
 
 
 class TestRendering:
-    def test_to_dict_shape(self):
-        tracer = Tracer()
-        with use_registry():
-            with tracer.span("outer", device="HD7970") as outer:
-                with tracer.span("inner"):
-                    pass
-        doc = outer.to_dict()
-        assert doc["span"] == "outer"
-        assert doc["attributes"] == {"device": "HD7970"}
-        assert [c["span"] for c in doc["children"]] == ["inner"]
-        assert doc["duration_s"] >= doc["children"][0]["duration_s"]
-
-    def test_render_tree_text(self):
-        tracer = Tracer()
-        with use_registry():
-            with tracer.span("outer", n=3) as outer:
-                with tracer.span("inner"):
-                    pass
-        text = outer.render()
-        lines = text.splitlines()
-        assert lines[0].startswith("outer ")
-        assert "[n=3]" in lines[0]
-        assert lines[1].startswith("  inner ")
-
     def test_get_tracer_is_singleton(self):
         assert get_tracer() is get_tracer()

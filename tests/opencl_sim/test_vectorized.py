@@ -153,16 +153,6 @@ class TestBitIdentity:
             run_kernel(kernel, data, table, backend="vectorized"),
         )
 
-    def test_out_parameter_reused_and_identical(self, toy_low, toy_grid, rng):
-        data = make_input(toy_low, toy_grid, rng)
-        table = delay_table(toy_low, toy_grid.values)
-        kernel = build_kernel(config(), toy_low.channels, 400)
-        out = np.full((toy_grid.n_dms, 400), 3.0, dtype=np.float32)
-        result = kernel._execute(data, table, out=out, backend="vectorized")
-        assert result is out
-        tiled = run_kernel(kernel, data, table, backend="tiled")
-        assert np.array_equal(out, tiled)
-
 
 class TestBackendPlumbing:
     def test_kernel_default_backend_field(self, toy_low):

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import hd7970
 from repro.run import ChunkResult, ExecutionRequest, execute
-from tests.conftest import run_plan
+from tests.conftest import make_chunks, run_plan
 
 
 def stream(plan, chunks) -> tuple:
@@ -34,29 +33,27 @@ def plan(toy_low, toy_grid):
     )
 
 
-@pytest.fixture
-def telescope(toy_low):
-    return Telescope(setup=toy_low, noise_sigma=0.5, seed=9)
-
-
 class TestProcess:
-    def test_chunk_result_fields(self, plan, telescope, toy_grid):
-        beam = telescope.add_beam()
-        (result,) = stream(plan, telescope.stream(beam, 1, toy_grid))
+    def test_chunk_result_fields(self, plan, toy_low, toy_grid):
+        chunks = make_chunks(toy_low, toy_grid, n_chunks=1, seed=9)
+        (result,) = stream(plan, chunks)
         assert isinstance(result, ChunkResult)
-        assert result.beam_index == beam.index
+        assert result.beam_index == chunks[0].beam_index
         assert result.sequence == 0
         assert result.output.shape == (toy_grid.n_dms, plan.samples)
         assert result.simulated_seconds > 0
 
-    def test_streaming_equals_batch(self, plan, telescope, toy_grid, toy_low):
+    def test_streaming_equals_batch(self, plan, toy_grid, toy_low):
         # Concatenated chunk outputs must be bit-identical to dedispersing
         # the whole observation at once.
-        beam = telescope.add_beam(
-            pulsars=(SyntheticPulsar(period_seconds=0.3, dm=2.0),)
-        )
         n_chunks = 3
-        chunks = list(telescope.stream(beam, n_chunks, toy_grid))
+        chunks = make_chunks(
+            toy_low,
+            toy_grid,
+            (SyntheticPulsar(period_seconds=0.3, dm=2.0),),
+            n_chunks=n_chunks,
+            seed=9,
+        )
         streamed = execute(ExecutionRequest(plan=plan, chunks=chunks)).output
 
         # Rebuild the full observation from chunk payloads + final overlap.
@@ -74,7 +71,8 @@ class TestProcess:
         batch = np.concatenate(batch_outputs, axis=1)
         np.testing.assert_array_equal(streamed, batch)
 
-    def test_process_stream_orders_results(self, plan, telescope, toy_grid):
-        beam = telescope.add_beam()
-        results = stream(plan, telescope.stream(beam, 4, toy_grid))
+    def test_process_stream_orders_results(self, plan, toy_low, toy_grid):
+        results = stream(
+            plan, make_chunks(toy_low, toy_grid, n_chunks=4, seed=9)
+        )
         assert [r.sequence for r in results] == [0, 1, 2, 3]

@@ -8,7 +8,7 @@ check, so each violation must fail the same way in both.
 import numpy as np
 import pytest
 
-from repro.astro.telescope import StreamChunk
+from repro.astro.source import StreamChunk
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.astro.dispersion import delay_table
-from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import ValidationError
@@ -18,7 +17,7 @@ from repro.run import (
     execute,
 )
 from repro.search.detect import MatchedFilterDetector
-from tests.conftest import make_input
+from tests.conftest import make_chunks, make_input
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
 
@@ -118,9 +117,7 @@ class TestModeResolution:
             ExecutionRequest(plan=plan, chunks=(), mode="kernel")
 
     def test_inference_does_not_consume_chunks(self, plan, toy_low, toy_grid):
-        telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=3)
-        beam = telescope.add_beam()
-        chunks = telescope.stream(beam, 2, toy_grid)
+        chunks = iter(make_chunks(toy_low, toy_grid, seed=3))
         request = ExecutionRequest(plan=plan, chunks=chunks)
         assert request.mode == "streaming"
         assert execute(request).launches == 2
@@ -200,10 +197,8 @@ class TestKernelMode:
 
 class TestStreamingMode:
     def test_concatenates_chunk_outputs(self, plan, toy_low, toy_grid):
-        telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=3)
-        beam = telescope.add_beam()
-        chunks = list(telescope.stream(beam, 2, toy_grid))
-        result = execute(ExecutionRequest(plan=plan, chunks=tuple(chunks)))
+        chunks = make_chunks(toy_low, toy_grid, seed=3)
+        result = execute(ExecutionRequest(plan=plan, chunks=chunks))
         assert result.mode == "streaming"
         assert result.launches == 2
         assert len(result.chunk_results) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import ValidationError
@@ -16,8 +15,11 @@ from repro.run import ExecutionRequest, MemoryAccount, execute
 from repro.run import fused as fused_module
 from repro.run.fused import resolve_dm_tile, run_fused_chunk
 from repro.search.detect import MatchedFilterDetector
+from tests.conftest import make_chunks
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
+#: The injected pulsar, at DM 4.0: trial 4 of ``toy_grid``.
+PULSARS = (SyntheticPulsar(period_seconds=0.7, dm=4.0, amplitude=1.0),)
 
 
 @pytest.fixture
@@ -32,23 +34,9 @@ def detector():
     return MatchedFilterDetector.for_samples(400)
 
 
-def make_chunks(toy_low, toy_grid, n_chunks=2, seed=11):
-    telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=seed)
-    beam = telescope.add_beam(
-        pulsars=(
-            SyntheticPulsar(
-                period_seconds=0.7,
-                dm=float(toy_grid.values[4]),
-                amplitude=1.0,
-            ),
-        )
-    )
-    return list(telescope.stream(beam, n_chunks, toy_grid))
-
-
 class TestRequestValidation:
     def test_detector_infers_fused_mode(self, plan, toy_low, toy_grid, detector):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         request = ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         assert request.mode == "fused"
 
@@ -74,11 +62,9 @@ class TestFusedExecution:
     def test_candidates_bit_identical_to_staged(
         self, plan, toy_low, toy_grid, detector
     ):
-        chunks = make_chunks(toy_low, toy_grid, n_chunks=3)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS, n_chunks=3)
         fused = execute(
-            ExecutionRequest(
-                plan=plan, chunks=tuple(chunks), detector=detector
-            )
+            ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
         staged = []
         for chunk in chunks:
@@ -99,7 +85,7 @@ class TestFusedExecution:
     def test_candidates_identical_across_backends(
         self, plan, toy_low, toy_grid, detector, backend
     ):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         auto = execute(
             ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
@@ -123,7 +109,7 @@ class TestFusedExecution:
         plan = DedispersionPlan.create(
             toy_low, grid, hd7970(), config=CONFIG, samples=400
         )
-        chunks = tuple(make_chunks(toy_low, grid, n_chunks=3))
+        chunks = make_chunks(toy_low, grid, PULSARS, n_chunks=3)
         fused = execute(
             ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
@@ -145,7 +131,7 @@ class TestFusedExecution:
     def test_n_dms_guarded_for_fused_results(
         self, plan, toy_low, toy_grid, detector
     ):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         result = execute(
             ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
@@ -155,7 +141,7 @@ class TestFusedExecution:
     def test_launch_count_covers_every_slab(
         self, plan, toy_low, toy_grid, detector
     ):
-        chunks = tuple(make_chunks(toy_low, toy_grid, n_chunks=2))
+        chunks = make_chunks(toy_low, toy_grid, PULSARS, n_chunks=2)
         result = execute(
             ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
@@ -171,11 +157,9 @@ class TestPeakAccounting:
         plan = DedispersionPlan.create(
             toy_low, grid, hd7970(), config=CONFIG, samples=400
         )
-        chunks = make_chunks(toy_low, grid)
+        chunks = make_chunks(toy_low, grid, PULSARS)
         fused = execute(
-            ExecutionRequest(
-                plan=plan, chunks=tuple(chunks), detector=detector
-            )
+            ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
         )
         account = MemoryAccount()
         staged = execute(ExecutionRequest(plan=plan, chunks=(chunks[0],)))
@@ -186,7 +170,7 @@ class TestPeakAccounting:
         assert account.peak_bytes >= 3 * fused.peak_bytes
 
     def test_peak_metric_emitted(self, plan, toy_low, toy_grid, detector):
-        chunks = tuple(make_chunks(toy_low, toy_grid))
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         with use_registry() as registry:
             execute(
                 ExecutionRequest(
@@ -202,7 +186,7 @@ class TestPeakAccounting:
     ):
         # The fused path performs the same pipeline stage as the staged
         # one, so the chunk counter the CI grep pins must keep moving.
-        chunks = tuple(make_chunks(toy_low, toy_grid))
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         with use_registry() as registry:
             execute(
                 ExecutionRequest(
@@ -218,7 +202,7 @@ class TestPeakAccounting:
     def test_account_balances_to_zero(self, plan, toy_low, toy_grid, detector):
         # Every charge must have a matching release: a leak would grow
         # the high-water mark of longer streams without bound.
-        chunk = make_chunks(toy_low, toy_grid)[0]
+        chunk = make_chunks(toy_low, toy_grid, PULSARS)[0]
         result = run_fused_chunk(plan, chunk, detector)
         assert result.peak_bytes > 0
         account = MemoryAccount()
@@ -233,7 +217,7 @@ class TestChunkSpan:
     ):
         tracer = Tracer()
         monkeypatch.setattr(fused_module, "span", tracer.span)
-        chunk = make_chunks(toy_low, toy_grid)[0]
+        chunk = make_chunks(toy_low, toy_grid, PULSARS)[0]
         result = run_fused_chunk(plan, chunk, detector)
         (chunk_span,) = tracer.finished
         assert chunk_span.name == "run.fused_chunk"

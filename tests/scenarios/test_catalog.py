@@ -123,7 +123,7 @@ class TestRealization:
 
 class TestChunkFaults:
     def _chunks(self, n):
-        from repro.astro.telescope import StreamChunk
+        from repro.astro.source import StreamChunk
 
         return tuple(
             StreamChunk(

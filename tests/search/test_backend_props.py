@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import hd7970
 from repro.run import ExecutionRequest, execute
 from repro.search import MatchedFilterDetector
+from tests.conftest import make_chunks
 
 SETUP = ObservationSetup(
     name="prop-toy",
@@ -46,17 +46,10 @@ PLAN = DedispersionPlan.create(
     trial=st.integers(min_value=1, max_value=GRID.n_dms - 1),
 )
 def test_detector_snr_invariant_under_backend_swap(seed, trial):
-    telescope = Telescope(setup=SETUP, noise_sigma=0.5, seed=seed)
-    beam = telescope.add_beam(
-        pulsars=(
-            SyntheticPulsar(
-                period_seconds=0.5,
-                dm=float(GRID.values[trial]),
-                amplitude=1.0,
-            ),
-        )
+    pulsar = SyntheticPulsar(
+        period_seconds=0.5, dm=float(GRID.values[trial]), amplitude=1.0
     )
-    chunk = next(iter(telescope.stream(beam, 1, GRID)))
+    (chunk,) = make_chunks(SETUP, GRID, (pulsar,), n_chunks=1, seed=seed)
 
     planes = {
         backend: execute(

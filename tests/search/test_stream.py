@@ -6,17 +6,29 @@ import numpy as np
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
+from repro.astro.pulse import gaussian_profile
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
 from repro.obs import use_registry
 from repro.search import SearchConfig, StreamingSearch, search_stream
+from tests.conftest import make_chunks
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
 INJECTED_TRIAL = 4
+#: The injected pulsar, at DM 4.0: trial ``INJECTED_TRIAL`` of ``toy_grid``.
+#: Its pulse (sigma 1.4 samples) is narrower than its 15-sample sweep
+#: across the band, so S/N peaks sharply at the true trial.
+PULSARS = (
+    SyntheticPulsar(
+        period_seconds=0.7,
+        dm=4.0,
+        amplitude=1.0,
+        profile=gaussian_profile(0.005),
+    ),
+)
 
 
 @pytest.fixture
@@ -26,19 +38,10 @@ def plan(toy_low, toy_grid):
     )
 
 
-def make_chunks(toy_low, toy_grid, n_chunks=2, seed=11, dm=None):
-    telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=seed)
-    dm = float(toy_grid.values[INJECTED_TRIAL]) if dm is None else dm
-    beam = telescope.add_beam(
-        pulsars=(SyntheticPulsar(period_seconds=0.7, dm=dm, amplitude=1.0),)
-    )
-    return list(telescope.stream(beam, n_chunks, toy_grid))
-
-
 class TestRecovery:
     @pytest.mark.parametrize("backend", ["tiled", "vectorized"])
     def test_recovers_injected_pulse(self, plan, toy_low, toy_grid, backend):
-        chunks = make_chunks(toy_low, toy_grid)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         report = search_stream(plan, iter(chunks), backend=backend)
         assert report.backend == backend
         assert report.best is not None
@@ -46,7 +49,7 @@ class TestRecovery:
         assert report.best.best.snr >= 6.0
 
     def test_backends_find_identical_candidates(self, plan, toy_low, toy_grid):
-        chunks = make_chunks(toy_low, toy_grid)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS)
         tiled = search_stream(plan, iter(chunks), backend="tiled")
         fast = search_stream(plan, iter(chunks), backend="vectorized")
         assert tiled.result.accepted == fast.result.accepted
@@ -54,11 +57,11 @@ class TestRecovery:
 
     def test_deterministic_under_fixed_seed(self, plan, toy_low, toy_grid):
         first = search_stream(
-            plan, iter(make_chunks(toy_low, toy_grid, seed=23)),
+            plan, iter(make_chunks(toy_low, toy_grid, PULSARS, seed=23)),
             backend="vectorized",
         )
         second = search_stream(
-            plan, iter(make_chunks(toy_low, toy_grid, seed=23)),
+            plan, iter(make_chunks(toy_low, toy_grid, PULSARS, seed=23)),
             backend="vectorized",
         )
         assert first.result.accepted == second.result.accepted
@@ -69,7 +72,7 @@ class TestRecovery:
 
 class TestRealtimeModel:
     def test_fast_search_sustains_realtime(self, plan, toy_low, toy_grid):
-        report = search_stream(plan, iter(make_chunks(toy_low, toy_grid)))
+        report = search_stream(plan, iter(make_chunks(toy_low, toy_grid, PULSARS)))
         assert report.verdict == "realtime_sustained"
         assert report.chunks_processed == 2
         assert report.chunks_dropped == 0
@@ -83,7 +86,7 @@ class TestRealtimeModel:
             min_service_seconds=2.5 * (plan.samples / 400),
         )
         report = search_stream(
-            plan, iter(make_chunks(toy_low, toy_grid, n_chunks=6)), config
+            plan, iter(make_chunks(toy_low, toy_grid, PULSARS, n_chunks=6)), config
         )
         assert report.verdict == "degraded"
         assert report.degraded
@@ -114,7 +117,7 @@ class TestRealtimeModel:
             queue_capacity=capacity, min_service_seconds=service
         )
         report = search_stream(
-            plan, iter(make_chunks(toy_low, toy_grid, n_chunks=40)), config
+            plan, iter(make_chunks(toy_low, toy_grid, PULSARS, n_chunks=40)), config
         )
         dropped = [r.sequence for r in report.records if r.dropped]
         assert dropped == expected
@@ -126,7 +129,7 @@ class TestRealtimeModel:
             min_service_seconds=1.5 * (plan.samples / 400),
         )
         report = search_stream(
-            plan, iter(make_chunks(toy_low, toy_grid, n_chunks=3)), config
+            plan, iter(make_chunks(toy_low, toy_grid, PULSARS, n_chunks=3)), config
         )
         assert report.chunks_dropped == 0
         assert not report.realtime_sustained
@@ -147,7 +150,7 @@ class TestRfiMitigation:
         plan = DedispersionPlan.create(
             toy_low, grid, hd7970(), config=CONFIG, samples=400
         )
-        chunks = make_chunks(toy_low, grid, dm=4.0)
+        chunks = make_chunks(toy_low, grid, PULSARS)
         before = [chunk.data.copy() for chunk in chunks]
         search_stream(plan, iter(chunks), SearchConfig(rfi_mitigation=True))
         for chunk, original in zip(chunks, before):
@@ -157,7 +160,7 @@ class TestRfiMitigation:
 class TestObservability:
     def test_records_search_metrics(self, plan, toy_low, toy_grid):
         with use_registry() as registry:
-            search_stream(plan, iter(make_chunks(toy_low, toy_grid)))
+            search_stream(plan, iter(make_chunks(toy_low, toy_grid, PULSARS)))
             names = {series.name for series in registry.series()}
         assert "repro_search_chunks_total" in names
         assert "repro_search_candidates_total" in names
@@ -172,7 +175,7 @@ class TestObservability:
         )
         with use_registry() as registry:
             report = search_stream(
-                plan, iter(make_chunks(toy_low, toy_grid, n_chunks=6)), config
+                plan, iter(make_chunks(toy_low, toy_grid, PULSARS, n_chunks=6)), config
             )
             counter = registry.counter(
                 "repro_search_chunks_total",
@@ -197,7 +200,7 @@ class TestIsolation:
 
 class TestStreamFaultAccounting:
     def _faulted(self, toy_low, toy_grid, drop=(), dup=()):
-        chunks = make_chunks(toy_low, toy_grid, n_chunks=4)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS, n_chunks=4)
         out = []
         for chunk in chunks:
             if chunk.sequence in drop:
@@ -240,7 +243,7 @@ class TestStreamFaultAccounting:
     def test_backpressure_drop_is_not_a_gap(self, plan, toy_low, toy_grid):
         # A chunk shed by the bounded queue still *arrived*: it must show
         # up in dropped_sequences, not missing_sequences.
-        chunks = make_chunks(toy_low, toy_grid, n_chunks=4)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS, n_chunks=4)
         config = SearchConfig(
             queue_capacity=1,
             min_service_seconds=2.5 * plan.samples / toy_low.samples_per_second,
@@ -363,7 +366,7 @@ class TestVerdictSemantics:
             min_service_seconds=2.5 * (plan.samples / 400),
         )
         report = search_stream(
-            plan, iter(make_chunks(toy_low, toy_grid, n_chunks=6)), config
+            plan, iter(make_chunks(toy_low, toy_grid, PULSARS, n_chunks=6)), config
         )
         assert report.chunks_dropped > 0
         expected = max(
@@ -379,7 +382,7 @@ class TestFusedPath:
     def test_fused_and_staged_find_identical_candidates(
         self, plan, toy_low, toy_grid
     ):
-        chunks = make_chunks(toy_low, toy_grid, n_chunks=3)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS, n_chunks=3)
         fused = search_stream(
             plan, iter(chunks), SearchConfig(fused=True),
             backend="vectorized",
@@ -399,13 +402,13 @@ class TestFusedPath:
     ):
         # The scenario goldens compare verdict payloads exactly; the
         # fused default must not perturb them.
-        chunks = make_chunks(toy_low, toy_grid, n_chunks=3)
+        chunks = make_chunks(toy_low, toy_grid, PULSARS, n_chunks=3)
         fused = search_stream(plan, iter(chunks), SearchConfig(fused=True))
         staged = search_stream(plan, iter(chunks), SearchConfig(fused=False))
         assert fused.verdict_payload() == staged.verdict_payload()
 
     def test_chunk_records_carry_peak_bytes(self, plan, toy_low, toy_grid):
-        report = search_stream(plan, iter(make_chunks(toy_low, toy_grid)))
+        report = search_stream(plan, iter(make_chunks(toy_low, toy_grid, PULSARS)))
         assert all(r.peak_bytes > 0 for r in report.records)
         assert report.peak_bytes == max(r.peak_bytes for r in report.records)
 
@@ -413,7 +416,7 @@ class TestFusedPath:
         with use_registry() as registry:
             search_stream(
                 plan,
-                iter(make_chunks(toy_low, toy_grid)),
+                iter(make_chunks(toy_low, toy_grid, PULSARS)),
                 SearchConfig(fused=False),
             )
             hist = registry.histogram("repro_run_peak_bytes", path="staged")
@@ -422,6 +425,6 @@ class TestFusedPath:
 
     def test_fused_path_emits_fused_label(self, plan, toy_low, toy_grid):
         with use_registry() as registry:
-            search_stream(plan, iter(make_chunks(toy_low, toy_grid)))
+            search_stream(plan, iter(make_chunks(toy_low, toy_grid, PULSARS)))
             hist = registry.histogram("repro_run_peak_bytes", path="fused")
             assert hist.count == 2

@@ -297,10 +297,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("command", ["study", "ablate"])
-    def test_retired_subcommands_rejected(self, command, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["study"], ["ablate"], ["obs", "export", "--format", "jsonl"]],
+        ids=["study", "ablate", "obs-export-jsonl"],
+    )
+    def test_retired_subcommands_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([command])
+            main(argv)
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 

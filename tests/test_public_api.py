@@ -74,6 +74,12 @@ RETIRED = (
     ("repro", "random_search"),
     ("repro", "run_ablation"),
     ("repro", "run_study"),
+    ("repro.astro", "Beam"),
+    ("repro.astro", "Telescope"),
+    ("repro.obs", "to_jsonl"),
+    ("repro.opencl_sim", "CommandQueue"),
+    ("repro.opencl_sim", "Context"),
+    ("repro.opencl_sim", "SimPlatform"),
     ("repro.service.stats", "_percentile"),
 )
 

@@ -7,7 +7,9 @@ dedispersion entrypoint: batches are ``input_data``, delay tables are
 selection is ``backend``.  This lint pins those names so they cannot
 drift apart again — the pre-facade stack had ``input_batch`` in some
 layers and no ``out``/``backend`` in others, which is exactly the
-inconsistency the redesign removed.
+inconsistency the redesign removed.  Only the work-group body writes
+into an ``out``: the kernel body the facade launches allocates its own
+output, and its pin admits no destination buffer.
 
 Two checks:
 
@@ -63,10 +65,11 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
             "detector",
         ),
     ),
-    # The executor body the facade dispatches to.
+    # The executor body the facade dispatches to; it allocates its own
+    # output, so a destination-buffer parameter fails the pin.
     "DedispersionKernel._execute": (
         "repro/opencl_sim/kernel.py",
-        ("input_data", "delay_table", "out", "backend"),
+        ("input_data", "delay_table", "backend"),
     ),
     "SignalSource.generate": (
         "repro/astro/source.py",

@@ -34,7 +34,6 @@ FAMILY_PREFIXES = (
     "repro_sched_",
     "repro_search_",
     "repro_service_",
-    "repro_sim_",
     "repro_survey_",
     "repro_trace_",
     "repro_tune_",
