@@ -6,8 +6,9 @@ scale (1,024 channels — the regime whose thousands of work-groups made
 the tiled Python replay the slowest path in the repository) and a
 LOFAR-like scale (32 channels, long batches), asserts bit-identical
 outputs, records how many DM-row blocks the vectorized executor splits
-each launch into, and writes the first entry of the ``BENCH_*.json``
-perf trajectory::
+each launch into and how many cores (``workers``) it shares them
+among, and writes the first entry of the ``BENCH_*.json`` perf
+trajectory::
 
     PYTHONPATH=src python benchmarks/bench_kernel_backends.py
     PYTHONPATH=src python benchmarks/bench_kernel_backends.py --smoke
@@ -31,8 +32,8 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.config import KernelConfiguration
 from repro.opencl_sim.codegen import build_kernel
-from repro.opencl_sim.vectorized import BLOCK_BYTES
 from repro.run import ExecutionRequest, execute
+from repro.utils.rows import block_rows, row_ranges
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
 
@@ -84,6 +85,7 @@ def bench_scale(label, setup_factory, samples, n_dms, dm_step, config, repeats):
 
     tiled_s = _time(lambda: run("tiled"), repeats)
     fast_s = _time(lambda: run("vectorized"), repeats)
+    step = block_rows(4 * samples)
     return {
         "scale": label,
         "setup": setup.name,
@@ -92,7 +94,8 @@ def bench_scale(label, setup_factory, samples, n_dms, dm_step, config, repeats):
         "n_dms": n_dms,
         "config": config.describe(),
         "work_groups": kernel.ndrange(n_dms).n_work_groups,
-        "dm_blocks": -(-n_dms // max(1, BLOCK_BYTES // (4 * samples))),
+        "dm_blocks": -(-n_dms // step),
+        "workers": len(row_ranges(n_dms, step)),
         "tiled_seconds": round(tiled_s, 6),
         "vectorized_seconds": round(fast_s, 6),
         "speedup": round(tiled_s / fast_s, 2),

@@ -9,7 +9,9 @@ operation per channel and DM-row block:
 
 * a zero-copy sliding-window view exposes every possible shifted read
   of a channel as rows of a ``(t - samples + 1, samples)`` matrix;
-* the output rows are split into blocks of at most :data:`BLOCK_BYTES`;
+* the output rows are split into cache blocks of at most
+  :data:`repro.utils.rows.BLOCK_BYTES`, and the blocks are shared among
+  the process's cores by :func:`repro.utils.rows.split_rows`;
 * for each block, one fancy-index gather per channel pulls the rows the
   delay table selects, and one batched ``+=`` accumulates them into the
   block.
@@ -17,22 +19,23 @@ operation per channel and DM-row block:
 The blocking is the paper's own lever (Sec. III), applied to the host:
 a block and its gather temporary are written once per channel, so the
 block is sized to stay in a core's L2 cache instead of streaming the
-whole launch through memory once per channel.  The detector
-(:mod:`repro.search.detect`) has its own, smaller ``BLOCK_BYTES``
-because its working set is different: 128 KiB of float64 cumulative
-sums, re-read once per boxcar width, against 512 KiB here of float32
-output rows, accumulated once per channel.
+whole launch through memory once per channel.  The split across cores
+is the paper's other lever, parallelism over trial DMs: each core
+accumulates its own contiguous blocks of output rows, and NumPy
+releases the interpreter lock in the gather and the add.  The detector
+(:mod:`repro.search.detect`) cuts and shares its rows by the same rule,
+so the one constant and the one split live in :mod:`repro.utils.rows`.
 
 Bit-for-bit equality with the tiled executor is not approximate: both
 paths start each output element at float32 zero and add the channels in
 index order with float32 arithmetic, so every intermediate rounding
-step is identical.  Blocking splits rows, never a row's channel sum.
-The property tests assert exact equality across the sampled tuning
-space.
+step is identical.  Blocking and the split across cores cut rows, never
+a row's channel sum.  The property tests assert exact equality across
+the sampled tuning space, at several worker counts.
 
 The Python trip count drops from ``work_groups x channels x tile_dms``
-(tiled) to ``blocks x channels`` (here), which is where the
-order-of-magnitude speedup measured by
+(tiled) to ``blocks x channels`` (here, shared among the cores), which
+is where the order-of-magnitude speedup measured by
 ``benchmarks/bench_kernel_backends.py`` comes from.
 """
 
@@ -40,13 +43,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.rows import block_rows, split_rows
+
 #: Dtype used for fancy-index gathers (fits any valid delay).
 _INDEX_DTYPE = np.intp
-
-#: Output bytes per DM-row block (at least one row).  A block is
-#: accumulated once per channel, so it should stay resident in a core's
-#: L2 cache.
-BLOCK_BYTES = 512 * 1024
 
 
 def accumulate_channels(
@@ -69,13 +69,19 @@ def accumulate_channels(
     windows = np.lib.stride_tricks.sliding_window_view(
         input_data, samples, axis=1
     )
-    step = max(1, BLOCK_BYTES // (out.itemsize * samples))
-    for first in range(0, out.shape[0], step):
-        block = out[first : first + step]
-        block_shifts = shifts[first : first + step]
-        for channel in range(input_data.shape[0]):
-            # One gather + one batched row accumulation per channel.  The
-            # channel-index order matches the tiled executor's innermost
-            # accumulation order, which is what makes the result bit-equal.
-            block += windows[channel][block_shifts[:, channel]]
+    step = block_rows(out.itemsize * samples)
+
+    def accumulate(lo: int, hi: int) -> None:
+        for first in range(lo, hi, step):
+            # Only the last part's last block may be partial.
+            block = out[first : first + step]
+            block_shifts = shifts[first : first + step]
+            for channel in range(input_data.shape[0]):
+                # One gather + one batched row accumulation per channel.
+                # The channel-index order matches the tiled executor's
+                # innermost accumulation order, which is what makes the
+                # result bit-equal.
+                block += windows[channel][block_shifts[:, channel]]
+
+    split_rows(out.shape[0], step, accumulate)
     return out

@@ -21,12 +21,26 @@ is kept small:
   from one single-``kth`` partition each, and the median is selected on
   the plane's own float32 values: widening to float64 is exact and
   monotone, so it preserves order statistics.
-* The centred rows are written straight into the cumulative-sum buffer,
-  and one second buffer holds the absolute deviations and then every
-  width's boxcar sums and S/N.  Scratch is those two float64 buffers.
-* The width bank runs over row blocks of at most :data:`BLOCK_BYTES` of
-  cumulative sums, so each block is re-read from cache once per width
-  instead of from memory.
+* One float64 buffer holds the centred rows and then every width's
+  boxcar sums and S/N; the other holds the absolute deviations (for the
+  MAD) and then the cumulative sums.  Scratch is those two buffers.
+* The cumulative sum runs as one 1-D ``np.add.accumulate`` per row, from
+  the centred row into the cumulative-sum buffer: NumPy holds the
+  interpreter lock through a 2-D or an in-place accumulate but releases
+  it in a 1-D one whose output does not overlap its input, and the sums
+  are the same sequential additions either way.
+* A slab's rows are cut into cache blocks of at most
+  :data:`repro.utils.rows.BLOCK_BYTES` of cumulative sums, and
+  :func:`repro.utils.rows.split_rows` shares the blocks among the
+  process's cores.  Each core computes its own rows' median, MAD and
+  cumulative sum into its rows of the two buffers, then runs the width
+  bank over its blocks, so each block is re-read from cache once per
+  width instead of from memory.  A block holds several rows (three at
+  the LOFAR scale): each width costs a few small NumPy calls per
+  block, and with one-row blocks the cores would spend their time
+  handing the interpreter lock back and forth on every call.  The
+  kernel's vectorized executor cuts and shares its rows by the same
+  rule.
 
 Every per-row statistic here — median/MAD, the centred cumulative sum,
 the per-width S/N — depends on that row alone, so the plane can be
@@ -50,16 +64,28 @@ from repro.astro.candidates import Candidate
 from repro.errors import ValidationError
 from repro.run.peak import charge, release
 from repro.utils.intmath import powers_of_two
+from repro.utils.rows import block_rows, split_rows
 from repro.utils.validation import require_positive
 
 #: Default boxcar bank: powers of two, matching the widths
 #: :func:`repro.astro.snr.best_boxcar_snr` scans for short series.
 DEFAULT_WIDTHS = (1, 2, 4, 8, 16, 32)
 
-#: Cumulative-sum bytes per row block of the width loop (at least one
-#: row).  A block is re-read once per width, so it should stay resident
-#: in a core's L2 cache.
-BLOCK_BYTES = 128 * 1024
+
+def _is_width(value) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, bool
+    )
+
+
+def _check_dtype(plane: np.ndarray) -> None:
+    """Reject a plane the robust statistics cannot order or sum."""
+    if plane.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"dedispersed planes must hold real integers or floats, got "
+            f"dtype {plane.dtype}"
+        )
 
 
 def _median_rows(values: np.ndarray) -> np.ndarray:
@@ -84,23 +110,19 @@ def _median_rows(values: np.ndarray) -> np.ndarray:
 
 
 def _centred_cumsum(
-    slab: np.ndarray, account=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-prefixed cumulative sum of the median-centred rows.
+    slab: np.ndarray, csum: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Zero-prefixed cumulative sum of the median-centred rows of ``slab``.
 
-    Returns ``(csum, scratch, sigma)``: ``csum`` is the float64
-    ``(rows, samples + 1)`` cumulative sum, ``scratch`` a float64
-    ``(rows, samples)`` buffer the caller may overwrite, and ``sigma``
-    the per-row noise.  Mirrors :func:`repro.astro.snr._robust_stats`
-    exactly, including the fallback chain for degenerate rows: MAD of
-    zero falls back to the row's standard deviation, and a zero standard
-    deviation falls back to 1.0 (so constant rows yield zero S/N
-    instead of NaN).  The two buffers are charged to ``account``; the
-    caller releases them.
+    Fills ``csum``, a float64 ``(rows, samples + 1)`` buffer, leaves
+    the centred rows in ``scratch``, a float64 ``(rows, samples)``
+    buffer the caller may then overwrite, and returns the per-row noise
+    ``sigma``.  Mirrors :func:`repro.astro.snr._robust_stats` exactly,
+    including the fallback chain for degenerate rows: MAD of zero falls
+    back to the row's standard deviation, and a zero standard deviation
+    falls back to 1.0 (so constant rows yield zero S/N instead of NaN).
     """
-    rows, samples = slab.shape
-    csum = charge(account, np.empty((rows, samples + 1)))
-    scratch = charge(account, np.empty((rows, samples)))
+    samples = slab.shape[1]
     # The slab belongs to the caller, so the median is selected on a
     # copy held in the scratch buffer's memory.  Widening float32 to
     # float64 keeps every order statistic, so float32 input is selected
@@ -111,19 +133,26 @@ def _centred_cumsum(
         values = scratch
     np.copyto(values, slab)
     median = _median_rows(values)
-    csum[:, 0] = 0.0
-    centred = csum[:, 1:]
+    centred = scratch
     np.subtract(slab, median[:, None], out=centred)
-    np.abs(centred, out=scratch)
-    mad = _median_rows(scratch)
-    np.cumsum(centred, axis=1, out=centred)
+    # The deviations are selected in the cumulative-sum buffer, which
+    # the sums then overwrite.
+    deviations = csum[:, 1:]
+    np.abs(centred, out=deviations)
+    mad = _median_rows(deviations)
+    csum[:, 0] = 0.0
+    # One call per row, into a buffer that does not overlap its input:
+    # NumPy holds the interpreter lock through a 2-D or in-place
+    # accumulate and releases it in this one.
+    for row, sums in zip(centred, deviations):
+        np.add.accumulate(row, out=sums)
     sigma = 1.4826 * mad
     flat = mad <= 0
     if flat.any():
         std = np.std(np.asarray(slab[flat], dtype=np.float64), axis=1)
         std[std == 0.0] = 1.0
         sigma[flat] = std
-    return csum, scratch, sigma
+    return sigma
 
 
 def _boxcar_snr(
@@ -151,12 +180,18 @@ def boxcar_snr_plane(dedispersed: np.ndarray, width: int) -> np.ndarray:
     plane = np.asarray(dedispersed)
     if plane.ndim != 2:
         raise ValidationError("dedispersed must be (n_dms, samples)")
+    _check_dtype(plane)
+    if not _is_width(width):
+        raise ValidationError(f"width must be an integer, got {width!r}")
     if width <= 0 or width > plane.shape[1]:
         raise ValidationError(
             f"width must be in [1, {plane.shape[1]}], got {width}"
         )
-    csum, scratch, sigma = _centred_cumsum(plane)
-    return _boxcar_snr(csum, sigma, width, scratch)
+    rows, samples = plane.shape
+    csum = np.empty((rows, samples + 1))
+    scratch = np.empty((rows, samples))
+    sigma = _centred_cumsum(plane, csum, scratch)
+    return _boxcar_snr(csum, sigma, int(width), scratch)
 
 
 @dataclass(frozen=True)
@@ -174,7 +209,9 @@ class MatchedFilterDetector:
     widths wider than the plane are skipped individually, but a bank
     in which *every* width is wider raises :class:`ValidationError`
     instead of silently detecting nothing — a misconfigured detector
-    must fail loudly, not report an empty sky.
+    must fail loudly, not report an empty sky.  For the same reason a
+    threshold must be finite and every width an integer: an infinite
+    threshold never fires, and a fractional width would be truncated.
     """
 
     snr_threshold: float = 6.0
@@ -182,8 +219,17 @@ class MatchedFilterDetector:
 
     def __post_init__(self) -> None:
         require_positive(self.snr_threshold, "snr_threshold")
+        if not np.isfinite(self.snr_threshold):
+            raise ValidationError(
+                f"snr_threshold must be finite, got {self.snr_threshold!r}"
+            )
         if not self.widths:
             raise ValidationError("detector needs at least one boxcar width")
+        for width in self.widths:
+            if not _is_width(width):
+                raise ValidationError(
+                    f"boxcar widths must be integers, got {width!r}"
+                )
         widths = tuple(sorted(set(int(w) for w in self.widths)))
         if widths[0] <= 0:
             raise ValidationError("boxcar widths must be positive")
@@ -222,6 +268,7 @@ class MatchedFilterDetector:
         plane = np.asarray(dedispersed)
         if plane.ndim != 2:
             raise ValidationError("dedispersed must be (n_dms, samples)")
+        _check_dtype(plane)
         return self._best_of_slab(plane)
 
     def _best_of_slab(
@@ -231,10 +278,13 @@ class MatchedFilterDetector:
 
         Row statistics are row-local, so running this over DM-tile
         slabs and concatenating gives bit-identical results to one
-        whole-plane call — the property the fused path rests on.  The
-        width loop runs over row blocks of at most :data:`BLOCK_BYTES`
-        of cumulative sums, and every width of a block builds its S/N
-        in the same rows of the scratch buffer.
+        whole-plane call — the property the fused path rests on — and
+        so does sharing the slab's row blocks among the cores
+        (:func:`repro.utils.rows.split_rows`).  Each part centres and
+        sums its own rows into its rows of the two slab-sized scratch
+        buffers, which are charged to ``account`` here, on the caller's
+        thread; then every width of a block builds its S/N in the same
+        rows of the scratch buffer.
         """
         n_rows, samples = slab.shape
         self._check_bank(samples)
@@ -242,24 +292,32 @@ class MatchedFilterDetector:
         best_snr = np.full(n_rows, -np.inf)
         best_width = np.ones(n_rows, dtype=np.int64)
         best_offset = np.zeros(n_rows, dtype=np.int64)
-        csum, scratch, sigma = _centred_cumsum(slab, account)
-        step = max(1, BLOCK_BYTES // (csum.itemsize * csum.shape[1]))
-        for r0 in range(0, n_rows, step):
-            block = slice(r0, r0 + step)
-            block_snr = best_snr[block]
-            block_width = best_width[block]
-            block_offset = best_offset[block]
-            rows = np.arange(block_snr.size)
-            for width in widths:
-                snr = _boxcar_snr(
-                    csum[block], sigma[block], width, scratch[block]
-                )
-                offsets = np.argmax(snr, axis=1)
-                peaks = snr[rows, offsets]
-                better = peaks > block_snr
-                block_snr[better] = peaks[better]
-                block_width[better] = width
-                block_offset[better] = offsets[better]
+        csum = charge(account, np.empty((n_rows, samples + 1)))
+        scratch = charge(account, np.empty((n_rows, samples)))
+        step = block_rows(csum.itemsize * csum.shape[1])
+
+        def search(lo: int, hi: int) -> None:
+            part = slice(lo, hi)
+            sigma = _centred_cumsum(slab[part], csum[part], scratch[part])
+            for r0 in range(0, hi - lo, step):
+                block = slice(lo + r0, lo + r0 + step)
+                block_sigma = sigma[r0 : r0 + step]
+                block_snr = best_snr[block]
+                block_width = best_width[block]
+                block_offset = best_offset[block]
+                rows = np.arange(block_snr.size)
+                for width in widths:
+                    snr = _boxcar_snr(
+                        csum[block], block_sigma, width, scratch[block]
+                    )
+                    offsets = np.argmax(snr, axis=1)
+                    peaks = snr[rows, offsets]
+                    better = peaks > block_snr
+                    block_snr[better] = peaks[better]
+                    block_width[better] = width
+                    block_offset[better] = offsets[better]
+
+        split_rows(n_rows, step, search)
         release(account, scratch)
         release(account, csum)
         return best_snr, best_width, best_offset
@@ -316,6 +374,7 @@ class MatchedFilterDetector:
                 "dedispersed must be (n_dms, samples) with one row per "
                 "trial DM"
             )
+        _check_dtype(plane)
         snrs, widths, offsets = self._best_of_slab(plane, account)
         return self._candidates(
             snrs, widths, offsets, dms, time_offset, beam
@@ -350,6 +409,7 @@ class MatchedFilterDetector:
                 raise ValidationError(
                     "every slab must be 2-D (rows, samples)"
                 )
+            _check_dtype(plane)
             if samples is None:
                 samples = plane.shape[1]
             elif plane.shape[1] != samples:

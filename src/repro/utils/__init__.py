@@ -1,4 +1,4 @@
-"""Shared utility helpers: validation, integer math, seeded RNG."""
+"""Shared utility helpers: validation, integer math, seeded RNG, row blocks."""
 
 from repro.utils.rng import RandomStreams, derive_seed
 from repro.utils.validation import (

@@ -5,6 +5,8 @@ every assertion here uses ``np.array_equal`` / ``assert_array_equal``,
 never ``allclose``.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from repro.opencl_sim.backend import (
     resolve_backend,
 )
 from repro.opencl_sim.codegen import build_kernel
-from repro.opencl_sim.vectorized import BLOCK_BYTES
 from repro.run import ExecutionRequest, execute
+from repro.utils import rows
 from tests.conftest import make_input, run_kernel
 
 
@@ -121,11 +123,11 @@ class TestBitIdentity:
             assert np.array_equal(tiled, fast), f"diverged at {cfg}"
 
     def test_crosses_dm_block_seams(self, toy_low, rng):
-        # At the module's own BLOCK_BYTES: 40 000-sample rows give blocks
+        # At the shared BLOCK_BYTES: 40 000-sample rows give blocks
         # of three rows, so eight DMs run as 3 + 3 + 2.
         samples, n_dms = 40_000, 8
-        rows = BLOCK_BYTES // (4 * samples)
-        assert n_dms > 2 * rows and n_dms % rows, "launch must cross seams"
+        step = rows.block_rows(4 * samples)
+        assert n_dms > 2 * step and n_dms % step, "launch must cross seams"
         table = rng.integers(0, 64, size=(n_dms, toy_low.channels))
         data = rng.normal(size=(toy_low.channels, samples + 64)).astype(
             np.float32
@@ -137,6 +139,27 @@ class TestBitIdentity:
             run_kernel(kernel, data, table, backend="tiled"),
             run_kernel(kernel, data, table, backend="vectorized"),
         )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_split_across_workers(self, toy_low, rng, workers):
+        # 40 000-sample rows give three-row blocks, so 20 DMs are seven
+        # blocks, the last of two rows: every worker count above one
+        # crosses part seams and ends on a ragged part.
+        samples, n_dms = 40_000, 20
+        step = rows.block_rows(4 * samples)
+        assert n_dms % step, "the last part must be ragged"
+        table = rng.integers(0, 64, size=(n_dms, toy_low.channels))
+        data = rng.normal(size=(toy_low.channels, samples + 64)).astype(
+            np.float32
+        )
+        kernel = build_kernel(
+            config(wt=100, wd=2, et=50, ed=2), toy_low.channels, samples
+        )
+        tiled = run_kernel(kernel, data, table, backend="tiled")
+        with patch.object(rows, "WORKERS", workers):
+            assert len(rows.row_ranges(n_dms, step)) == workers
+            fast = run_kernel(kernel, data, table, backend="vectorized")
+        assert np.array_equal(tiled, fast)
 
     def test_single_work_group_case(self, toy_low, rng):
         # The one geometry the auto heuristic keeps on the tiled path.

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import KernelConfiguration
-from repro.opencl_sim import vectorized
 from repro.opencl_sim.codegen import build_kernel
-from repro.opencl_sim.vectorized import BLOCK_BYTES
+from repro.utils import rows
 from tests.conftest import run_kernel
 
 
@@ -79,17 +78,26 @@ class TestKernelEquivalence:
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=problems(), one_row_blocks=st.booleans())
-    def test_vectorized_bitwise_equals_tiled(self, problem, one_row_blocks):
+    @given(
+        problem=problems(),
+        one_row_blocks=st.booleans(),
+        workers=st.sampled_from([1, 2, 3, 5]),
+    )
+    def test_vectorized_bitwise_equals_tiled(
+        self, problem, one_row_blocks, workers
+    ):
         # The fast path's contract is *exact* float32 equality, not
         # allclose: both executors add the channels in the same order.
         # The toy launches fit in one DM block; one-row blocks put a
-        # seam between every pair of rows.
+        # seam between every pair of rows, and with more than one
+        # worker the blocks are shared among threads.
         channels, samples, n_dms, config, delays, data = problem
         kernel = build_kernel(config, channels, samples)
         tiled = run_kernel(kernel, data, delays, backend="tiled")
-        block_bytes = 4 * samples if one_row_blocks else BLOCK_BYTES
-        with patch.object(vectorized, "BLOCK_BYTES", block_bytes):
+        block_bytes = 4 * samples if one_row_blocks else rows.BLOCK_BYTES
+        with patch.object(rows, "BLOCK_BYTES", block_bytes), patch.object(
+            rows, "WORKERS", workers
+        ):
             fast = run_kernel(kernel, data, delays, backend="vectorized")
         np.testing.assert_array_equal(tiled, fast)
 

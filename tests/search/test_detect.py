@@ -1,12 +1,14 @@
 """Unit tests for repro.search.detect — the vectorized matched filter."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from repro.astro.snr import best_boxcar_snr, boxcar_snr
 from repro.errors import ValidationError
 from repro.search import DEFAULT_WIDTHS, MatchedFilterDetector, boxcar_snr_plane
-from repro.search.detect import BLOCK_BYTES
+from repro.utils import rows
 from repro.utils.intmath import powers_of_two
 
 
@@ -64,7 +66,7 @@ def _nan(rng):
 
 def _tall(rng):
     # Enough rows for the detector's width loop to span three row blocks.
-    rows_per_block = BLOCK_BYTES // (8 * 257)
+    rows_per_block = rows.block_rows(8 * 257)
     return rng.normal(size=(2 * rows_per_block + 3, 256)).astype(np.float32)
 
 
@@ -267,6 +269,120 @@ class TestDegenerateBank:
         detector = MatchedFilterDetector(snr_threshold=1.0, widths=(2, 64))
         found = detector.detect(narrow, np.arange(2, dtype=np.float64))
         assert all(c.width == 2 for c in found)
+
+
+def _mixed_parts(rng):
+    # 20 000-sample rows give three-row blocks, so 16 rows are six
+    # blocks and five workers get one each (the last two).  Each part
+    # holds a different corner: NaN, +inf, -inf, zero-MAD, constant.
+    plane = rng.normal(size=(16, 20_000)).astype(np.float32)
+    plane[0, 500] = np.nan
+    plane[4, 9_000] = np.inf
+    plane[7, :100] = -np.inf
+    plane[10, :15_000] = 0.0
+    plane[12:] = 2.5
+    plane[14, 7] = 4.0
+    return plane
+
+
+class TestSplitAcrossWorkers:
+    """Sharing a slab's blocks among threads changes no bit."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["tall", "mixed"])
+    def test_best_per_trial_equals_one_worker(self, rng, kind, workers):
+        plane = _tall(rng) if kind == "tall" else _mixed_parts(rng)
+        detector = MatchedFilterDetector.for_samples(256)
+        step = rows.block_rows(8 * (plane.shape[1] + 1))
+        with patch.object(rows, "WORKERS", 1):
+            expected = detector.best_per_trial(plane)
+        with patch.object(rows, "WORKERS", workers):
+            assert len(rows.row_ranges(plane.shape[0], step)) > 1
+            got = detector.best_per_trial(plane)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    def test_mixed_plane_corners_land_in_different_parts(self, rng):
+        plane = _mixed_parts(rng)
+        step = rows.block_rows(8 * (plane.shape[1] + 1))
+        with patch.object(rows, "WORKERS", 5):
+            ranges = rows.row_ranges(plane.shape[0], step)
+        corners = (0, 4, 7, 10, 12)
+        owners = [
+            next(i for i, (lo, hi) in enumerate(ranges) if lo <= r < hi)
+            for r in corners
+        ]
+        assert owners == [0, 1, 2, 3, 4]
+
+
+class TestBoundaryValidation:
+    """Input the detector would truncate or choke on fails up front."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(
+                lambda p: MatchedFilterDetector(widths=(2.5,)),
+                id="init-fractional-width",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector(widths=("4",)),
+                id="init-string-width",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector(widths=(True,)),
+                id="init-bool-width",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector(snr_threshold=np.inf),
+                id="init-infinite-threshold",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector().detect(
+                    p.astype(np.complex64), np.arange(6.0)
+                ),
+                id="detect-complex",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector().detect(
+                    p.astype(object), np.arange(6.0)
+                ),
+                id="detect-object",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector().detect_slabs(
+                    (p[:3], p[3:].astype(np.complex128)), np.arange(6.0)
+                ),
+                id="detect_slabs-complex",
+            ),
+            pytest.param(
+                lambda p: MatchedFilterDetector().best_per_trial(
+                    p.astype(np.complex64)
+                ),
+                id="best_per_trial-complex",
+            ),
+            pytest.param(
+                lambda p: boxcar_snr_plane(p, 2.5), id="plane-fractional-width"
+            ),
+            pytest.param(
+                lambda p: boxcar_snr_plane(p.astype(np.complex64), 2),
+                id="plane-complex",
+            ),
+        ],
+    )
+    def test_rejected(self, plane, call):
+        with pytest.raises(ValidationError):
+            call(plane)
+
+    def test_numpy_integers_and_integer_planes_accepted(self, plane):
+        detector = MatchedFilterDetector(widths=(np.int64(8), np.int32(2)))
+        assert detector.widths == (2, 8)
+        assert all(type(w) is int for w in detector.widths)
+        counts = np.rint(plane * 10).astype(np.int16)
+        found = detector.detect(counts, np.arange(6.0))
+        assert max(found, key=lambda c: c.snr).dm_index == 3
+        assert boxcar_snr_plane(counts, np.int64(4)).shape == (6, 253)
 
 
 class TestSlabDetection:
