@@ -22,8 +22,17 @@ is kept small:
   the plane's own float32 values: widening to float64 is exact and
   monotone, so it preserves order statistics.
 * One float64 buffer holds the centred rows and then every width's
-  boxcar sums and S/N; the other holds the absolute deviations (for the
-  MAD) and then the cumulative sums.  Scratch is those two buffers.
+  boxcar sums; the other holds the absolute deviations (for the MAD)
+  and then the cumulative sums.  Scratch is those two buffers.
+* The bank divides once per row, not once per width.  Each width keeps
+  only each row's largest boxcar sum and divides it by the row's
+  ``sigma * sqrt(width)``, which is exact because correctly rounded
+  division by a positive divisor is monotone (a row whose divisor
+  overflows to infinity takes its largest quotient instead).  Once
+  every width is done, each row writes S/N for its winning width only:
+  it divides that width's sums, into its row of the first buffer, and
+  takes its offset from the first largest S/N there, as the scalar path
+  does.
 * The cumulative sum runs as one 1-D ``np.add.accumulate`` per row, from
   the centred row into the cumulative-sum buffer: NumPy holds the
   interpreter lock through a 2-D or an in-place accumulate but releases
@@ -155,12 +164,18 @@ def _centred_cumsum(
     return sigma
 
 
+def _boxcar_sums(csum: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """Boxcar sums for one width from the cumulative sum, built in ``out``."""
+    sums = out[:, : csum.shape[1] - width]
+    np.subtract(csum[:, width:], csum[:, :-width], out=sums)
+    return sums
+
+
 def _boxcar_snr(
     csum: np.ndarray, sigma: np.ndarray, width: int, out: np.ndarray
 ) -> np.ndarray:
     """Boxcar S/N for one width from the cumulative sum, built in ``out``."""
-    snr = out[:, : csum.shape[1] - width]
-    np.subtract(csum[:, width:], csum[:, :-width], out=snr)
+    snr = _boxcar_sums(csum, width, out)
     np.divide(snr, sigma[:, None] * np.sqrt(width), out=snr)
     return snr
 
@@ -283,8 +298,21 @@ class MatchedFilterDetector:
         (:func:`repro.utils.rows.split_rows`).  Each part centres and
         sums its own rows into its rows of the two slab-sized scratch
         buffers, which are charged to ``account`` here, on the caller's
-        thread; then every width of a block builds its S/N in the same
-        rows of the scratch buffer.
+        thread.
+
+        Each width of a block then builds its boxcar sums in the same
+        rows of the scratch buffer and keeps only each row's largest
+        sum, divided by the row's ``sigma * sqrt(width)``.  Correctly
+        rounded division by a positive divisor is monotone, so that is
+        the row's peak S/N at that width, bit for bit, and ``max``
+        passes a NaN on as ``argmax`` would pick it.  A divisor that
+        overflows to infinity is the one exception (``±inf / inf`` is
+        NaN), so such a row takes the largest of its quotients instead.
+        Once the bank is done, each row with a detection divides its
+        winning width's sums, once, and takes its offset and S/N from
+        the first largest quotient: the element
+        :func:`repro.astro.snr.best_boxcar_snr` picks, ties between
+        offsets and the sign of zero included.
         """
         n_rows, samples = slab.shape
         self._check_bank(samples)
@@ -299,23 +327,47 @@ class MatchedFilterDetector:
         def search(lo: int, hi: int) -> None:
             part = slice(lo, hi)
             sigma = _centred_cumsum(slab[part], csum[part], scratch[part])
+            # Whether some row's divisor overflows at some width: the
+            # widest width's is the largest.
+            overflow = np.isinf(sigma * np.sqrt(widths[-1])).any()
             for r0 in range(0, hi - lo, step):
                 block = slice(lo + r0, lo + r0 + step)
+                block_csum = csum[block]
+                block_scratch = scratch[block]
                 block_sigma = sigma[r0 : r0 + step]
                 block_snr = best_snr[block]
                 block_width = best_width[block]
                 block_offset = best_offset[block]
-                rows = np.arange(block_snr.size)
                 for width in widths:
-                    snr = _boxcar_snr(
-                        csum[block], block_sigma, width, scratch[block]
-                    )
-                    offsets = np.argmax(snr, axis=1)
-                    peaks = snr[rows, offsets]
+                    sums = _boxcar_sums(block_csum, width, block_scratch)
+                    divisor = block_sigma * np.sqrt(width)
+                    peaks = sums.max(axis=1) / divisor
+                    if overflow:
+                        huge = np.isinf(divisor)
+                        peaks[huge] = np.max(
+                            sums[huge] / divisor[huge, None], axis=1
+                        )
                     better = peaks > block_snr
                     block_snr[better] = peaks[better]
                     block_width[better] = width
-                    block_offset[better] = offsets[better]
+                # The S/N of each detecting row's winning width, built as
+                # _boxcar_snr builds it, one row at a time.
+                hits = np.flatnonzero(block_snr > -np.inf)
+                hit_widths = block_width[hits]
+                divisors = block_sigma[hits] * np.sqrt(hit_widths)
+                for row, width, divisor in zip(
+                    hits.tolist(), hit_widths.tolist(), divisors.tolist()
+                ):
+                    snr = block_scratch[row, : samples + 1 - width]
+                    np.subtract(
+                        block_csum[row, width:],
+                        block_csum[row, :-width],
+                        out=snr,
+                    )
+                    np.divide(snr, divisor, out=snr)
+                    offset = snr.argmax()
+                    block_offset[row] = offset
+                    block_snr[row] = snr[offset]
 
         split_rows(n_rows, step, search)
         release(account, scratch)

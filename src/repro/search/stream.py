@@ -515,8 +515,8 @@ class StreamingSearch:
         """RFI-mitigate a copy of the chunk (stream chunks share storage)."""
         if not self.config.rfi_mitigation:
             return chunk
-        data = np.array(chunk.data, dtype=np.float32, copy=True)
         with span("search.rfi", sequence=chunk.sequence):
+            data = np.array(chunk.data, dtype=np.float32, copy=True)
             mask_noisy_channels(data)
             zero_dm_filter(data)
         return replace(chunk, data=data)

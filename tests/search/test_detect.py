@@ -99,6 +99,19 @@ PLANE_PARITY_CASES = [
 ]
 
 
+def _divide_every_width(plane, widths):
+    """The bank as a scan of every width's full S/N, strict > ascending."""
+    best = [(-np.inf, 1, 0)] * plane.shape[0]
+    for width in widths:
+        snr = boxcar_snr_plane(plane, width)
+        for row, series in enumerate(snr):
+            offset = int(np.argmax(series))
+            if series[offset] > best[row][0]:
+                best[row] = (series[offset], width, offset)
+    snrs, widths, offsets = zip(*best)
+    return np.array(snrs), np.array(widths), np.array(offsets)
+
+
 class TestPlaneParity:
     """The whole-plane filter matches the scalar oracle bit for bit."""
 
@@ -176,17 +189,44 @@ class TestDetection:
         plane = PARITY_PLANES[kind](rng)
         detector = MatchedFilterDetector.for_samples(plane.shape[1])
         snrs, widths, offsets = detector.best_per_trial(plane)
-        for row in range(plane.shape[0]):
-            snr, width, offset = best_boxcar_snr(plane[row])
-            assert snrs[row] == pytest.approx(snr)
-            assert snrs[row] == snr
-            assert widths[row] == width
-            assert offsets[row] == offset
+        scalar_snrs, scalar_widths, scalar_offsets = zip(
+            *(best_boxcar_snr(row) for row in plane)
+        )
+        # Bit for bit: the constant plane has a -0.0 best, the inf
+        # plane a +inf best and rows with no detection.
+        np.testing.assert_array_equal(
+            snrs.view(np.uint64), np.array(scalar_snrs).view(np.uint64)
+        )
+        assert widths.tolist() == list(scalar_widths)
+        assert offsets.tolist() == list(scalar_offsets)
         if kind == "nan":
             # Every row holding a NaN reports no detection.
             assert snrs[:4].tolist() == [-np.inf] * 4
             assert widths[:4].tolist() == [1] * 4
             assert offsets[:4].tolist() == [0] * 4
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_divisor_matches_dividing_every_width(self):
+        # More than half the row is 0, so the MAD is 0 and sigma falls
+        # back to the standard deviation, whose squares overflow to
+        # +inf.  The width-2 and width-4 sums reach -1e308 - 1e308 =
+        # -inf, and -inf / inf is NaN: the largest sum, divided, would
+        # read 0 and detect where dividing every sum does not.
+        row = np.zeros(256)
+        row[10:13] = (1e308, -1e308, -1e308)
+        plane = row[None, :]
+        bank = (2, 4)
+        assert np.isnan(boxcar_snr_plane(plane, 2)).any(), (
+            "overflow construction drifted"
+        )
+        got = MatchedFilterDetector(widths=bank).best_per_trial(plane)
+        expected = _divide_every_width(plane, bank)
+        assert (expected[0][0], expected[1][0]) == (-np.inf, 1)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(
+                g.view(np.uint64), e.view(np.uint64)
+            )
 
     def test_time_offset_shifts_reports(self, plane):
         detector = MatchedFilterDetector(snr_threshold=6.0)
@@ -246,6 +286,26 @@ class TestTieBreaking:
             assert snrs[row] == snr
             assert widths[row] == width
             assert offsets[row] == offset
+
+    def test_equal_quotients_of_unequal_sums_break_to_first_offset(self):
+        # Median 0 and MAD 1 (sigma 1.4826), so the width-1 sums are the
+        # samples.  The sum 12 at offset 10 is one ulp below the sum at
+        # offset 100, yet both divide to the same S/N.  The first
+        # largest S/N wins, so the offset comes from the quotients, not
+        # from the larger of the undivided sums.
+        row = np.where(np.arange(256) % 2 == 0, 1.0, -1.0)
+        row[10], row[11] = 12.0, -12.0
+        row[100] = np.nextafter(12.0, np.inf)
+        snr1 = boxcar_snr(row, 1)
+        assert row[10] < row[100], "tie construction drifted"
+        assert snr1[10] == snr1[100], "tie construction drifted"
+
+        scalar_snr, scalar_width, scalar_offset = best_boxcar_snr(row)
+        detector = MatchedFilterDetector.for_samples(row.size)
+        snrs, widths, offsets = detector.best_per_trial(row[None, :])
+        assert widths[0] == scalar_width == 1
+        assert offsets[0] == scalar_offset == 10
+        assert snrs[0] == scalar_snr
 
 
 class TestDegenerateBank:

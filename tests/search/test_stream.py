@@ -1,6 +1,7 @@
 """Unit tests for repro.search.stream — the real-time search driver."""
 
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
-from repro.obs import use_registry
+from repro.obs import get_tracer, use_registry
 from repro.search import SearchConfig, StreamingSearch, search_stream
+from repro.search import stream as stream_module
 from tests.conftest import make_chunks
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
@@ -155,6 +157,35 @@ class TestRfiMitigation:
         search_stream(plan, iter(chunks), SearchConfig(rfi_mitigation=True))
         for chunk, original in zip(chunks, before):
             np.testing.assert_array_equal(chunk.data, original)
+
+    def test_chunk_copy_is_timed_as_rfi(self, toy_low):
+        # The copy belongs to RFI mitigation: made outside the
+        # ``search.rfi`` span, its time lands in no layer.
+        grid = DMTrialGrid(n_dms=8, first=1.0, step=1.0)
+        plan = DedispersionPlan.create(
+            toy_low, grid, hd7970(), config=CONFIG, samples=400
+        )
+        chunks = make_chunks(toy_low, grid, PULSARS)
+        originals = {id(chunk.data) for chunk in chunks}
+        copied_in = []
+
+        class CopySpy:
+            """``numpy`` for the stream module, noting where chunks copy."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, obj, *args, **kwargs):
+                if id(obj) in originals:
+                    current = get_tracer().current()
+                    copied_in.append(current.name if current else None)
+                return np.array(obj, *args, **kwargs)
+
+        with patch.object(stream_module, "np", CopySpy()):
+            search_stream(
+                plan, iter(chunks), SearchConfig(rfi_mitigation=True)
+            )
+        assert copied_in == ["search.rfi"] * len(chunks)
 
 
 class TestObservability:

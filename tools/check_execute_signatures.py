@@ -17,12 +17,13 @@ Two checks:
   parameter list, in order.  The pins are the facade's ``execute``,
   the kernel body it dispatches to, the :class:`SignalSource`
   protocol, the tuning service's ``resolve`` entrypoint and its
-  :class:`TuneRequest`; a pinned file or name that goes missing is an
-  error.  A pinned *class* is a dataclass whose settable fields
-  (annotated names not declared ``field(init=False)``) are pinned the
-  same way: ``execute(request)`` takes one :class:`ExecutionRequest`,
-  so its fields are the facade's real keyword set, and a new request
-  setting needs a visible edit here;
+  :class:`TuneRequest`, and the matched-filter detector's settings and
+  the slab body its entry points share; a pinned file or name that
+  goes missing is an error.  A pinned *class* is a dataclass whose
+  settable fields (annotated names not declared ``field(init=False)``)
+  are pinned the same way: ``execute(request)`` takes one
+  :class:`ExecutionRequest`, so its fields are the facade's real
+  keyword set, and a new request setting needs a visible edit here;
 * no ``execute``/``generate``/``add_to``/``resolve``-family function,
   and no pinned class, in the pinned files reintroduces a banned alias
   (``ALIASES``) for one of the agreed names.
@@ -89,6 +90,17 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
     "TuneRequest": (
         "repro/service/request.py",
         ("setup", "n_dms", "device", "strategy"),
+    ),
+    # The detector is a threshold and a bank of widths, and one body
+    # folds every slab through the bank: a second path or a setting
+    # such as a threshold floor fails these pins.
+    "MatchedFilterDetector": (
+        "repro/search/detect.py",
+        ("snr_threshold", "widths"),
+    ),
+    "MatchedFilterDetector._best_of_slab": (
+        "repro/search/detect.py",
+        ("slab", "account"),
     ),
 }
 
