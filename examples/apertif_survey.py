@@ -5,8 +5,9 @@ each of which must be dedispersed for thousands of trial DMs in real time.
 This example:
 
 1. runs a laptop-scale functional replica of the survey — several beams
-   streamed chunk by chunk through one tuned plan, with pulsars hidden in
-   some beams — and reports the detections;
+   streamed chunk by chunk through one tuned plan and the real-time
+   candidate search, with pulsars hidden in some beams — and reports the
+   detections;
 2. sizes the *real* Apertif deployment with the performance model,
    reproducing the paper's "50 GPUs instead of 1,800 CPUs" argument
    (Sec. V-D).
@@ -17,7 +18,6 @@ Run with::
 """
 
 from repro import DMTrialGrid, ObservationSetup, SyntheticPulsar, hd7970
-from repro.astro.snr import detect_dm
 from repro.astro.source import (
     CompositeSource,
     NoiseSource,
@@ -26,7 +26,7 @@ from repro.astro.source import (
 )
 from repro.core.plan import DedispersionPlan
 from repro.experiments.deployment import run_deployment
-from repro.run import ExecutionRequest, execute
+from repro.search import StreamingSearch
 from repro.utils.rng import RandomStreams
 
 
@@ -69,16 +69,13 @@ def survey_demo() -> list[str]:
         chunks, _ = stream_chunks(
             source, setup, grid, 2, RandomStreams(1234), beam_index=b
         )
-        best_snr, best_dm = 0.0, 0.0
-        streamed = execute(ExecutionRequest(plan=plan, chunks=chunks))
-        for result in streamed.chunk_results:
-            detection = detect_dm(result.output, grid.values)
-            if detection.snr > best_snr:
-                best_snr, best_dm = detection.snr, detection.dm
+        # The strongest sifted cluster of the beam's stream, if any.
+        cluster = StreamingSearch(plan).run(chunks).best
         verdict = (
-            f"candidate at DM {best_dm:.2f} (S/N {best_snr:.1f})"
-            if best_snr >= 6.0
-            else f"no candidate (best S/N {best_snr:.1f})"
+            f"candidate at DM {cluster.best.dm:.2f} "
+            f"(S/N {cluster.best.snr:.1f})"
+            if cluster is not None
+            else "no candidate"
         )
         report.append(f"{label:22s} -> {verdict}")
     return report

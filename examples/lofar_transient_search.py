@@ -15,6 +15,7 @@ Run with::
 from repro import (
     CompositeSource,
     DMTrialGrid,
+    MatchedFilterDetector,
     NoiseSource,
     ObservationSetup,
     PulsarSource,
@@ -24,7 +25,6 @@ from repro import (
 )
 from repro.astro.dispersion import max_delay_samples
 from repro.astro.pulse import scattered_profile
-from repro.astro.snr import best_boxcar_snr, detect_dm
 from repro.core.dedisperse import dedisperse
 
 
@@ -57,22 +57,22 @@ def main() -> int:
     output, plan = dedisperse(data, setup, grid, device=gtx_titan())
     print(f"plan  : {plan.config.describe()} on {plan.device.name}")
 
-    detection = detect_dm(output, grid.values)
+    snrs, widths, offsets = MatchedFilterDetector().best_per_trial(output)
+    best = int(snrs.argmax())
+    dm = grid.values[best]
     print(
-        f"found : DM {detection.dm:.2f} at sample {detection.offset} "
-        f"(S/N {detection.snr:.1f}, width {detection.width})"
+        f"found : DM {dm:.2f} at sample {offsets[best]} "
+        f"(S/N {snrs[best]:.1f}, width {widths[best]})"
     )
 
     # ASCII bow-tie: S/N per trial DM, peaking at the burst's DM.
     print("\nS/N vs trial DM (the single-pulse 'bow tie'):")
-    snrs = detection.snr_per_trial
     for i in range(0, grid.n_dms, 4):
-        snr, _, _ = best_boxcar_snr(output[i], max_width=32)
-        bar = "#" * max(int(snr), 0)
+        bar = "#" * max(int(snrs[i]), 0)
         marker = " <-- true DM" if abs(grid.values[i] - true_dm) < 0.5 else ""
         print(f"  DM {grid.values[i]:5.2f} |{bar}{marker}")
 
-    ok = abs(detection.dm - true_dm) <= 2 * grid.step
+    ok = abs(dm - true_dm) <= 2 * grid.step
     print("\nresult:", "burst localised" if ok else "MISSED")
     return 0 if ok else 1
 

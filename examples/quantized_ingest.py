@@ -20,6 +20,7 @@ import numpy as np
 from repro import (
     CompositeSource,
     DMTrialGrid,
+    MatchedFilterDetector,
     NoiseSource,
     ObservationSetup,
     PulsarSource,
@@ -33,7 +34,6 @@ from repro.astro.quantization import (
     quantize,
     snr_efficiency,
 )
-from repro.astro.snr import detect_dm
 from repro.baselines.cpu_reference import dedisperse_vectorized
 from repro.experiments.ablation import run_ablation_quantization
 
@@ -75,13 +75,15 @@ def main() -> int:
             f"(float32 would be ~{size * 4 / 1e6:.2f} MB)"
         )
         rebuilt = header.to_setup()
+        detector = MatchedFilterDetector()
 
         for label, stream in (("float32", data), ("8-bit file", loaded)):
             plane = dedisperse_vectorized(stream, rebuilt, grid, 1000)
-            detection = detect_dm(plane, grid.values)
+            snrs, _widths, _offsets = detector.best_per_trial(plane)
+            best = int(snrs.argmax())
             print(
-                f"  {label:11s} -> DM {detection.dm:.1f} "
-                f"(S/N {detection.snr:.1f})"
+                f"  {label:11s} -> DM {grid.values[best]:.1f} "
+                f"(S/N {snrs[best]:.1f})"
             )
 
     print(

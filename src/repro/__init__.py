@@ -51,7 +51,6 @@ from repro.astro import (
     lofar,
     DMTrialGrid,
     SyntheticPulsar,
-    detect_dm,
     build_ddplan,
     zero_dm_filter,
     SignalSource,
@@ -182,7 +181,6 @@ __all__ = [
     "lofar",
     "DMTrialGrid",
     "SyntheticPulsar",
-    "detect_dm",
     "build_ddplan",
     "zero_dm_filter",
     # unified signal-source API

@@ -15,7 +15,6 @@ from repro.analysis.export import (
     result_to_csv,
     result_to_json,
     write_result,
-    load_result_json,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "result_to_csv",
     "result_to_json",
     "write_result",
-    "load_result_json",
     "PortabilityReport",
     "performance_portability",
     "portability_report",

@@ -81,8 +81,3 @@ def write_result(
         path.write_text(text)
         written.append(path)
     return written
-
-
-def load_result_json(path: str | Path) -> dict:
-    """Load a previously exported JSON result (round-trip helper)."""
-    return json.loads(Path(path).read_text())

@@ -18,7 +18,6 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.pulse import (
     PulseProfile,
     gaussian_profile,
-    von_mises_profile,
     scattered_profile,
 )
 from repro.astro.signal_gen import SyntheticPulsar
@@ -36,19 +35,16 @@ from repro.astro.source import (
     StreamChunk,
     stream_chunks,
 )
-from repro.astro.snr import boxcar_snr, best_boxcar_snr, detect_dm, folded_profile
+from repro.astro.snr import boxcar_snr, best_boxcar_snr
 from repro.astro.ddplan import (
     DDPlan,
     DDPlanStage,
     build_ddplan,
     optimal_dm_step,
-    total_smearing_seconds,
 )
 from repro.astro.candidates import (
     Candidate,
     SiftedCandidate,
-    find_candidates,
-    search_and_sift,
     sift,
 )
 from repro.astro.filterbank import (
@@ -66,7 +62,6 @@ from repro.astro.sensitivity import (
     dm_error_attenuation,
     half_power_dm_error,
     sensitivity_curve,
-    step_sensitivity,
 )
 from repro.astro.rfi import (
     ChannelMask,
@@ -86,7 +81,6 @@ __all__ = [
     "DMTrialGrid",
     "PulseProfile",
     "gaussian_profile",
-    "von_mises_profile",
     "scattered_profile",
     "SyntheticPulsar",
     "SignalSource",
@@ -103,20 +97,15 @@ __all__ = [
     "stream_chunks",
     "boxcar_snr",
     "best_boxcar_snr",
-    "detect_dm",
-    "folded_profile",
     "DDPlan",
     "DDPlanStage",
     "build_ddplan",
     "optimal_dm_step",
-    "total_smearing_seconds",
     "ChannelMask",
     "mask_noisy_channels",
     "zero_dm_filter",
     "Candidate",
     "SiftedCandidate",
-    "find_candidates",
-    "search_and_sift",
     "sift",
     "FilterbankHeader",
     "read_filterbank",
@@ -128,5 +117,4 @@ __all__ = [
     "dm_error_attenuation",
     "half_power_dm_error",
     "sensitivity_curve",
-    "step_sensitivity",
 ]

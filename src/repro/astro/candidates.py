@@ -1,10 +1,12 @@
-"""Candidate extraction and sifting.
+"""Candidates and sifting.
 
-A bright pulse is detected not only at its true DM but — weaker and wider —
-in a cone of neighbouring trials and offsets (the "bow tie" of the DM-time
-plane).  Reporting every super-threshold (trial, offset) would swamp any
-follow-up, so pipelines *sift*: cluster detections that belong to the same
-physical event and keep each cluster's strongest member.
+:class:`repro.search.detect.MatchedFilterDetector` reports each trial's
+best super-threshold match as a :class:`Candidate`.  A bright pulse is
+detected not only at its true DM but — weaker and wider — in a cone of
+neighbouring trials and offsets (the "bow tie" of the DM-time plane).
+Reporting every one would swamp any follow-up, so pipelines *sift*:
+cluster detections that belong to the same physical event and keep each
+cluster's strongest member.
 
 The implementation is the standard greedy non-maximum suppression used by
 single-pulse sifters (e.g. PRESTO's ``single_pulse_search`` grouping):
@@ -16,11 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.astro.snr import best_boxcar_snr
-from repro.errors import ValidationError
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_non_negative
 
 
 @dataclass(frozen=True)
@@ -66,41 +64,6 @@ class SiftedCandidate:
         return max(dms) - min(dms)
 
 
-def find_candidates(
-    dedispersed: np.ndarray,
-    dms: np.ndarray,
-    snr_threshold: float = 6.0,
-    max_width: int | None = None,
-) -> list[Candidate]:
-    """Collect every trial's best detection above the threshold.
-
-    One detection per trial (its best boxcar match) keeps the raw list
-    linear in the number of trials; a bright event still yields many
-    entries — one per trial in its bow tie — which sifting then merges.
-    """
-    dedispersed = np.asarray(dedispersed)
-    if dedispersed.ndim != 2:
-        raise ValidationError("dedispersed must be (n_dms, samples)")
-    if dedispersed.shape[0] != len(dms):
-        raise ValidationError("dms length must match dedispersed rows")
-    require_positive(snr_threshold, "snr_threshold")
-
-    found: list[Candidate] = []
-    for i in range(dedispersed.shape[0]):
-        snr, width, offset = best_boxcar_snr(dedispersed[i], max_width)
-        if snr >= snr_threshold:
-            found.append(
-                Candidate(
-                    dm_index=i,
-                    dm=float(dms[i]),
-                    snr=float(snr),
-                    time_sample=int(offset),
-                    width=int(width),
-                )
-            )
-    return found
-
-
 def sift(
     candidates: list[Candidate],
     dm_radius: float = 2.0,
@@ -136,17 +99,3 @@ def sift(
         for cluster in clusters
     ]
 
-
-def search_and_sift(
-    dedispersed: np.ndarray,
-    dms: np.ndarray,
-    snr_threshold: float = 6.0,
-    dm_radius: float = 2.0,
-    time_slack: int = 8,
-) -> list[SiftedCandidate]:
-    """Convenience: :func:`find_candidates` then :func:`sift`."""
-    return sift(
-        find_candidates(dedispersed, dms, snr_threshold),
-        dm_radius=dm_radius,
-        time_slack=time_slack,
-    )

@@ -50,22 +50,6 @@ def dm_step_smearing_seconds(setup: ObservationSetup, dm_step: float) -> float:
     return 0.5 * band_delay_span_seconds(setup, dm_step)
 
 
-def total_smearing_seconds(
-    setup: ObservationSetup,
-    dm: float,
-    dm_step: float,
-    downsample: int = 1,
-) -> float:
-    """Quadrature sum of sampling, intra-channel and DM-step smearing."""
-    t_samp = downsample / setup.samples_per_second
-    centre = float(np.median(setup.channel_frequencies))
-    t_chan = dispersion_smearing_seconds(
-        centre, setup.channel_bandwidth, dm
-    )
-    t_step = dm_step_smearing_seconds(setup, dm_step)
-    return float(np.sqrt(t_samp ** 2 + t_chan ** 2 + t_step ** 2))
-
-
 def optimal_dm_step(
     setup: ObservationSetup,
     dm: float,

@@ -152,26 +152,3 @@ def reuse_span_samples(
         raise ValidationError("dm_high must be >= dm_low")
     table = delay_table(setup, np.asarray([dm_low, dm_high]))
     return (table[1] - table[0]).astype(np.int64)
-
-
-def average_reuse_factor(
-    setup: ObservationSetup,
-    dm_low: float,
-    dm_high: float,
-    n_dms_in_tile: int,
-    tile_samples: int,
-) -> float:
-    """Achievable read-reuse factor for a (DM-tile x sample-tile) block.
-
-    The ratio between the traffic of a reuse-less kernel (every DM row loads
-    its own window: ``n_dms * tile_samples`` per channel) and a perfectly
-    sharing kernel (one window of ``tile_samples + span`` per channel),
-    averaged over channels.  Equals ``n_dms_in_tile`` when spans are zero
-    (the paper's 0-DM experiment) and approaches 1 when spans dwarf the tile.
-    """
-    if n_dms_in_tile <= 0 or tile_samples <= 0:
-        raise ValidationError("tile dimensions must be positive")
-    spans = reuse_span_samples(setup, dm_low, dm_high).astype(np.float64)
-    naive = float(n_dms_in_tile * tile_samples * setup.channels)
-    shared = float(np.sum(tile_samples + spans))
-    return naive / shared

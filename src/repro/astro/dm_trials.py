@@ -8,11 +8,13 @@ paper uses a linear grid starting at 0 with a step of 0.25 pc/cm^3; the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import DEFAULT_DM_FIRST, DEFAULT_DM_STEP
+from repro.errors import ValidationError
 from repro.utils.validation import require_non_negative, require_positive_int
 
 
@@ -31,8 +33,11 @@ class DMTrialGrid:
 
     def __post_init__(self) -> None:
         require_positive_int(self.n_dms, "n_dms")
-        require_non_negative(self.first, "first")
-        require_non_negative(self.step, "step")
+        for name in ("first", "step"):
+            value = getattr(self, name)
+            require_non_negative(value, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
 
     @property
     def values(self) -> np.ndarray:

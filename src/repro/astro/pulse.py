@@ -1,10 +1,9 @@
 """Pulse profile shapes for synthetic pulsar generation.
 
-Pulsar pulses are well modelled by narrow peaked profiles; we provide the
-three shapes most used in the literature: a Gaussian, a von Mises (the
-periodic analogue, appropriate for folded profiles), and a Gaussian
-convolved with a one-sided exponential scattering tail (thin-screen
-scattering, prominent at low frequencies such as LOFAR's band).
+Pulsar pulses are well modelled by narrow peaked profiles; we provide a
+Gaussian and a Gaussian convolved with a one-sided exponential
+scattering tail (thin-screen scattering, prominent at low frequencies
+such as LOFAR's band).
 """
 
 from __future__ import annotations
@@ -67,21 +66,6 @@ def gaussian_profile(width: float = 0.02, centre: float = 0.5) -> PulseProfile:
         return np.exp(-0.5 * (d / width) ** 2)
 
     return PulseProfile(name="gaussian", width=width, _function=f, centre=centre)
-
-
-def von_mises_profile(width: float = 0.02, centre: float = 0.5) -> PulseProfile:
-    """A von Mises pulse: the periodic analogue of the Gaussian.
-
-    Concentration is chosen so that the small-width limit matches a Gaussian
-    of standard deviation ``width``.
-    """
-    kappa = 1.0 / (2.0 * np.pi * width) ** 2
-
-    def f(phase: np.ndarray) -> np.ndarray:
-        angle = 2.0 * np.pi * (phase - centre)
-        return np.exp(kappa * (np.cos(angle) - 1.0))
-
-    return PulseProfile(name="von_mises", width=width, _function=f, centre=centre)
 
 
 def scattered_profile(

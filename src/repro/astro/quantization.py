@@ -87,13 +87,6 @@ def quantize(
     return QuantizedData(data=codes, scale=scale, offset=low, nbits=nbits)
 
 
-def quantization_noise_sigma(scale: float) -> float:
-    """RMS error of a uniform quantiser with step ``scale``."""
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
-    return scale / np.sqrt(12.0)
-
-
 def snr_efficiency(nbits: int) -> float:
     """Fraction of S/N a correlating system retains at this bit depth."""
     try:

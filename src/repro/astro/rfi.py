@@ -70,11 +70,6 @@ class ChannelMask:
     variances: np.ndarray
     threshold: float
 
-    @property
-    def n_masked(self) -> int:
-        """Number of excised channels."""
-        return int(np.sum(~self.mask))
-
 
 def mask_noisy_channels(
     data: np.ndarray, sigma_threshold: float = 5.0

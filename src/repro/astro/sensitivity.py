@@ -66,22 +66,6 @@ def smearing_attenuation(
     return float(np.sqrt(intrinsic_width_seconds / effective))
 
 
-def step_sensitivity(
-    setup: ObservationSetup,
-    dm_step: float,
-    pulse_width_seconds: float,
-) -> float:
-    """Worst-case S/N retention of a grid with step ``dm_step``.
-
-    A source can sit half a step from the nearest trial; the returned
-    fraction is the attenuation at that worst offset.  The DDplan
-    tolerance translates directly: a 1.25 tolerance keeps this above ~0.9
-    for pulses at the effective time resolution.
-    """
-    require_positive(dm_step, "dm_step")
-    return dm_error_attenuation(setup, 0.5 * dm_step, pulse_width_seconds)
-
-
 def sensitivity_curve(
     setup: ObservationSetup,
     dm_errors: np.ndarray,

@@ -1,16 +1,14 @@
-"""Signal-to-noise measurement and DM detection on dedispersed series.
+"""Boxcar signal-to-noise of one dedispersed series, the detector's oracle.
 
 After brute-force dedispersion, each trial DM yields a time-series; the
 astrophysically interesting question is which trial maximises the recovered
-pulse signal-to-noise.  We implement the standard single-pulse search
-machinery: boxcar matched filtering across a range of widths, robust noise
-estimation, folding at a known period, and a ``detect_dm`` helper that scans
-all trials.
+pulse signal-to-noise.  The pipeline answers it with the vectorized
+:class:`repro.search.detect.MatchedFilterDetector`.  This module keeps the
+same boxcar matched filter spelled one series at a time, with robust noise
+estimation, as the reference the detector is tested against bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,81 +59,3 @@ def best_boxcar_snr(
             best = (float(snr[idx]), width, idx)
         width *= 2
     return best
-
-
-@dataclass(frozen=True)
-class DMDetection:
-    """Result of scanning dedispersed trials for the best pulse S/N."""
-
-    dm_index: int
-    dm: float
-    snr: float
-    width: int
-    offset: int
-    snr_per_trial: np.ndarray
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DM {self.dm:.2f} (trial {self.dm_index}) "
-            f"S/N {self.snr:.1f} width {self.width}"
-        )
-
-
-def detect_dm(
-    dedispersed: np.ndarray,
-    dms: np.ndarray,
-    max_width: int | None = None,
-) -> DMDetection:
-    """Find the trial DM with the highest boxcar S/N.
-
-    ``dedispersed`` has shape ``(n_dms, samples)`` (the ``d x s`` output
-    matrix of Sec. III-A); ``dms`` the corresponding trial values.
-    """
-    dedispersed = np.asarray(dedispersed)
-    if dedispersed.ndim != 2:
-        raise ValidationError("dedispersed must have shape (n_dms, samples)")
-    if dedispersed.shape[0] != len(dms):
-        raise ValidationError("dms length must match dedispersed rows")
-    per_trial = np.empty(dedispersed.shape[0], dtype=np.float64)
-    best = (-np.inf, 0, 1, 0)
-    for i in range(dedispersed.shape[0]):
-        snr, width, offset = best_boxcar_snr(dedispersed[i], max_width)
-        per_trial[i] = snr
-        if snr > best[0]:
-            best = (snr, i, width, offset)
-    snr, idx, width, offset = best
-    return DMDetection(
-        dm_index=idx,
-        dm=float(dms[idx]),
-        snr=snr,
-        width=width,
-        offset=offset,
-        snr_per_trial=per_trial,
-    )
-
-
-def folded_profile(
-    series: np.ndarray,
-    samples_per_second: int,
-    period_seconds: float,
-    n_bins: int = 64,
-) -> np.ndarray:
-    """Fold a time-series at a known period into ``n_bins`` phase bins.
-
-    Folding integrates many pulses coherently in phase, the standard way to
-    raise a weak periodic signal above the noise.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 1:
-        raise ValidationError("series must be 1-D")
-    if period_seconds <= 0 or samples_per_second <= 0 or n_bins <= 0:
-        raise ValidationError("period, sample rate and n_bins must be positive")
-    phases = (
-        np.arange(series.size, dtype=np.float64) / samples_per_second
-    ) / period_seconds
-    bins = (np.mod(phases, 1.0) * n_bins).astype(np.int64)
-    bins[bins == n_bins] = 0
-    totals = np.bincount(bins, weights=series, minlength=n_bins)
-    counts = np.bincount(bins, minlength=n_bins)
-    counts[counts == 0] = 1
-    return totals / counts

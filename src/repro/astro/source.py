@@ -100,10 +100,6 @@ class SignalTruth:
             if c.dm is not None and c.kind not in ("noise",)
         )
 
-    def of_kind(self, kind: str) -> tuple[SignalComponent, ...]:
-        """All components of one ``kind``."""
-        return tuple(c for c in self.components if c.kind == kind)
-
     def as_dict(self) -> dict:
         """JSON-ready representation."""
         return {"components": [c.as_dict() for c in self.components]}

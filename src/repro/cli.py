@@ -9,8 +9,6 @@ Subcommands:
   (``table1``, ``fig2`` ... ``fig16``, ``ai``, ``deployment``, the
   ``ablation-*`` studies), or ``all``; ``--export DIR`` also writes
   CSV/JSON.
-* ``demo`` — end-to-end functional run: synthesize a dispersed pulsar,
-  dedisperse it with the tuned kernel, and report the recovered DM.
 * ``ddplan`` — smearing-optimal staged DM plan for a setup.
 * ``service`` — run the concurrent tuning service against simulated
   client traffic and print the cache/dedup/latency statistics plus a
@@ -292,6 +290,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     import dataclasses
 
+    # Both flags shape the injected pulsar (its period and its DM), so
+    # they are checked before the plan is tuned.
+    if args.chunks < 1:
+        raise ReproError(f"--chunks must be >= 1, got {args.chunks}")
+    if not 0 < args.dm_step < float("inf"):
+        raise ReproError(
+            f"--dm-step must be positive and finite, got {args.dm_step}"
+        )
     setup = setup_by_name(args.setup)
     if args.samples:
         setup = dataclasses.replace(setup, samples_per_batch=args.samples)
@@ -540,50 +546,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         _write_survey_bench(args.bench, docs)
     _persist_obs(quiet=True)
     return exit_code
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.astro.dispersion import max_delay_samples
-    from repro.astro.observation import ObservationSetup
-    from repro.astro.signal_gen import SyntheticPulsar
-    from repro.astro.snr import detect_dm
-    from repro.astro.source import CompositeSource, NoiseSource, PulsarSource
-    from repro.core.dedisperse import dedisperse
-    from repro.utils.rng import RandomStreams
-
-    # A laptop-scale, low-frequency setup: LOFAR-like dispersion (strong
-    # per-trial discrimination) with few channels and samples so the
-    # functional kernel runs in seconds.
-    setup = ObservationSetup(
-        name="demo",
-        channels=64,
-        lowest_frequency=138.0,
-        channel_bandwidth=6.0 / 64.0,
-        samples_per_second=2000,
-        samples_per_batch=2000,
-    )
-    grid = DMTrialGrid(n_dms=args.dms, step=1.0)
-    true_dm = grid.values[args.dms // 2]
-    pulsar = SyntheticPulsar(
-        period_seconds=0.1, dm=float(true_dm), amplitude=1.2
-    )
-    source = CompositeSource((NoiseSource(sigma=1.0), PulsarSource(pulsar)))
-    n_samples = setup.samples_per_second + max_delay_samples(setup, grid.last)
-    data, _truth = source.generate(
-        setup, n_samples, RandomStreams(args.seed)
-    )
-    device = device_by_name(args.device)
-    output, plan = dedisperse(data, setup, grid, device=device)
-    detection = detect_dm(output, grid.values)
-    print(plan.describe())
-    print(f"injected pulsar at DM {true_dm:.2f}")
-    print(
-        f"detected DM {detection.dm:.2f} (trial {detection.dm_index}) "
-        f"with S/N {detection.snr:.1f}"
-    )
-    ok = abs(detection.dm - true_dm) <= grid.step
-    print("detection:", "CORRECT" if ok else "WRONG")
-    return 0 if ok else 1
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
@@ -909,11 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen.set_defaults(func=_cmd_scenarios)
 
-    demo = sub.add_parser("demo", help="end-to-end pulsar detection demo")
-    demo.add_argument("--device", default="HD7970")
-    demo.add_argument("--dms", type=int, default=32)
-    demo.add_argument("--seed", type=int, default=0)
-    demo.set_defaults(func=_cmd_demo)
     return parser
 
 

@@ -1,7 +1,7 @@
 """The paper's contribution: the tunable dedispersion kernel and auto-tuner."""
 
 from repro.core.config import KernelConfiguration
-from repro.core.constraints import is_meaningful, explain_constraints
+from repro.core.constraints import is_meaningful
 from repro.core.space import TuningSpace
 from repro.core.tuner import AutoTuner, TuningResult, ConfigurationSample
 from repro.core.plan import DedispersionPlan
@@ -20,13 +20,12 @@ from repro.core.stats import (
     OptimumStatistics,
 )
 from repro.core.fixed import best_fixed_configuration, FixedConfigResult
-from repro.core.subband import SubbandPlan, dedisperse_subband
+from repro.core.subband import SubbandPlan
 from repro.core.persistence import load_sweep, model_fingerprint, save_sweep
 
 __all__ = [
     "KernelConfiguration",
     "is_meaningful",
-    "explain_constraints",
     "TuningSpace",
     "AutoTuner",
     "TuningResult",
@@ -46,7 +45,6 @@ __all__ = [
     "best_fixed_configuration",
     "FixedConfigResult",
     "SubbandPlan",
-    "dedisperse_subband",
     "load_sweep",
     "model_fingerprint",
     "save_sweep",

@@ -102,15 +102,3 @@ def is_meaningful(
     """Whether ``config`` satisfies every constraint (Sec. IV-A)."""
     s = setup.samples_per_batch if samples is None else samples
     return not _check(config, device, setup, grid, s)
-
-
-def explain_constraints(
-    config: KernelConfiguration,
-    device: DeviceSpec,
-    setup: ObservationSetup,
-    grid: DMTrialGrid,
-    samples: int | None = None,
-) -> list[str]:
-    """The list of violated constraints (empty when meaningful)."""
-    s = setup.samples_per_batch if samples is None else samples
-    return _check(config, device, setup, grid, s)

@@ -113,10 +113,6 @@ class TuningSpace:
             )
         ]
 
-    def size_estimate(self) -> int:
-        """Number of geometric candidates (upper bound on sweep size)."""
-        return sum(1 for _ in self.candidates())
-
 
 def axis_values(configs: list[KernelConfiguration]) -> dict[str, list[int]]:
     """The sorted values each parameter takes in ``configs``, by axis."""

@@ -238,21 +238,3 @@ class SubbandPlan:
                 shift = int(self.subband_table[dm, sub])
                 row += intermediate[coarse][sub][shift : shift + s]
         return out
-
-
-def dedisperse_subband(
-    input_data: np.ndarray,
-    setup: ObservationSetup,
-    grid: DMTrialGrid,
-    n_subbands: int,
-    coarse_factor: int,
-    samples: int | None = None,
-) -> tuple[np.ndarray, SubbandPlan]:
-    """One-call two-step dedispersion; returns ``(output, plan)``."""
-    plan = SubbandPlan(
-        setup=setup,
-        grid=grid,
-        n_subbands=n_subbands,
-        coarse_factor=coarse_factor,
-    )
-    return plan.execute(input_data, samples=samples), plan

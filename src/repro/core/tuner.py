@@ -74,11 +74,6 @@ class TuningResult:
                 return sample
         return None
 
-    def rank_of_best(self) -> int:
-        """Sanity helper: 1 if the optimum is unique, ties counted."""
-        best = self.best.gflops
-        return int(np.sum(self.population_gflops >= best))
-
     def to_rows(self) -> list[tuple]:
         """The full sweep as plottable rows, fastest first.
 

@@ -1,10 +1,11 @@
 """Matched-filter candidate detection over the DM×time plane.
 
-The scalar machinery of :mod:`repro.astro.snr` scans one trial series at
-a time with Python-level loops — fine for offline analysis, far too slow
-to sit behind the vectorized kernel backend, which dedisperses an
-Apertif-scale batch in tens of milliseconds.  This module re-expresses
-the same boxcar matched filter as whole-plane NumPy operations:
+The pipeline's one detector.  The scalar filter of :mod:`repro.astro.snr`,
+kept as its test oracle, scans one trial series at a time with
+Python-level loops — far too slow to sit behind the vectorized kernel
+backend, which dedisperses an Apertif-scale batch in tens of
+milliseconds.  This module re-expresses the same boxcar matched filter
+as whole-plane NumPy operations:
 :func:`boxcar_snr_plane` normalises and convolves every trial row at
 once, and :class:`MatchedFilterDetector` folds a bank of widths into the
 per-trial best detections that :func:`repro.astro.candidates.sift`
@@ -214,11 +215,11 @@ class MatchedFilterDetector:
     """A boxcar matched-filter bank over the DM×time plane.
 
     ``widths`` is the boxcar bank (samples); ``snr_threshold`` the
-    detection floor.  Following
-    :func:`repro.astro.candidates.find_candidates`, the detector reports
-    at most one candidate per DM trial — the trial's best (width,
-    offset) match — which keeps the raw list linear in trials and is
-    exactly the shape the sifter downstream expects.
+    detection floor.  The detector reports at most one candidate per DM
+    trial — the trial's best (width, offset) match — which keeps the raw
+    list linear in trials; a bright event still yields one candidate per
+    trial of its bow tie, which :func:`repro.astro.candidates.sift`
+    then merges.
 
     A bank is only meaningful if at least one width fits the plane:
     widths wider than the plane are skipped individually, but a bank
@@ -254,11 +255,11 @@ class MatchedFilterDetector:
     def for_samples(
         cls, samples: int, snr_threshold: float = 6.0
     ) -> "MatchedFilterDetector":
-        """A detector whose bank matches the scalar search's default.
+        """A detector whose bank matches the scalar oracle's default.
 
         :func:`repro.astro.snr.best_boxcar_snr` scans powers of two up
-        to ``samples // 4``; this builds the same bank, so the two paths
-        agree on arbitrary batch lengths.
+        to ``samples // 4``; this builds the same bank, so the two agree
+        on arbitrary batch lengths.
         """
         limit = max(1, samples // 4)
         return cls(
@@ -418,18 +419,10 @@ class MatchedFilterDetector:
         needs it, into the detector's two float64 scratch buffers.
         ``account``, when given, meters those buffers (see
         :mod:`repro.run.peak`); the plane itself belongs to the caller,
-        who charges it.
+        who charges it.  The plane is :meth:`detect_slabs`' one slab.
         """
-        plane = np.asarray(dedispersed)
-        if plane.ndim != 2 or plane.shape[0] != len(dms):
-            raise ValidationError(
-                "dedispersed must be (n_dms, samples) with one row per "
-                "trial DM"
-            )
-        _check_dtype(plane)
-        snrs, widths, offsets = self._best_of_slab(plane, account)
-        return self._candidates(
-            snrs, widths, offsets, dms, time_offset, beam
+        return self.detect_slabs(
+            (dedispersed,), dms, time_offset, beam, account
         )
 
     def detect_slabs(
@@ -459,7 +452,8 @@ class MatchedFilterDetector:
             plane = np.asarray(slab)
             if plane.ndim != 2:
                 raise ValidationError(
-                    "every slab must be 2-D (rows, samples)"
+                    "dedispersed planes and slabs must be 2-D (rows, "
+                    "samples)"
                 )
             _check_dtype(plane)
             if samples is None:
@@ -474,7 +468,7 @@ class MatchedFilterDetector:
         if rows_seen != len(dms):
             raise ValidationError(
                 f"slabs covered {rows_seen} trial rows; the DM grid has "
-                f"{len(dms)}"
+                f"n_dms = {len(dms)}, one row per trial DM"
             )
         if not parts:
             return []

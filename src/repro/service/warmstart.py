@@ -15,8 +15,10 @@ meaningful space around a cached neighbour's optimum:
 A pruned sweep can miss the true optimum, so the result is guarded:
 ``probes`` configurations are sampled deterministically from the
 *unswept* remainder, and if any probe beats the pruned optimum the whole
-instance is re-tuned with the full exhaustive sweep.  The guard makes
-warm-start safe-by-construction — wrong never, slower rarely.
+instance is re-tuned with the full exhaustive sweep.  The guard is
+probabilistic: at the default 8 probes a distant seed can return a
+slower configuration without falling back (``docs/service.md`` says
+how often; a neighbouring power of two rarely and by little).
 """
 
 from __future__ import annotations

@@ -11,10 +11,7 @@ from repro.utils.validation import (
 from repro.utils.intmath import (
     ceil_div,
     divisors,
-    is_power_of_two,
-    next_power_of_two,
     powers_of_two,
-    round_up,
 )
 
 __all__ = [
@@ -27,8 +24,5 @@ __all__ = [
     "require_in_range",
     "ceil_div",
     "divisors",
-    "is_power_of_two",
-    "next_power_of_two",
     "powers_of_two",
-    "round_up",
 ]

@@ -12,23 +12,6 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def round_up(value: int, multiple: int) -> int:
-    """Round ``value`` up to the nearest multiple of ``multiple``."""
-    return ceil_div(value, multiple) * multiple
-
-
-def is_power_of_two(value: int) -> bool:
-    """Whether ``value`` is a positive power of two."""
-    return value > 0 and (value & (value - 1)) == 0
-
-
-def next_power_of_two(value: int) -> int:
-    """The smallest power of two >= ``value`` (``value`` must be positive)."""
-    if value <= 0:
-        raise ValidationError(f"value must be positive, got {value}")
-    return 1 << (value - 1).bit_length()
-
-
 def powers_of_two(low: int, high: int) -> list[int]:
     """All powers of two ``p`` with ``low <= p <= high`` in ascending order."""
     if low > high:

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.analysis.export import (
-    load_result_json,
     result_to_csv,
     result_to_json,
     write_result,
@@ -78,7 +77,7 @@ class TestWrite:
 
     def test_json_load_roundtrip(self, series_result, tmp_path):
         paths = write_result(series_result, tmp_path, formats=("json",))
-        payload = load_result_json(paths[0])
+        payload = json.loads(paths[0].read_text())
         assert payload["title"] == "test figure"
 
     def test_unknown_format_rejected(self, series_result, tmp_path):

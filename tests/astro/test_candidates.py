@@ -1,20 +1,33 @@
-"""Unit tests for repro.astro.candidates — extraction and sifting."""
+"""Unit tests for repro.astro.candidates — candidates and sifting.
+
+The raw candidates come from the pipeline's detector, with the bank of
+:meth:`MatchedFilterDetector.for_samples`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.astro.candidates import (
-    Candidate,
-    find_candidates,
-    search_and_sift,
-    sift,
-)
+from repro.astro.candidates import Candidate, sift
 from repro.errors import ValidationError
+from repro.search import MatchedFilterDetector
 from tests.conftest import make_observation
 
 
 def make_plane(rng, n_dms=16, n=2000):
     return rng.normal(size=(n_dms, n))
+
+
+def detect(plane, dms, snr_threshold=6.0):
+    """Each trial's best super-threshold detection."""
+    detector = MatchedFilterDetector.for_samples(
+        np.shape(plane)[-1], snr_threshold
+    )
+    return detector.detect(plane, dms)
+
+
+def detect_and_sift(plane, dms, snr_threshold=6.0, **sift_args):
+    """Detect, then cluster the detections into events."""
+    return sift(detect(plane, dms, snr_threshold), **sift_args)
 
 
 def add_bowtie(plane, dm_index, at, amp=6.0, width=4, spread=3):
@@ -46,29 +59,29 @@ class TestFindCandidates:
     def test_finds_bright_trials(self, rng):
         plane = add_bowtie(make_plane(rng), dm_index=8, at=500)
         dms = np.arange(16) * 0.5
-        found = find_candidates(plane, dms, snr_threshold=6.0)
+        found = detect(plane, dms, snr_threshold=6.0)
         indices = {c.dm_index for c in found}
         assert 8 in indices
         assert len(found) >= 3  # the bow tie spans several trials
 
     def test_empty_for_noise(self, rng):
-        found = find_candidates(
+        found = detect(
             make_plane(rng), np.arange(16) * 0.5, snr_threshold=12.0
         )
         assert found == []
 
     def test_rejects_bad_shapes(self, rng):
         with pytest.raises(ValidationError):
-            find_candidates(np.zeros(10), np.arange(1.0))
+            detect(np.zeros(10), np.arange(1.0))
         with pytest.raises(ValidationError):
-            find_candidates(np.zeros((2, 10)), np.arange(3.0))
+            detect(np.zeros((2, 10)), np.arange(3.0))
 
 
 class TestSift:
     def test_one_event_one_cluster(self, rng):
         plane = add_bowtie(make_plane(rng), dm_index=8, at=500)
         dms = np.arange(16) * 0.5
-        sifted = search_and_sift(plane, dms, snr_threshold=6.0)
+        sifted = detect_and_sift(plane, dms, snr_threshold=6.0)
         assert len(sifted) == 1
         cluster = sifted[0]
         assert cluster.best.dm_index == 8
@@ -80,7 +93,7 @@ class TestSift:
         add_bowtie(plane, dm_index=3, at=300, spread=1)
         add_bowtie(plane, dm_index=12, at=1500, spread=1)
         dms = np.arange(16) * 0.5
-        sifted = search_and_sift(plane, dms, snr_threshold=6.0)
+        sifted = detect_and_sift(plane, dms, snr_threshold=6.0)
         assert len(sifted) == 2
         best_indices = sorted(c.best.dm_index for c in sifted)
         assert best_indices == [3, 12]
@@ -93,7 +106,7 @@ class TestSift:
         # Each trial yields one candidate (the brighter peak), so inject
         # at distinct trials to surface both times.
         add_bowtie(plane, dm_index=9, at=1600, spread=0)
-        sifted = search_and_sift(plane, dms, snr_threshold=6.0, dm_radius=0.4)
+        sifted = detect_and_sift(plane, dms, snr_threshold=6.0, dm_radius=0.4)
         times = sorted(c.best.time_sample for c in sifted)
         assert len(sifted) >= 2
         assert times[-1] - times[0] > 1000
@@ -102,7 +115,7 @@ class TestSift:
         plane = make_plane(rng)
         add_bowtie(plane, dm_index=3, at=300, amp=5.0, spread=1)
         add_bowtie(plane, dm_index=12, at=1500, amp=9.0, spread=1)
-        sifted = search_and_sift(plane, np.arange(16) * 0.5, snr_threshold=4.5)
+        sifted = detect_and_sift(plane, np.arange(16) * 0.5, snr_threshold=4.5)
         snrs = [c.best.snr for c in sifted]
         assert snrs == sorted(snrs, reverse=True)
 
@@ -111,8 +124,8 @@ class TestSift:
         add_bowtie(plane, dm_index=6, at=500, spread=0)
         add_bowtie(plane, dm_index=9, at=500, spread=0)
         dms = np.arange(16) * 0.5  # events 1.5 DM units apart
-        wide = search_and_sift(plane, dms, snr_threshold=6.0, dm_radius=2.0)
-        narrow = search_and_sift(plane, dms, snr_threshold=6.0, dm_radius=0.5)
+        wide = detect_and_sift(plane, dms, snr_threshold=6.0, dm_radius=2.0)
+        narrow = detect_and_sift(plane, dms, snr_threshold=6.0, dm_radius=0.5)
         assert len(narrow) >= len(wide)
 
     def test_rejects_negative_radius(self):
@@ -136,6 +149,6 @@ class TestSift:
         )
         data = make_observation(toy_low, [burst], max_dm=grid.last)
         plane = dedisperse_vectorized(data, toy_low, grid, 400)
-        sifted = search_and_sift(plane, grid.values, snr_threshold=6.0)
+        sifted = detect_and_sift(plane, grid.values, snr_threshold=6.0)
         assert sifted
         assert abs(sifted[0].best.dm - 7.0) <= 2.0

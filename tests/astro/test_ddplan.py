@@ -1,5 +1,6 @@
 """Unit tests for repro.astro.ddplan — smearing-optimal DM planning."""
 
+import numpy as np
 import pytest
 
 from repro.astro.ddplan import (
@@ -7,10 +8,23 @@ from repro.astro.ddplan import (
     build_ddplan,
     dm_step_smearing_seconds,
     optimal_dm_step,
-    total_smearing_seconds,
 )
+from repro.astro.dispersion import dispersion_smearing_seconds
 from repro.astro.observation import apertif, lofar
 from repro.errors import ValidationError
+
+
+def total_smearing_seconds(setup, dm, dm_step, downsample=1):
+    """Quadrature sum of sampling, intra-channel and DM-step smearing.
+
+    The total :func:`optimal_dm_step` budgets against, built from the
+    components the module exports.
+    """
+    t_samp = downsample / setup.samples_per_second
+    centre = float(np.median(setup.channel_frequencies))
+    t_chan = dispersion_smearing_seconds(centre, setup.channel_bandwidth, dm)
+    t_step = dm_step_smearing_seconds(setup, dm_step)
+    return float(np.sqrt(t_samp ** 2 + t_chan ** 2 + t_step ** 2))
 
 
 class TestSmearingComponents:

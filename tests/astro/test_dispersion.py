@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.astro.dispersion import (
-    average_reuse_factor,
     delay_samples,
     delay_table,
     dispersion_delay_seconds,
@@ -179,21 +178,3 @@ class TestReuseSpans:
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValidationError):
             reuse_span_samples(lofar(), 3.0, 2.0)
-
-
-class TestAverageReuseFactor:
-    def test_equals_tile_dms_when_spans_zero(self):
-        factor = average_reuse_factor(lofar(), 1.0, 1.0, 8, 1000)
-        assert factor == pytest.approx(8.0)
-
-    def test_apertif_near_ideal(self):
-        factor = average_reuse_factor(apertif(), 0.0, 4.0, 16, 800)
-        assert factor > 12.0
-
-    def test_lofar_small_tiles_near_one(self):
-        factor = average_reuse_factor(lofar(), 0.0, 2.0, 8, 1000)
-        assert factor < 2.5
-
-    def test_rejects_bad_tile(self):
-        with pytest.raises(ValidationError):
-            average_reuse_factor(lofar(), 0.0, 1.0, 0, 100)

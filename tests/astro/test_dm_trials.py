@@ -80,3 +80,9 @@ class TestValidation:
     def test_rejects_negative_step(self):
         with pytest.raises(ValidationError):
             DMTrialGrid(n_dms=4, step=-0.25)
+
+    @pytest.mark.parametrize("field", ["first", "step"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            DMTrialGrid(n_dms=4, **{field: value})

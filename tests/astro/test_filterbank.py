@@ -8,7 +8,7 @@ from repro.astro.filterbank import (
     write_filterbank,
 )
 from repro.errors import ValidationError
-from tests.conftest import make_observation
+from tests.conftest import best_trial, make_observation
 
 
 @pytest.fixture
@@ -83,7 +83,6 @@ class TestPipelineIntegration:
         # setup from the header alone, dedisperse, detect.
         from repro.astro.dm_trials import DMTrialGrid
         from repro.astro.signal_gen import SyntheticPulsar
-        from repro.astro.snr import detect_dm
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
@@ -99,7 +98,7 @@ class TestPipelineIntegration:
         header, loaded = read_filterbank(path)
         setup = header.to_setup()
         out = dedisperse_vectorized(loaded, setup, grid, 400)
-        detection = detect_dm(out, grid.values)
+        detection = best_trial(out, grid.values)
         assert abs(detection.dm - 7.0) <= 1.0
 
 

@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.astro.pulse import (
-    gaussian_profile,
-    scattered_profile,
-    von_mises_profile,
-)
+from repro.astro.pulse import gaussian_profile, scattered_profile
 from repro.errors import ValidationError
 
 
-@pytest.fixture(
-    params=[gaussian_profile, von_mises_profile, scattered_profile]
-)
+@pytest.fixture(params=[gaussian_profile, scattered_profile])
 def profile(request):
     return request.param()
 
@@ -61,15 +55,6 @@ class TestGaussian:
             gaussian_profile(width=0.6)
         with pytest.raises(ValidationError):
             gaussian_profile(width=0.0)
-
-
-class TestVonMises:
-    def test_matches_gaussian_for_narrow_width(self):
-        width = 0.02
-        phases = np.linspace(0.45, 0.55, 100)
-        g = gaussian_profile(width=width).evaluate(phases)
-        v = von_mises_profile(width=width).evaluate(phases)
-        assert np.allclose(g, v, atol=0.02)
 
 
 class TestScattered:

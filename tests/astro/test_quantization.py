@@ -5,12 +5,11 @@ import pytest
 
 from repro.astro.quantization import (
     ai_bound_with_input_bytes,
-    quantization_noise_sigma,
     quantize,
     snr_efficiency,
 )
 from repro.errors import ValidationError
-from tests.conftest import make_observation
+from tests.conftest import best_trial, make_observation
 
 
 class TestQuantize:
@@ -60,7 +59,14 @@ class TestQuantize:
 
 class TestNoiseAndEfficiency:
     def test_quantization_noise_formula(self):
-        assert quantization_noise_sigma(1.0) == pytest.approx(1 / np.sqrt(12))
+        # Rounding to a uniform grid errs uniformly within half a step,
+        # so the rms error is step / sqrt(12).
+        data = np.linspace(-3.0, 3.0, 100_001)
+        q = quantize(data, nbits=8)
+        error = q.dequantize() - data
+        assert float(np.sqrt(np.mean(error ** 2))) == pytest.approx(
+            q.step / np.sqrt(12), rel=0.02
+        )
 
     def test_measured_noise_matches_formula(self, rng):
         data = rng.normal(size=500_000)
@@ -68,7 +74,7 @@ class TestNoiseAndEfficiency:
         error = q.dequantize() - data
         inside = np.abs(data) < 5.0
         assert float(error[inside].std()) == pytest.approx(
-            quantization_noise_sigma(q.step), rel=0.1
+            q.step / np.sqrt(12), rel=0.1
         )
 
     def test_efficiency_monotone_in_depth(self):
@@ -107,17 +113,16 @@ class TestEndToEnd:
         # stream, and confirm the pulsar is still found with ~full S/N.
         from repro.astro.dm_trials import DMTrialGrid
         from repro.astro.signal_gen import SyntheticPulsar
-        from repro.astro.snr import detect_dm
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
         pulsar = SyntheticPulsar(period_seconds=0.25, dm=9.0, amplitude=1.5)
         data = make_observation(toy_low, [pulsar], max_dm=grid.last, seed=6)
-        exact = detect_dm(
+        exact = best_trial(
             dedisperse_vectorized(data, toy_low, grid, 400), grid.values
         )
         recovered = quantize(data, nbits=8).dequantize()
-        quantized = detect_dm(
+        quantized = best_trial(
             dedisperse_vectorized(recovered, toy_low, grid, 400), grid.values
         )
         assert quantized.dm == exact.dm

@@ -9,7 +9,6 @@ from repro.astro.sensitivity import (
     half_power_dm_error,
     sensitivity_curve,
     smearing_attenuation,
-    step_sensitivity,
 )
 from repro.errors import ValidationError
 
@@ -73,17 +72,19 @@ class TestSmearingAttenuation:
 
 
 class TestStepSensitivity:
+    """A source can sit half a DM step from the nearest trial."""
+
     def test_paper_step_fine_for_apertif_pulses(self):
         # A 1 ms pulse half a 0.25-step away barely loses S/N at Apertif
         # frequencies.
-        assert step_sensitivity(apertif(), 0.25, WIDTH) > 0.9
+        assert dm_error_attenuation(apertif(), 0.125, WIDTH) > 0.9
 
     def test_paper_step_marginal_for_lofar(self):
         # The same step at LOFAR frequencies costs a quarter of the S/N
         # for millisecond pulses — why the DDplan derives finer LOFAR
         # steps.
-        assert step_sensitivity(lofar(), 0.25, WIDTH) < 0.75
-        assert step_sensitivity(apertif(), 0.25, WIDTH) > 0.95
+        assert dm_error_attenuation(lofar(), 0.125, WIDTH) < 0.75
+        assert dm_error_attenuation(apertif(), 0.125, WIDTH) > 0.95
 
     def test_ddplan_steps_keep_sensitivity(self):
         # Steps chosen by the DDplan at its default tolerance retain most
@@ -96,7 +97,8 @@ class TestStepSensitivity:
             width = max(
                 stage.downsample / setup.samples_per_second, 0.5e-3
             )
-            assert step_sensitivity(setup, stage.dm_step, width) > 0.75
+            retained = dm_error_attenuation(setup, 0.5 * stage.dm_step, width)
+            assert retained > 0.75
 
 
 class TestCurveAndHalfPower:

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.astro.snr import (
-    best_boxcar_snr,
-    boxcar_snr,
-    detect_dm,
-    folded_profile,
-)
+from repro.astro.snr import best_boxcar_snr, boxcar_snr
 from repro.errors import ValidationError
+from repro.search import MatchedFilterDetector
+from tests.conftest import best_trial
 
 
 def pulse_series(rng, n=2000, at=700, width=8, amplitude=4.0):
@@ -66,41 +63,28 @@ class TestBestBoxcar:
 
 
 class TestDetectDM:
+    """Picking the DM trial, with the pipeline's detector."""
+
     def test_picks_strongest_trial(self, rng):
         dedispersed = rng.normal(size=(8, 1000))
         dedispersed[3, 400:408] += 6.0
         dms = np.arange(8) * 0.5
-        detection = detect_dm(dedispersed, dms)
+        detection = best_trial(dedispersed, dms)
         assert detection.dm_index == 3
         assert detection.dm == pytest.approx(1.5)
         assert detection.snr_per_trial.shape == (8,)
         assert detection.snr == detection.snr_per_trial.max()
+        # Every trial's S/N is the scalar filter's, bit for bit.
+        assert detection.snr_per_trial.tolist() == [
+            best_boxcar_snr(row)[0] for row in dedispersed
+        ]
 
     def test_rejects_mismatched_dms(self, rng):
         with pytest.raises(ValidationError):
-            detect_dm(rng.normal(size=(4, 100)), np.arange(5))
+            MatchedFilterDetector().detect(
+                rng.normal(size=(4, 100)), np.arange(5)
+            )
 
     def test_rejects_1d(self, rng):
         with pytest.raises(ValidationError):
-            detect_dm(rng.normal(size=100), np.arange(1))
-
-
-class TestFoldedProfile:
-    def test_fold_recovers_periodic_pulse(self, rng):
-        fs, period = 1000, 0.1
-        t = np.arange(5000) / fs
-        phase = (t / period) % 1.0
-        series = rng.normal(size=5000) * 0.1 + np.exp(
-            -0.5 * ((phase - 0.5) / 0.02) ** 2
-        )
-        profile = folded_profile(series, fs, period, n_bins=50)
-        assert profile.shape == (50,)
-        assert abs(int(np.argmax(profile)) - 25) <= 1
-
-    def test_constant_series_folds_flat(self):
-        profile = folded_profile(np.ones(1000), 100, 0.05, n_bins=10)
-        assert np.allclose(profile, 1.0)
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValidationError):
-            folded_profile(np.ones(10), 100, 0.0)
+            MatchedFilterDetector().detect(rng.normal(size=100), np.arange(1))

@@ -143,10 +143,13 @@ class TestBurstTrainSource:
         _, buried = _generate(
             CompositeSource((NoiseSource(sigma=1.0), train))
         )
-        assert (
-            alone.of_kind("burst_train")[0].time_samples
-            == buried.of_kind("burst_train")[0].time_samples
+        (alone_train,) = (
+            c for c in alone.components if c.kind == "burst_train"
         )
+        (buried_train,) = (
+            c for c in buried.components if c.kind == "burst_train"
+        )
+        assert alone_train.time_samples == buried_train.time_samples
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -203,7 +206,7 @@ class TestSignalTruth:
             ))
         )
         assert isinstance(truth, SignalTruth)
-        assert truth.of_kind("burst")[0].dm == 3.0
+        assert next(c for c in truth.components if c.kind == "burst").dm == 3.0
         assert truth.dms == (3.0,)
 
     def test_as_dict_omits_none(self):

@@ -9,6 +9,8 @@ mirrors LOFAR's regime (low frequencies, strong dispersion), the toy
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,33 @@ def run_plan(plan, data, **kwargs) -> np.ndarray:
     from repro.run import ExecutionRequest, execute
 
     return execute(ExecutionRequest(data=data, plan=plan, **kwargs)).output
+
+
+class BestTrial(NamedTuple):
+    """The brightest trial of a dedispersed plane, and every trial's S/N."""
+
+    dm_index: int
+    dm: float
+    snr: float
+    width: int
+    offset: int
+    snr_per_trial: np.ndarray
+
+
+def best_trial(plane: np.ndarray, dms: np.ndarray) -> BestTrial:
+    """The trial of ``plane`` with the highest boxcar S/N.
+
+    Runs the pipeline's detector with the bank of
+    :meth:`~repro.search.MatchedFilterDetector.for_samples` (powers of
+    two up to ``samples // 4``) and takes the first trial with the
+    largest S/N, so a tie goes to the lowest DM.
+    """
+    from repro.search import MatchedFilterDetector
+
+    plane = np.asarray(plane)
+    detector = MatchedFilterDetector.for_samples(plane.shape[1])
+    snrs, widths, offsets = detector.best_per_trial(plane)
+    i = int(np.argmax(snrs))
+    return BestTrial(
+        i, float(dms[i]), float(snrs[i]), int(widths[i]), int(offsets[i]), snrs
+    )

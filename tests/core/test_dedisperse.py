@@ -5,11 +5,10 @@ import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.snr import detect_dm
 from repro.core.dedisperse import dedisperse, dedisperse_reference
 from repro.errors import ValidationError
 from repro.hardware.catalog import gtx680
-from tests.conftest import make_input, make_observation, run_plan
+from tests.conftest import best_trial, make_input, make_observation, run_plan
 
 
 class TestDedisperse:
@@ -62,6 +61,6 @@ class TestEndToEndRecovery:
         )
         data = make_observation(toy_low, [pulsar], max_dm=grid.last, seed=3)
         out, _ = dedisperse(data, toy_low, grid, samples=400)
-        detection = detect_dm(out, grid.values)
+        detection = best_trial(out, grid.values)
         assert abs(detection.dm - true_dm) <= grid.step
         assert detection.snr > 5.0

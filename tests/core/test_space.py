@@ -63,7 +63,7 @@ class TestMeaningful:
 
     def test_meaningful_smaller_than_candidates(self):
         space = TuningSpace(hd7970(), apertif(), DMTrialGrid(64))
-        assert len(space.meaningful()) < space.size_estimate()
+        assert len(space.meaningful()) < len(list(space.candidates()))
 
     def test_space_nonempty_for_all_accelerators(self, any_accelerator):
         for setup in (apertif(), lofar()):

@@ -5,9 +5,14 @@ import pytest
 
 from repro.astro.dispersion import delay_table
 from repro.astro.dm_trials import DMTrialGrid
-from repro.core.subband import SubbandPlan, dedisperse_subband
+from repro.core.subband import SubbandPlan
 from repro.errors import ValidationError
-from tests.conftest import make_input, make_observation, run_kernel
+from tests.conftest import (
+    best_trial,
+    make_input,
+    make_observation,
+    run_kernel,
+)
 
 
 @pytest.fixture
@@ -154,11 +159,10 @@ class TestExecution:
         assert out.dtype == np.float32
 
     def test_one_call_helper(self, toy_low, toy_grid, rng):
+        # A plan dedisperses in one execute call.
         data = make_input(toy_low, toy_grid, rng)
-        out, plan = dedisperse_subband(
-            data, toy_low, toy_grid, n_subbands=4, coarse_factor=2,
-            samples=400,
-        )
+        plan = SubbandPlan(toy_low, toy_grid, n_subbands=4, coarse_factor=2)
+        out = plan.execute(data, samples=400)
         assert out.shape == (8, 400)
         assert plan.coarse_grid.n_dms == 4
 
@@ -171,14 +175,11 @@ class TestExecution:
         # End to end: a pulsar found by brute force is still found after
         # the two-step approximation.
         from repro.astro.signal_gen import SyntheticPulsar
-        from repro.astro.snr import detect_dm
 
         grid = DMTrialGrid(16, step=1.0)
         pulsar = SyntheticPulsar(period_seconds=0.25, dm=7.0, amplitude=1.5)
         data = make_observation(toy_low, [pulsar], max_dm=grid.last, seed=4)
-        out, plan = dedisperse_subband(
-            data, toy_low, grid, n_subbands=4, coarse_factor=2,
-        )
-        detection = detect_dm(out, grid.values)
+        plan = SubbandPlan(toy_low, grid, n_subbands=4, coarse_factor=2)
+        detection = best_trial(plan.execute(data), grid.values)
         assert abs(detection.dm - 7.0) <= 1.0
         assert detection.snr > 5.0

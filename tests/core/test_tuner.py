@@ -41,7 +41,8 @@ class TestTune:
     def test_rank_of_best_small(self, sweep):
         # Fig. 10: "there is exactly one configuration that leads to the
         # best performance" — allow a couple of ties for robustness.
-        assert sweep.rank_of_best() <= 3
+        ties = np.sum(sweep.population_gflops >= sweep.best.gflops)
+        assert ties <= 3
 
     def test_empty_result_rejected(self):
         with pytest.raises(TuningError):

@@ -6,11 +6,10 @@ import pytest
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.snr import detect_dm, folded_profile
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import gtx_titan, hd7970
 from repro.run import ExecutionRequest, execute
-from tests.conftest import make_chunks, run_plan
+from tests.conftest import best_trial, make_chunks, run_plan
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +45,7 @@ class TestSurveyPipeline:
         ).chunk_results
         assert len(results) == 3
         for result in results:
-            detection = detect_dm(result.output, grid.values)
+            detection = best_trial(result.output, grid.values)
             assert abs(detection.dm - true_dm) <= grid.step
             assert detection.snr > 4.0
             assert result.realtime
@@ -64,9 +63,12 @@ class TestSurveyPipeline:
             survey_setup, grid, (pulsar,), n_chunks=1, seed=5, sigma=1.0
         )
         output = run_plan(plan, chunk.data)
-        trial = grid.index_of(4.0)
-        profile = folded_profile(
-            output[trial], survey_setup.samples_per_second, period, n_bins=20
+        series = output[grid.index_of(4.0)].astype(np.float64)
+        # Fold: average the samples falling in each of 20 phase bins.
+        seconds = np.arange(series.size) / survey_setup.samples_per_second
+        bins = (np.mod(seconds / period, 1.0) * 20).astype(np.int64) % 20
+        profile = np.bincount(bins, weights=series, minlength=20) / np.maximum(
+            np.bincount(bins, minlength=20), 1
         )
         spread = profile.max() - np.median(profile)
         noise = np.std(profile[profile < np.percentile(profile, 80)])
@@ -83,7 +85,7 @@ class TestSurveyPipeline:
         (chunk,) = make_chunks(
             survey_setup, grid, (pulsar,), n_chunks=1, seed=2
         )
-        detection = detect_dm(run_plan(plan, chunk.data), grid.values)
+        detection = best_trial(run_plan(plan, chunk.data), grid.values)
         per_trial = detection.snr_per_trial
         best = per_trial[detection.dm_index]
         far = max(per_trial[0], per_trial[-1])
@@ -106,5 +108,5 @@ class TestSurveyPipeline:
                 sigma=0.8,
             )
             output = execute(ExecutionRequest(plan=plan, chunks=chunks)).output
-            detection = detect_dm(output, grid.values)
+            detection = best_trial(output, grid.values)
             assert abs(detection.dm - expected_dm) <= grid.step

@@ -7,13 +7,14 @@ planning layers (DDplan + fleet) agreeing with each other.
 
 import pytest
 
-from repro.astro.candidates import search_and_sift
+from repro.astro.candidates import sift
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.astro.pulse import gaussian_profile
 from repro.astro.signal_gen import SyntheticPulsar
 from repro.baselines.cpu_reference import dedisperse_vectorized
-from repro.core.subband import dedisperse_subband
+from repro.core.subband import SubbandPlan
+from repro.search import MatchedFilterDetector
 from tests.conftest import make_observation
 
 
@@ -43,11 +44,11 @@ class TestFileToConfirmation:
         )
         data = make_observation(setup, [burst], max_dm=grid.last, seed=8)
         brute = dedisperse_vectorized(data, setup, grid, 1000)
-        two_step, plan = dedisperse_subband(
-            data, setup, grid, n_subbands=8, coarse_factor=2, samples=1000
-        )
+        plan = SubbandPlan(setup, grid, n_subbands=8, coarse_factor=2)
+        two_step = plan.execute(data, samples=1000)
+        detector = MatchedFilterDetector.for_samples(1000)
         for plane, label in ((brute, "brute"), (two_step, "subband")):
-            sifted = search_and_sift(plane, grid.values, snr_threshold=6.0)
+            sifted = sift(detector.detect(plane, grid.values))
             assert sifted, f"{label}: no candidates"
             assert abs(sifted[0].best.dm - 9.0) <= 1.0, label
         # The two-step path saves FLOPs even at this toy scale (the real
@@ -69,9 +70,9 @@ class TestPlanningLayersAgree:
         # Size a 100-beam deployment for the busiest (most trials) stage.
         busiest = max(ddplan.stages, key=lambda s: s.n_dms)
         # The tuner needs a power-of-two-friendly count; round up.
-        from repro.utils.intmath import next_power_of_two
+        from repro.utils.intmath import powers_of_two
 
-        n = next_power_of_two(busiest.n_dms)
+        n = powers_of_two(busiest.n_dms, 2 * busiest.n_dms)[0]
         grid = DMTrialGrid(n, first=busiest.dm_low, step=busiest.dm_step)
         plan = accelerators_needed(hd7970(), survey_setup, grid, 100)
         assert plan.devices_needed * plan.beams_per_device >= 100

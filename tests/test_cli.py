@@ -39,6 +39,11 @@ class TestTune:
         assert main(["tune", "--setup", "ska", "--dms", "8"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "-1"])
+    def test_non_finite_dm_step_fails_cleanly(self, step, capsys):
+        assert main(["tune", "--dms", "16", "--dm-step", step]) == 2
+        assert capsys.readouterr().err.startswith("error: step must be")
+
     def test_model_guided_strategy_reports_search_cost(self, capsys):
         code = main(
             ["tune", "--device", "HD7970", "--setup", "lofar",
@@ -186,13 +191,6 @@ class TestExperiment:
             build_parser().parse_args(["experiment", "fig99"])
 
 
-class TestDemo:
-    def test_demo_detects_pulsar(self, capsys):
-        assert main(["demo", "--dms", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "CORRECT" in out
-
-
 class TestDDPlan:
     def test_prints_staged_plan(self, capsys):
         assert main(["ddplan", "--setup", "apertif", "--max-dm", "50"]) == 0
@@ -291,6 +289,23 @@ class TestSearch:
         assert main(["search", "--setup", "ska"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--chunks", "0"),
+            ("--chunks", "-1"),
+            ("--dm-step", "0"),
+            ("--dm-step", "-1"),
+            ("--dm-step", "nan"),
+            ("--dm-step", "inf"),
+        ],
+    )
+    def test_bad_stream_flags_fail_before_tuning(self, flag, value, capsys):
+        assert main(["search", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be")
+        assert captured.out == ""
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -299,8 +314,13 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["study"], ["ablate"], ["obs", "export", "--format", "jsonl"]],
-        ids=["study", "ablate", "obs-export-jsonl"],
+        [
+            ["study"],
+            ["ablate"],
+            ["demo"],
+            ["obs", "export", "--format", "jsonl"],
+        ],
+        ids=["study", "ablate", "demo", "obs-export-jsonl"],
     )
     def test_retired_subcommands_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -69,6 +69,7 @@ RETIRED = (
     ("repro", "best_fixed_configuration"),
     ("repro", "dedisperse_reference"),
     ("repro", "dedisperse_subband"),
+    ("repro", "detect_dm"),
     ("repro", "generate_observation"),
     ("repro", "hill_climb"),
     ("repro", "random_search"),
@@ -76,6 +77,10 @@ RETIRED = (
     ("repro", "run_study"),
     ("repro.astro", "Beam"),
     ("repro.astro", "Telescope"),
+    ("repro.astro", "detect_dm"),
+    ("repro.astro", "find_candidates"),
+    ("repro.astro", "folded_profile"),
+    ("repro.astro", "search_and_sift"),
     ("repro.obs", "to_jsonl"),
     ("repro.opencl_sim", "CommandQueue"),
     ("repro.opencl_sim", "Context"),

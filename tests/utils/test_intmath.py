@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.utils.intmath import (
-    ceil_div,
-    divisors,
-    is_power_of_two,
-    next_power_of_two,
-    powers_of_two,
-    round_up,
-)
+from repro.utils.intmath import ceil_div, divisors, powers_of_two
 
 
 class TestCeilDiv:
@@ -27,33 +20,35 @@ class TestCeilDiv:
 
 
 class TestRoundUp:
+    """Rounding up to a multiple: ``ceil_div(value, multiple) * multiple``."""
+
     @pytest.mark.parametrize(
         "value,multiple,expected", [(0, 4, 0), (1, 4, 4), (4, 4, 4), (5, 4, 8)]
     )
     def test_values(self, value, multiple, expected):
-        assert round_up(value, multiple) == expected
+        assert ceil_div(value, multiple) * multiple == expected
 
 
 class TestIsPowerOfTwo:
+    """A one-value range holds a power of two only if the value is one."""
+
     @pytest.mark.parametrize("value", [1, 2, 4, 1024, 1 << 30])
     def test_accepts_powers(self, value):
-        assert is_power_of_two(value)
+        assert powers_of_two(value, value) == [value]
 
     @pytest.mark.parametrize("value", [0, -2, 3, 6, 1000])
     def test_rejects_non_powers(self, value):
-        assert not is_power_of_two(value)
+        assert powers_of_two(value, value) == []
 
 
 class TestNextPowerOfTwo:
+    """The smallest power of two >= ``value`` opens ``[value, 2 * value]``."""
+
     @pytest.mark.parametrize(
         "value,expected", [(1, 1), (2, 2), (3, 4), (1000, 1024)]
     )
     def test_values(self, value, expected):
-        assert next_power_of_two(value) == expected
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValidationError):
-            next_power_of_two(0)
+        assert powers_of_two(value, 2 * value)[0] == expected
 
 
 class TestPowersOfTwo:

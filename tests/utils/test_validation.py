@@ -61,6 +61,11 @@ class TestRequireNonNegative:
         with pytest.raises(ValidationError):
             require_non_negative(-1e-9, "x")
 
+    def test_rejects_nan(self):
+        # NaN compares false with everything, so ``value < 0`` lets it by.
+        with pytest.raises(ValidationError, match="x must be non-negative"):
+            require_non_negative(float("nan"), "x")
+
 
 class TestRequireInRange:
     def test_accepts_bounds(self):

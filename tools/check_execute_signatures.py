@@ -11,22 +11,26 @@ inconsistency the redesign removed.  Only the work-group body writes
 into an ``out``: the kernel body the facade launches allocates its own
 output, and its pin admits no destination buffer.
 
-Two checks:
+Three checks:
 
 * every pinned entrypoint (``PINNED``) carries exactly the agreed
   parameter list, in order.  The pins are the facade's ``execute``,
   the kernel body it dispatches to, the :class:`SignalSource`
   protocol, the tuning service's ``resolve`` entrypoint and its
-  :class:`TuneRequest`, and the matched-filter detector's settings and
-  the slab body its entry points share; a pinned file or name that
-  goes missing is an error.  A pinned *class* is a dataclass whose
+  :class:`TuneRequest`, and the matched-filter detector's settings, its
+  two entry points and the slab body they share; a pinned file or name
+  that goes missing is an error.  A pinned *class* is a dataclass whose
   settable fields (annotated names not declared ``field(init=False)``)
   are pinned the same way: ``execute(request)`` takes one
   :class:`ExecutionRequest`, so its fields are the facade's real
   keyword set, and a new request setting needs a visible edit here;
 * no ``execute``/``generate``/``add_to``/``resolve``-family function,
   and no pinned class, in the pinned files reintroduces a banned alias
-  (``ALIASES``) for one of the agreed names.
+  (``ALIASES``) for one of the agreed names;
+* :class:`MatchedFilterDetector` is the one detector: no module under
+  ``src/repro`` but ``repro/astro/__init__.py``, and no file under
+  ``examples/`` or ``benchmarks/``, imports ``repro.astro.snr``, the
+  scalar filter the detector's tests use as their oracle.
 
 Every :class:`SignalSource` speaks ``generate(setup, n_samples,
 streams)``: seeding always flows through a
@@ -98,11 +102,26 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/search/detect.py",
         ("snr_threshold", "widths"),
     ),
+    "MatchedFilterDetector.detect": (
+        "repro/search/detect.py",
+        ("dedispersed", "dms", "time_offset", "beam", "account"),
+    ),
+    "MatchedFilterDetector.detect_slabs": (
+        "repro/search/detect.py",
+        ("slabs", "dms", "time_offset", "beam", "account"),
+    ),
     "MatchedFilterDetector._best_of_slab": (
         "repro/search/detect.py",
         ("slab", "account"),
     ),
 }
+
+#: The scalar S/N module, kept as the detector's test oracle.
+ORACLE = "repro.astro.snr"
+
+#: The one program file that may import the oracle: the package that
+#: re-exports it.
+ORACLE_EXPORTER = SRC / "repro" / "astro" / "__init__.py"
 
 #: Spellings the redesign retired; none may reappear in an
 #: execute-family signature within the pinned files.
@@ -170,8 +189,37 @@ def collect(path: Path) -> dict[str, tuple[ast.AST, str]]:
     return found
 
 
-def main() -> int:
+def oracle_imports() -> list[str]:
+    """Program files that import :data:`ORACLE`, as lint errors."""
     errors: list[str] = []
+    paths = [
+        *sorted((SRC / "repro").rglob("*.py")),
+        *sorted((ROOT / "examples").rglob("*.py")),
+        *sorted((ROOT / "benchmarks").rglob("*.py")),
+    ]
+    for path in paths:
+        if path == ORACLE_EXPORTER:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if ORACLE in names:
+                errors.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno}: imports "
+                    f"{ORACLE}; detect with MatchedFilterDetector instead"
+                )
+    return errors
+
+
+def main() -> int:
+    errors: list[str] = oracle_imports()
     definitions: dict[str, tuple[ast.AST, str]] = {}
     for relpath in sorted({file for file, _ in PINNED.values()}):
         path = SRC / relpath
