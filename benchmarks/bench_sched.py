@@ -18,7 +18,6 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif
 from repro.hardware.catalog import gtx680, hd7970
 from repro.sched import ExecutionEngine, FaultProfile, shard_memory_bytes
-from repro.service import TuningService
 
 GRID = DMTrialGrid(256)
 SETUP = apertif()
@@ -32,10 +31,10 @@ def _inventory():
     return [(hd7970(), 3, MEM), (gtx680(), 2, MEM)]
 
 
-def _run(service, *, faults=None, seed=0):
+def _run(*, faults=None, seed=0):
     engine = ExecutionEngine(
         _inventory(), SETUP, GRID, N_BEAMS, DURATION_S,
-        seed=seed, faults=faults, service=service,
+        seed=seed, faults=faults,
     )
     return engine.run()
 
@@ -49,45 +48,40 @@ def _record(benchmark, report):
 
 def test_sched_fault_free(benchmark):
     """Baseline: 5 workers, no faults."""
-    with TuningService(max_workers=1) as service:
-        report = benchmark.pedantic(
-            lambda: _run(service), rounds=3, iterations=1, warmup_rounds=1
-        )
+    report = benchmark.pedantic(_run, rounds=3, iterations=1, warmup_rounds=1)
     assert report.complete
     _record(benchmark, report)
 
 
 def test_sched_with_fault_injection(benchmark):
     """Default injection: one crash, one straggler, 5% transients."""
-    with TuningService(max_workers=1) as service:
-        report = benchmark.pedantic(
-            lambda: _run(service, faults=FaultProfile.default_injection()),
-            rounds=3, iterations=1, warmup_rounds=1,
-        )
+    report = benchmark.pedantic(
+        lambda: _run(faults=FaultProfile.default_injection()),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
     assert report.complete
     _record(benchmark, report)
 
 
 def main() -> int:
     rows = []
-    with TuningService(max_workers=1) as service:
-        for label, kwargs in (
-            ("fault_free", {}),
-            ("default_injection", {"faults": FaultProfile.default_injection()}),
-        ):
-            report = _run(service, **kwargs)
-            rows.append(
-                {
-                    "scenario": label,
-                    "shards": report.shards_total,
-                    "makespan_s": report.makespan_s,
-                    "throughput_beam_seconds_per_s": report.throughput,
-                    "realtime_sustained": report.realtime_sustained,
-                    "crashed_workers": list(report.crashed_workers),
-                    "retries": report.retries,
-                    "steals": report.steals,
-                }
-            )
+    for label, kwargs in (
+        ("fault_free", {}),
+        ("default_injection", {"faults": FaultProfile.default_injection()}),
+    ):
+        report = _run(**kwargs)
+        rows.append(
+            {
+                "scenario": label,
+                "shards": report.shards_total,
+                "makespan_s": report.makespan_s,
+                "throughput_beam_seconds_per_s": report.throughput,
+                "realtime_sustained": report.realtime_sustained,
+                "crashed_workers": list(report.crashed_workers),
+                "retries": report.retries,
+                "steals": report.steals,
+            }
+        )
     print(json.dumps({"setup": SETUP.name, "n_dms": GRID.n_dms,
                       "n_beams": N_BEAMS, "runs": rows}, indent=2))
     return 0

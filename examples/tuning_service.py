@@ -5,9 +5,8 @@ pipeline that needs a kernel configuration — it asks a long-lived tuning
 service.  This example runs one :class:`~repro.service.TuningService`
 through its whole repertoire:
 
-1. **Warm-up** — pre-tune a ladder of instances; each sweep after the
-   first is warm-started from its cached neighbour, so most of the
-   optimisation space is never simulated.
+1. **Warm-up** — pre-tune a ladder of instances, one exhaustive sweep
+   each, before any client asks.
 2. **Concurrent clients** — eight pipelines ask the service at once;
    every instance was swept once, so every answer comes from the cache.
 3. **Restart** — a fresh service pointed at the same store directory
@@ -58,7 +57,7 @@ def main() -> int:
 
     device, setup = hd7970(), apertif()
     with TuningService(store_dir=store_dir, max_workers=2) as service:
-        print("— warm-up (each sweep seeds the next) —")
+        print("— warm-up (one sweep per instance) —")
         for response in service.warm_up(device, setup, INSTANCES):
             print(f"  {response.describe()}")
 

@@ -91,9 +91,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"sweep saved to {save_sweep(result, args.save)}")
     best = result.best
     stats = OptimumStatistics.from_population(result.population_gflops)
-    print(f"device : {device.name}")
-    print(f"setup  : {setup.describe()}")
-    print(f"grid   : {grid.n_dms} DMs, step {grid.step}")
+    # The sweep's own instance: with --load, the flags name none of it.
+    print(f"device : {result.device.name}")
+    print(f"setup  : {result.setup.describe()}")
+    print(f"grid   : {result.grid.n_dms} DMs, step {result.grid.step}")
     print(f"optimum: {best.config.describe()}")
     print(f"         {best.metrics.summary()}")
     print(f"sweep  : {stats.summary()}")
@@ -104,7 +105,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             f"({100.0 * outcome.fraction_evaluated:.1f}% of the space, "
             f"{outcome.measurements} measurements)"
         )
-    needed = setup.realtime_gflops(grid.n_dms)
+    needed = result.setup.realtime_gflops(result.grid.n_dms)
     verdict = "yes" if best.gflops >= needed else "NO"
     print(f"real-time: {verdict} (needs {needed:.1f} GFLOP/s)")
     _persist_obs(quiet=True)

@@ -14,10 +14,9 @@ instead of silently trusted.
 Every document additionally carries a *model fingerprint*: a digest over
 the device specification, the observational setup, and the model revision
 that produced the sweep.  The fingerprint makes staleness detectable
-*before* the expensive re-simulation (and without it, for callers that
-load with ``verify=False``), and it is the cache-key ingredient the
-:mod:`repro.service` layer uses so an edited device catalogue invalidates
-cached sweeps instead of serving them.
+*before* the expensive re-simulation, and it is the cache-key ingredient
+the :mod:`repro.service` layer uses so an edited device catalogue
+invalidates cached sweeps instead of serving them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,12 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup, setup_by_name
 from repro.core.config import KernelConfiguration
 from repro.core.tuner import ConfigurationSample, TuningResult
-from repro.errors import SchemaVersionError, TuningError, ValidationError
+from repro.errors import (
+    DeviceError,
+    SchemaVersionError,
+    TuningError,
+    ValidationError,
+)
 from repro.hardware.catalog import device_by_name
 from repro.hardware.device import DeviceSpec
 from repro.hardware.model import PerformanceModel
@@ -100,22 +104,28 @@ def save_sweep(result: TuningResult, path: str | Path) -> Path:
     return path
 
 
-def load_sweep(
-    path: str | Path,
-    verify: bool = True,
-    tolerance: float = 1e-6,
-) -> TuningResult:
+def load_sweep(path: str | Path) -> TuningResult:
     """Load a sweep document and rebuild the :class:`TuningResult`.
 
-    With ``verify=True`` (default) the document's model fingerprint (when
-    present) is checked against the current catalogue/model first — a
-    cheap, early staleness test — and then every stored GFLOP/s is checked
-    against a fresh simulation; a mismatch beyond ``tolerance`` (relative)
-    raises :class:`TuningError` — the guard against loading sweeps
-    produced by a different model parameterisation.
+    The document's model fingerprint (when present) is checked against
+    the current catalogue/model first — a cheap, early staleness test —
+    and then every stored GFLOP/s is checked against a fresh simulation;
+    a relative mismatch beyond 1e-6 raises :class:`TuningError` — the
+    guard against loading sweeps produced by a different model
+    parameterisation.  A file that cannot be read, is not JSON, lacks a
+    field or holds a malformed one raises :class:`ValidationError`
+    naming ``path``.
     """
-    document = json.loads(Path(path).read_text())
-    schema = document.get("schema")
+    path = Path(path)
+    try:
+        document = json.loads(path.read_text())
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read sweep at {path}: {exc.strerror or exc}"
+        ) from None
+    except ValueError as exc:
+        raise ValidationError(f"sweep at {path} is not JSON: {exc}") from None
+    schema = document.get("schema") if isinstance(document, dict) else None
     if schema not in SUPPORTED_SCHEMAS:
         if isinstance(schema, int) and schema > max(SUPPORTED_SCHEMAS):
             raise SchemaVersionError(
@@ -124,11 +134,26 @@ def load_sweep(
                 f"schemas up to {max(SUPPORTED_SCHEMAS)}); upgrade repro "
                 f"or delete the store entry to re-tune"
             )
-        raise ValidationError(f"unsupported sweep schema {schema!r}")
-    device = device_by_name(document["device"])
-    setup = setup_by_name(document["setup"])
+        raise ValidationError(f"unsupported sweep schema {schema!r} at {path}")
+    try:
+        device = device_by_name(document["device"])
+        setup = setup_by_name(document["setup"])
+        grid_doc = document["grid"]
+        grid = DMTrialGrid(
+            n_dms=grid_doc["n_dms"],
+            first=grid_doc["first"],
+            step=grid_doc["step"],
+        )
+        entries = [
+            (KernelConfiguration(*entry["config"]), float(entry["gflops"]))
+            for entry in document["samples"]
+        ]
+    except KeyError as exc:
+        raise ValidationError(f"sweep at {path} has no {exc} field") from None
+    except (DeviceError, TypeError, ValueError) as exc:
+        raise ValidationError(f"sweep at {path} is malformed: {exc}") from None
     stored_fingerprint = document.get("fingerprint")
-    if verify and stored_fingerprint is not None:
+    if stored_fingerprint is not None:
         current = model_fingerprint(device, setup)
         if stored_fingerprint != current:
             raise TuningError(
@@ -136,22 +161,12 @@ def load_sweep(
                 f"catalogue (fingerprint {stored_fingerprint} != {current}); "
                 "re-tune instead of loading"
             )
-    grid_doc = document["grid"]
-    grid = DMTrialGrid(
-        n_dms=grid_doc["n_dms"],
-        first=grid_doc["first"],
-        step=grid_doc["step"],
-    )
     model = PerformanceModel(device, setup, grid)
 
     samples: list[ConfigurationSample] = []
-    for entry in document["samples"]:
-        config = KernelConfiguration(*entry["config"])
+    for config, stored in entries:
         metrics = model.simulate(config, validate=False)
-        stored = float(entry["gflops"])
-        if verify and abs(metrics.gflops - stored) > tolerance * max(
-            stored, 1.0
-        ):
+        if abs(metrics.gflops - stored) > 1e-6 * max(stored, 1.0):
             raise TuningError(
                 f"sweep at {path} no longer matches the model: "
                 f"{config.describe()} stored {stored:.3f} GFLOP/s, "

@@ -17,8 +17,7 @@ constraint checker prune the rest:
 The module also owns the space's one notch geometry: :func:`axis_values`
 lists the values each parameter takes in a meaningful set, and
 :func:`notch_neighbours` steps one parameter one notch along that list.
-Local search (:mod:`repro.tune.strategy`) and warm-start pruning
-(:mod:`repro.service.warmstart`) both measure distance this way.
+Local search (:mod:`repro.tune.strategy`) measures distance this way.
 """
 
 from __future__ import annotations

@@ -11,14 +11,12 @@ so downstream analysis can compute the statistics of the optimum (Figs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.core.config import KernelConfiguration
-from repro.core.constraints import is_meaningful
 from repro.core.space import TuningSpace
 from repro.errors import TuningError
 from repro.hardware.device import DeviceSpec
@@ -119,18 +117,9 @@ class AutoTuner:
         )
 
     def tune(
-        self,
-        grid: DMTrialGrid,
-        samples: int | None = None,
-        candidates: Iterable[KernelConfiguration] | None = None,
+        self, grid: DMTrialGrid, samples: int | None = None
     ) -> TuningResult:
-        """Evaluate every meaningful configuration and return the sweep.
-
-        With ``candidates`` the sweep is restricted to the given
-        configurations (duplicates dropped, non-meaningful ones filtered
-        out) instead of the full enumerated space — the hook warm-start
-        tuning uses to sweep a pruned neighbourhood of a known optimum.
-        """
+        """Evaluate every meaningful configuration and return the sweep."""
         s = self.setup.samples_per_batch if samples is None else samples
         with span(
             "tuner.sweep",
@@ -138,17 +127,7 @@ class AutoTuner:
             setup=self.setup.name,
             n_dms=grid.n_dms,
         ) as sweep_span:
-            if candidates is None:
-                configs = self.space(grid, s).meaningful()
-            else:
-                seen: set[KernelConfiguration] = set()
-                configs = []
-                for c in candidates:
-                    if c in seen:
-                        continue
-                    seen.add(c)
-                    if is_meaningful(c, self.device, self.setup, grid, s):
-                        configs.append(c)
+            configs = self.space(grid, s).meaningful()
             if not configs:
                 raise TuningError(
                     f"search space is empty for {self.device.name}/"

@@ -3,7 +3,7 @@
 The survey driver's fleet stage: this package slices a survey into beams
 x DM sub-ranges x time batches, dispatches the shards to simulated
 workers driven by the :mod:`repro.hardware` model and
-:class:`~repro.service.TuningService` configurations, and survives
+:class:`~repro.core.tuner.AutoTuner` configurations, and survives
 injected crashes, transient errors and stragglers while recording every
 attempt in a seeded, exactly-once :class:`RunLedger`.  The survey's own
 resumable checkpoint is the :class:`SurveyLedger`.

@@ -130,10 +130,6 @@ class ExecutionEngine:
         with equal seeds record identical attempts.
     faults:
         The :class:`FaultProfile` to inject (default: none).
-    service:
-        A :class:`~repro.service.TuningService` supplying tuned
-        configurations; one is created (and closed) internally if
-        omitted.
     """
 
     def __init__(
@@ -146,7 +142,6 @@ class ExecutionEngine:
         *,
         seed: int = 0,
         faults: FaultProfile | None = None,
-        service=None,
     ):
         require_positive_int(n_beams, "n_beams")
         require_positive(duration_s, "duration_s")
@@ -158,8 +153,7 @@ class ExecutionEngine:
         self.duration_s = duration_s
         self.faults = faults or FaultProfile.none()
         self.streams = RandomStreams(seed)
-        self.model = ServiceTimeModel(setup, grid, service=service)
-        self._owns_service = service is None
+        self.model = ServiceTimeModel(setup, grid)
 
         self.workers: dict[str, Worker] = {}
         min_memory = None
@@ -213,163 +207,159 @@ class ExecutionEngine:
         for shard in pending:
             ledger.register(shard)
 
-        try:
-            horizon = self._estimate_makespan(pending)
-            injector = FaultInjector(
-                self.faults, self.streams, worker_ids, horizon
+        horizon = self._estimate_makespan(pending)
+        injector = FaultInjector(
+            self.faults, self.streams, worker_ids, horizon
+        )
+        for worker in workers.values():
+            worker.slowdown = injector.slowdown_for(worker.worker_id)
+            worker.crash_at = injector.crash_time(worker.worker_id)
+        self._distribute(pending)
+
+        counters = {"retries": 0, "steals": 0, "requeues": 0}
+        done = failed = 0
+        makespan = 0.0
+        sequence = itertools.count()
+        events: list[tuple[float, int, str, tuple]] = []
+
+        def push(at: float, kind: str, payload: tuple) -> None:
+            heapq.heappush(events, (at, next(sequence), kind, payload))
+
+        def start_next(worker: Worker, now: float) -> None:
+            """Dispatch the worker's next shard, stealing if empty."""
+            if not worker.idle:
+                return
+            shard = self._take_local(worker)
+            if shard is None:
+                shard = self._steal_for(worker, counters)
+            if shard is None:
+                return
+            sid = shard.shard_id
+            attempt_no = len(ledger.records[sid].attempts) + 1
+            nominal = self.model.seconds(worker.device, shard)
+            service_s = nominal * worker.slowdown
+            if injector.transient_fails(worker.worker_id, sid, attempt_no):
+                outcome = "transient"
+                service_s *= injector.failure_point(
+                    worker.worker_id, sid, attempt_no
+                )
+            else:
+                outcome = "ok"
+            worker.running = shard
+            worker.run_token += 1
+            push(
+                now + service_s,
+                "finish",
+                (worker.worker_id, worker.run_token, shard, outcome, now),
             )
-            for worker in workers.values():
-                worker.slowdown = injector.slowdown_for(worker.worker_id)
-                worker.crash_at = injector.crash_time(worker.worker_id)
-            self._distribute(pending)
 
-            counters = {"retries": 0, "steals": 0, "requeues": 0}
-            done = failed = 0
-            makespan = 0.0
-            sequence = itertools.count()
-            events: list[tuple[float, int, str, tuple]] = []
+        def requeue(shard: Shard, at: float, backoff: bool) -> None:
+            """Return a failed/orphaned shard to circulation."""
+            counters["requeues"] += 1
+            attempt_no = len(ledger.records[shard.shard_id].attempts)
+            delay = (
+                BACKOFF_BASE_S * BACKOFF_FACTOR ** max(0, attempt_no - 1)
+                if backoff
+                else 0.0
+            )
+            push(at + delay, "ready", (shard,))
 
-            def push(at: float, kind: str, payload: tuple) -> None:
-                heapq.heappush(events, (at, next(sequence), kind, payload))
+        for worker in workers.values():
+            if worker.crash_at is not None:
+                push(worker.crash_at, "crash", (worker.worker_id,))
+            start_next(worker, 0.0)
 
-            def start_next(worker: Worker, now: float) -> None:
-                """Dispatch the worker's next shard, stealing if empty."""
-                if not worker.idle:
-                    return
-                shard = self._take_local(worker)
-                if shard is None:
-                    shard = self._steal_for(worker, counters)
-                if shard is None:
-                    return
-                sid = shard.shard_id
-                attempt_no = len(ledger.records[sid].attempts) + 1
-                nominal = self.model.seconds(worker.device, shard)
-                service_s = nominal * worker.slowdown
-                if injector.transient_fails(worker.worker_id, sid, attempt_no):
-                    outcome = "transient"
-                    service_s *= injector.failure_point(
-                        worker.worker_id, sid, attempt_no
+        while events and (done + failed) < len(pending):
+            now, _, kind, payload = heapq.heappop(events)
+
+            if kind == "finish":
+                worker_id, token, shard, outcome, started = payload
+                worker = workers[worker_id]
+                if not worker.alive or worker.run_token != token:
+                    continue  # interrupted by a crash: stale event
+                with span(
+                    "sched.shard",
+                    shard=shard.shard_id,
+                    worker=worker_id,
+                    outcome=outcome,
+                ):
+                    ledger.note_attempt(
+                        shard,
+                        Attempt(
+                            worker=worker_id,
+                            started_s=started,
+                            finished_s=now,
+                            outcome=outcome,
+                        ),
                     )
+                worker.running = None
+                worker.busy_seconds += now - started
+                if outcome == "ok":
+                    worker.shards_done += 1
+                    done += 1
+                    makespan = max(makespan, now)
                 else:
-                    outcome = "ok"
-                worker.running = shard
-                worker.run_token += 1
-                push(
-                    now + service_s,
-                    "finish",
-                    (worker.worker_id, worker.run_token, shard, outcome, now),
-                )
-
-            def requeue(shard: Shard, at: float, backoff: bool) -> None:
-                """Return a failed/orphaned shard to circulation."""
-                counters["requeues"] += 1
-                attempt_no = len(ledger.records[shard.shard_id].attempts)
-                delay = (
-                    BACKOFF_BASE_S * BACKOFF_FACTOR ** max(0, attempt_no - 1)
-                    if backoff
-                    else 0.0
-                )
-                push(at + delay, "ready", (shard,))
-
-            for worker in workers.values():
-                if worker.crash_at is not None:
-                    push(worker.crash_at, "crash", (worker.worker_id,))
-                start_next(worker, 0.0)
-
-            while events and (done + failed) < len(pending):
-                now, _, kind, payload = heapq.heappop(events)
-
-                if kind == "finish":
-                    worker_id, token, shard, outcome, started = payload
-                    worker = workers[worker_id]
-                    if not worker.alive or worker.run_token != token:
-                        continue  # interrupted by a crash: stale event
-                    with span(
-                        "sched.shard",
-                        shard=shard.shard_id,
-                        worker=worker_id,
-                        outcome=outcome,
-                    ):
-                        ledger.note_attempt(
-                            shard,
-                            Attempt(
-                                worker=worker_id,
-                                started_s=started,
-                                finished_s=now,
-                                outcome=outcome,
-                            ),
-                        )
-                    worker.running = None
-                    worker.busy_seconds += now - started
-                    if outcome == "ok":
-                        worker.shards_done += 1
-                        done += 1
-                        makespan = max(makespan, now)
+                    counters["retries"] += 1
+                    record = ledger.records[shard.shard_id]
+                    if len(record.attempts) >= MAX_ATTEMPTS:
+                        ledger.mark_failed(shard)
+                        failed += 1
                     else:
-                        counters["retries"] += 1
-                        record = ledger.records[shard.shard_id]
-                        if len(record.attempts) >= MAX_ATTEMPTS:
-                            ledger.mark_failed(shard)
-                            failed += 1
-                        else:
-                            requeue(shard, now, backoff=True)
-                    start_next(worker, now)
+                        requeue(shard, now, backoff=True)
+                start_next(worker, now)
 
-                elif kind == "crash":
-                    (worker_id,) = payload
-                    worker = workers[worker_id]
-                    if not worker.alive:
-                        continue
-                    worker.alive = False
-                    worker.run_token += 1  # invalidate any in-flight finish
-                    if worker.running is not None:
-                        shard = worker.running
-                        started = self._running_start(events, worker_id)
-                        ledger.note_attempt(
-                            shard,
-                            Attempt(
-                                worker=worker_id,
-                                started_s=min(started, now),
-                                finished_s=now,
-                                outcome="crash",
-                            ),
-                        )
-                        worker.busy_seconds += now - min(started, now)
-                        worker.running = None
-                        record = ledger.records[shard.shard_id]
-                        if len(record.attempts) >= MAX_ATTEMPTS:
-                            ledger.mark_failed(shard)
-                            failed += 1
-                        else:
-                            requeue(shard, now, backoff=False)
-                    self._repack(worker, now)
-                    if not any(w.alive for w in workers.values()):
-                        raise SchedulerError(
-                            "every worker crashed; "
-                            f"{len(pending) - done} shard(s) stranded"
-                        )
-                    for survivor_id in sorted(workers):
-                        start_next(workers[survivor_id], now)
+            elif kind == "crash":
+                (worker_id,) = payload
+                worker = workers[worker_id]
+                if not worker.alive:
+                    continue
+                worker.alive = False
+                worker.run_token += 1  # invalidate any in-flight finish
+                if worker.running is not None:
+                    shard = worker.running
+                    started = self._running_start(events, worker_id)
+                    ledger.note_attempt(
+                        shard,
+                        Attempt(
+                            worker=worker_id,
+                            started_s=min(started, now),
+                            finished_s=now,
+                            outcome="crash",
+                        ),
+                    )
+                    worker.busy_seconds += now - min(started, now)
+                    worker.running = None
+                    record = ledger.records[shard.shard_id]
+                    if len(record.attempts) >= MAX_ATTEMPTS:
+                        ledger.mark_failed(shard)
+                        failed += 1
+                    else:
+                        requeue(shard, now, backoff=False)
+                self._repack(worker, now)
+                if not any(w.alive for w in workers.values()):
+                    raise SchedulerError(
+                        "every worker crashed; "
+                        f"{len(pending) - done} shard(s) stranded"
+                    )
+                for survivor_id in sorted(workers):
+                    start_next(workers[survivor_id], now)
 
-                elif kind == "ready":
-                    (shard,) = payload
-                    target = self._least_loaded(now)
-                    if target is None:
-                        raise SchedulerError(
-                            "no surviving worker to requeue "
-                            f"shard {shard.shard_id}"
-                        )
-                    self._enqueue(target, shard)
-                    start_next(target, now)
+            elif kind == "ready":
+                (shard,) = payload
+                target = self._least_loaded(now)
+                if target is None:
+                    raise SchedulerError(
+                        "no surviving worker to requeue "
+                        f"shard {shard.shard_id}"
+                    )
+                self._enqueue(target, shard)
+                start_next(target, now)
 
-            if (done + failed) < len(pending):
-                raise SchedulerError(
-                    f"run stalled with {len(pending) - done - failed} "
-                    "shard(s) unscheduled"
-                )
-        finally:
-            if self._owns_service:
-                self.model.close()
+        if (done + failed) < len(pending):
+            raise SchedulerError(
+                f"run stalled with {len(pending) - done - failed} "
+                "shard(s) unscheduled"
+            )
 
         crashed = tuple(
             wid for wid in worker_ids if not workers[wid].alive

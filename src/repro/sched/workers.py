@@ -2,11 +2,11 @@
 
 Each worker is one physical unit of an engine inventory's device
 type.  Its per-shard service time comes from the same machinery
-the tuner trusts: the device's *tuned* kernel configuration (obtained
-once per device type through :class:`~repro.service.TuningService`, so
-the scheduler benefits from the service's caching/warm-start tiers) run
-through :class:`~repro.hardware.model.PerformanceModel` on the shard's
-DM sub-grid, plus the device's launch overhead already included there.
+the tuner trusts: the device's *tuned* kernel configuration (the
+:class:`~repro.core.tuner.AutoTuner` optimum, found once per device
+type and shard DM count) run through
+:class:`~repro.hardware.model.PerformanceModel` on the shard's DM
+sub-grid, plus the device's launch overhead already included there.
 Fault injection then scales the result by the worker's slowdown factor.
 """
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
 from repro.core.config import KernelConfiguration
+from repro.core.tuner import AutoTuner
 from repro.hardware.device import DeviceSpec
 from repro.hardware.model import PerformanceModel
 from repro.sched.shard import Shard
@@ -26,33 +27,21 @@ from repro.sched.shard import Shard
 class ServiceTimeModel:
     """Modelled seconds for (device, shard), cached two ways.
 
-    The tuned configuration is resolved once per (device type, shard DM
-    count) — a shard runs the kernel on its DM sub-grid, so the
-    configuration must be tuned for (and tile) that shape, not the full
-    survey grid.  Surveys use at most two DM counts (the chunk and a
-    remainder), so this stays at a handful of service requests.
-    Per-shard-shape simulations are cached by ``(device, dm_start,
-    dm_count, samples)`` since surveys reuse them thousands of times.
+    The tuned configuration is swept once per (device type, shard DM
+    count), as :meth:`repro.core.plan.DedispersionPlan.create` does — a
+    shard runs the kernel on its DM sub-grid, so the configuration must
+    be tuned for (and tile) that shape, not the full survey grid.
+    Surveys use at most two DM counts (the chunk and a remainder), so
+    this stays at a handful of sweeps.  Per-shard-shape simulations are
+    cached by ``(device, dm_start, dm_count, samples)`` since surveys
+    reuse them thousands of times.
     """
 
-    def __init__(
-        self,
-        setup: ObservationSetup,
-        grid: DMTrialGrid,
-        service=None,
-    ):
+    def __init__(self, setup: ObservationSetup, grid: DMTrialGrid):
         self.setup = setup
         self.grid = grid
-        self._service = service
         self._configs: dict[tuple[str, int], KernelConfiguration] = {}
         self._seconds: dict[tuple[str, int, int, int], float] = {}
-
-    def _ensure_service(self):
-        if self._service is None:
-            from repro.service import TuningService  # local: avoid cycle
-
-            self._service = TuningService(max_workers=1)
-        return self._service
 
     def tuned_config(
         self, device: DeviceSpec, dm_count: int | None = None
@@ -66,12 +55,8 @@ class ServiceTimeModel:
         key = (device.name, n_dms)
         config = self._configs.get(key)
         if config is None:
-            from repro.service import TuneRequest  # local: avoid cycle
-
-            service = self._ensure_service()
-            grid = self.grid.subgrid(0, n_dms)
-            request = TuneRequest(setup=self.setup, n_dms=grid, device=device)
-            config = service.resolve(request).best.config
+            subgrid = self.grid.subgrid(0, n_dms)
+            config = AutoTuner(device, self.setup).tune(subgrid).best.config
             self._configs[key] = config
         return config
 
@@ -89,11 +74,6 @@ class ServiceTimeModel:
             ).seconds
             self._seconds[key] = cached
         return cached
-
-    def close(self) -> None:
-        """Shut down an internally created tuning service, if any."""
-        if self._service is not None and hasattr(self._service, "close"):
-            self._service.close()
 
 
 @dataclass

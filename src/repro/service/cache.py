@@ -57,31 +57,6 @@ class SweepLRUCache:
         with self._lock:
             return self._entries.pop(key, None) is not None
 
-    def nearest_neighbor(
-        self, key: InstanceKey
-    ) -> tuple[InstanceKey, TuningResult] | None:
-        """The cached instance closest in ``n_dms`` within ``key``'s family.
-
-        "Family" means same device, setup, grid geometry, and model
-        fingerprint — only the DM count differs.  This is the seed lookup
-        for warm-start tuning: Novotný et al. (arXiv:2311.05341) observe
-        that neighbouring instances share near-optimal configurations.
-        """
-        family = key.family()
-        with self._lock:
-            best: tuple[InstanceKey, TuningResult] | None = None
-            best_distance = None
-            for candidate, result in self._entries.items():
-                if candidate.family() != family:
-                    continue
-                if candidate.n_dms == key.n_dms:
-                    continue
-                distance = abs(candidate.n_dms - key.n_dms)
-                if best_distance is None or distance < best_distance:
-                    best = (candidate, result)
-                    best_distance = distance
-            return best
-
     def keys(self) -> list[InstanceKey]:
         """Current keys, least recently used first."""
         with self._lock:
@@ -114,7 +89,7 @@ class DiskSweepStore:
         """Persist ``result`` under ``key``; returns the file path."""
         return save_sweep(result, self.path_for(key))
 
-    def load(self, key: InstanceKey, verify: bool = True) -> TuningResult | None:
+    def load(self, key: InstanceKey) -> TuningResult | None:
         """Load ``key``'s sweep, or None when absent or stale.
 
         A document that fails verification (model drift, old schema,
@@ -128,10 +103,10 @@ class DiskSweepStore:
         if not path.exists():
             return None
         try:
-            return load_sweep(path, verify=verify)
+            return load_sweep(path)
         except SchemaVersionError:
             raise
-        except (ReproError, ValueError, KeyError, OSError):
+        except ReproError:
             path.unlink(missing_ok=True)
             return None
 

@@ -54,17 +54,6 @@ class InstanceKey:
             n_dms=self.n_dms, first=self.dm_first, step=self.dm_step
         )
 
-    def family(self) -> tuple:
-        """Everything except ``n_dms`` — the neighbourhood warm-start
-        searches for seed sweeps in."""
-        return (
-            self.device,
-            self.setup,
-            self.dm_first,
-            self.dm_step,
-            self.fingerprint,
-        )
-
     def filename(self) -> str:
         """A filesystem-safe, human-scannable name for the disk tier."""
         def slug(s: str) -> str:

@@ -99,10 +99,10 @@ class TuneRequest:
 class TuneResponse:
     """One answered request: the sweep and how it was produced.
 
-    ``source`` is one of ``memory``, ``disk``, ``sweep``, ``warm``,
-    ``warm-fallback``, ``strategy-<name>``, ``degraded-timeout``,
-    ``degraded-admission``.  Degraded responses carry a heuristic
-    (budget-bounded) result rather than the exhaustive optimum.
+    ``source`` is one of ``memory``, ``disk``, ``sweep``,
+    ``strategy-<name>``, ``degraded-timeout``, ``degraded-admission``.
+    Degraded responses carry a heuristic (budget-bounded) result rather
+    than the exhaustive optimum.
     """
 
     key: InstanceKey

@@ -14,10 +14,9 @@ request path, in order:
    future.
 4. **Pool admission** — sweeps run on a bounded worker pool behind a
    bounded queue.  A request that cannot even queue degrades immediately.
-5. **Warm start** — a sweep seeded by the nearest cached neighbour (same
-   device/setup/model, different DM count) prunes most of the space, with
-   a probe guard that falls back to the exhaustive sweep when refuted.
-6. **Degradation** — when the tuning budget is exhausted (timeout or
+   An admitted sweep runs the request's ``strategy`` when it names one,
+   else the paper's exhaustive sweep.
+5. **Degradation** — when the tuning budget is exhausted (timeout or
    full pool) the caller gets a deterministic budgeted heuristic answer
    (:func:`repro.tune.budgeted_tune`), flagged ``degraded`` and never
    cached; the authoritative sweep, if one is running, still completes
@@ -50,7 +49,6 @@ from repro.service.cache import DiskSweepStore, SweepLRUCache
 from repro.service.keys import InstanceKey
 from repro.service.request import TuneRequest, TuneResponse
 from repro.service.stats import ServiceStats, StatsSnapshot
-from repro.service.warmstart import warm_start_tune
 from repro.tune import budgeted_tune
 
 __all__ = ["TuningService"]
@@ -61,6 +59,10 @@ TunerFactory = Callable[[DeviceSpec, ObservationSetup], AutoTuner]
 
 #: Memory-tier LRU capacity, in complete sweeps.
 CACHE_CAPACITY = 128
+
+#: Sweeps allowed to wait beyond the running ones; a request that finds
+#: pool *and* queue full degrades immediately.
+QUEUE_LIMIT = 8
 
 #: Model evaluations granted to the degradation path,
 #: :func:`repro.tune.budgeted_tune`.
@@ -94,25 +96,19 @@ class TuningService:
 
     A cold sweep runs the request's own ``strategy``
     (:class:`~repro.tune.SearchStrategy`) when it names one, else the
-    paper's exhaustive sweep; warm-started sweeps ignore it, since they
-    already prune the space.
+    paper's exhaustive sweep.
 
     Parameters
     ----------
     store_dir:
         Directory for the persistent tier; ``None`` disables it.
     max_workers:
-        Worker threads executing sweeps.
-    queue_limit:
-        Sweeps allowed to wait beyond the running ones; a request that
-        finds pool *and* queue full degrades immediately.
+        Worker threads executing sweeps; :data:`QUEUE_LIMIT` more may
+        wait for one.
     timeout_s:
         Seconds a request waits for a sweep before degrading; ``None``
         or ``math.inf`` waits indefinitely.  Anything but a number
         >= 0 raises :class:`~repro.errors.PipelineError`.
-    warm_start:
-        Seed sweeps from the nearest cached neighbouring instance
-        (:func:`repro.service.warmstart.warm_start_tune`).
     tuner_factory:
         Callable ``(device, setup) -> AutoTuner``; injectable for
         testing.
@@ -126,18 +122,13 @@ class TuningService:
         self,
         store_dir=None,
         max_workers: int = 2,
-        queue_limit: int = 8,
         timeout_s: float | None = None,
-        warm_start: bool = True,
         tuner_factory: TunerFactory | None = None,
         registry: MetricsRegistry | None = None,
     ):
         if max_workers < 1:
             raise PipelineError("max_workers must be >= 1")
-        if queue_limit < 0:
-            raise PipelineError("queue_limit must be >= 0")
         self._wait_s = _wait_seconds(timeout_s)
-        self.warm_start = warm_start
         self._tuner_factory = tuner_factory or AutoTuner
         self.cache = SweepLRUCache(CACHE_CAPACITY)
         self.store = DiskSweepStore(store_dir) if store_dir else None
@@ -145,7 +136,7 @@ class TuningService:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-tune"
         )
-        self._admission = threading.BoundedSemaphore(max_workers + queue_limit)
+        self._admission = threading.BoundedSemaphore(max_workers + QUEUE_LIMIT)
         self._inflight: dict[InstanceKey, Future] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
@@ -157,7 +148,7 @@ class TuningService:
         """The tuned sweep for ``request``, produced as cheaply as possible.
 
         The one request entrypoint: walks memory → disk → deduplicated
-        (possibly warm-started or strategy-driven) sweep → heuristic
+        sweep (the request's strategy, else exhaustive) → heuristic
         degradation once ``timeout_s`` has passed or the pool is full.
         """
         if self._closed:
@@ -207,8 +198,7 @@ class TuningService:
         setup: ObservationSetup,
         instances,
     ) -> list[TuneResponse]:
-        """Pre-tune a series of instances (smallest first, so each sweep
-        can warm-start from the previous one)."""
+        """Pre-tune a series of instances, smallest first."""
         return [
             self.resolve(TuneRequest(setup=setup, n_dms=n, device=device))
             for n in sorted(instances, key=lambda g: (
@@ -301,24 +291,13 @@ class TuningService:
         grid: DMTrialGrid,
         strategy,
     ):
-        """Worker-side sweep: warm-started when a neighbour is cached."""
+        """Worker-side sweep: the request's strategy, else exhaustive."""
         try:
             with span(
                 "service.sweep", device=device.name, n_dms=grid.n_dms
             ) as job_span:
                 tuner = self._tuner_factory(device, setup)
-                seed = (
-                    self.cache.nearest_neighbor(key)
-                    if self.warm_start else None
-                )
-                if seed is not None:
-                    report = warm_start_tune(tuner, grid, seed[1])
-                    self.stats.incr("warm_starts")
-                    if report.fell_back:
-                        self.stats.incr("warm_fallbacks")
-                    result = report.result
-                    source = "warm-fallback" if report.fell_back else "warm"
-                elif strategy is not None:
+                if strategy is not None:
                     outcome = strategy.search(tuner, grid)
                     result = outcome.result
                     source = f"strategy-{strategy.name}"

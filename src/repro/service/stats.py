@@ -2,18 +2,16 @@
 
 Every externally visible event of :class:`repro.service.TuningService` —
 cache hits per tier, misses, deduplicated waits, sweeps actually
-executed, warm starts and their fallbacks, degradations — increments a
-counter here, and every completed request records its latency.  The
-snapshot is immutable, so callers can diff two snapshots to meter an
-interval.
+executed, strategy searches, degradations — increments a counter here,
+and every completed request records its latency.  The snapshot is
+immutable, so callers can diff two snapshots to meter an interval.
 
-Since the introduction of :mod:`repro.obs`, :class:`ServiceStats` is a
-*view* over registry-backed metrics rather than a private counter dict:
-each instance owns one ``instance``-labelled slice of the process-wide
+:class:`ServiceStats` is a *view* over registry-backed metrics rather
+than a private counter dict: each instance owns one
+``instance``-labelled slice of the process-wide
 :class:`~repro.obs.MetricsRegistry` (``repro_service_*`` series), so the
-same numbers that back :meth:`snapshot` are visible to every exporter
-(``repro obs export``), while the legacy ``incr``/``record_latency``/
-``snapshot`` API is unchanged.
+same numbers that back :meth:`ServiceStats.snapshot` are visible to
+every exporter (``repro obs export``).
 """
 
 from __future__ import annotations
@@ -23,15 +21,13 @@ from dataclasses import dataclass
 
 from repro.obs.registry import MetricsRegistry, get_registry
 
-#: Legacy counter name -> (registry metric family, fixed labels).
+#: Counter name -> (registry metric family, fixed labels).
 _COUNTER_METRICS: dict[str, tuple[str, dict[str, str]]] = {
     "hits_memory": ("repro_service_cache_hits_total", {"tier": "memory"}),
     "hits_disk": ("repro_service_cache_hits_total", {"tier": "disk"}),
     "misses": ("repro_service_cache_misses_total", {}),
     "dedups": ("repro_service_dedup_waits_total", {}),
     "sweeps": ("repro_service_sweeps_total", {}),
-    "warm_starts": ("repro_service_warm_starts_total", {}),
-    "warm_fallbacks": ("repro_service_warm_fallbacks_total", {}),
     "degraded_timeout": ("repro_service_degraded_total", {"reason": "timeout"}),
     "degraded_admission": (
         "repro_service_degraded_total",
@@ -49,6 +45,12 @@ _COUNTER_METRICS: dict[str, tuple[str, dict[str, str]]] = {
 #: Registry histogram holding per-request wall-clock latencies.
 LATENCY_METRIC = "repro_service_request_latency_seconds"
 
+#: Bound on the latency reservoir: percentiles cover the most recent
+#: ``LATENCY_WINDOW`` requests and memory never grows past it, however
+#: long the service runs (the histogram's ``count``/``sum`` totals stay
+#: lifetime-accurate).
+LATENCY_WINDOW = 2048
+
 #: Distinguishes concurrently created ServiceStats slices in one process.
 _instance_ids = itertools.count()
 
@@ -62,8 +64,6 @@ class StatsSnapshot:
     misses: int = 0
     dedups: int = 0
     sweeps: int = 0
-    warm_starts: int = 0
-    warm_fallbacks: int = 0
     degraded_timeout: int = 0
     degraded_admission: int = 0
     degraded_evaluations: int = 0
@@ -97,8 +97,6 @@ class StatsSnapshot:
             ("misses", self.misses),
             ("deduplicated waits", self.dedups),
             ("sweeps executed", self.sweeps),
-            ("warm starts", self.warm_starts),
-            ("warm-start fallbacks", self.warm_fallbacks),
             ("degraded (timeout)", self.degraded_timeout),
             ("degraded (admission)", self.degraded_admission),
             ("degraded model evaluations", self.degraded_evaluations),
@@ -123,12 +121,6 @@ class ServiceStats:
 
     Parameters
     ----------
-    latency_window:
-        Explicit bound on the latency reservoir: percentiles are computed
-        over the most recent ``latency_window`` requests and memory never
-        grows past it, no matter how long the service runs between
-        snapshots (the histogram's exact ``count``/``sum`` totals are
-        still lifetime-accurate).
     registry:
         The :class:`~repro.obs.MetricsRegistry` to record into; defaults
         to the process-wide registry, which is what makes the service
@@ -142,11 +134,7 @@ class ServiceStats:
     #: Counter names — must match the integer fields of StatsSnapshot.
     COUNTERS: tuple[str, ...] = tuple(_COUNTER_METRICS)
 
-    def __init__(
-        self,
-        latency_window: int = 2048,
-        registry: MetricsRegistry | None = None,
-    ):
+    def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else get_registry()
         self.instance = f"svc{next(_instance_ids)}"
         self._counters = {
@@ -156,7 +144,7 @@ class ServiceStats:
             for name, (metric, labels) in _COUNTER_METRICS.items()
         }
         self._latency = self.registry.histogram(
-            LATENCY_METRIC, window=latency_window, instance=self.instance
+            LATENCY_METRIC, window=LATENCY_WINDOW, instance=self.instance
         )
 
     def incr(self, name: str, by: int = 1) -> None:

@@ -12,8 +12,8 @@ same optimum while *measuring* only a small fraction of the space:
   progressively larger DM sub-instances, promoting only the survivors
   to full fidelity.  The fidelity axis is ``n_dms`` rather than the
   sample count: performance landscapes of neighbouring DM counts share
-  their optima (the same observation warm-start tuning exploits), while
-  truncating the time dimension distorts the overhead/compute balance;
+  their optima (Novotný et al., arXiv:2311.05341), while truncating the
+  time dimension distorts the overhead/compute balance;
 * :class:`ModelGuidedSearch` — rank the space with a *degraded*
   hardware model (staging and coalescing-overhead terms disabled, so
   its predictions are cheap and deliberately imperfect), measure the

@@ -59,14 +59,6 @@ class TestVerification:
         with pytest.raises(TuningError, match="no longer matches"):
             load_sweep(path)
 
-    def test_verification_can_be_skipped(self, sweep, tmp_path):
-        path = save_sweep(sweep, tmp_path / "sweep.json")
-        document = json.loads(path.read_text())
-        document["samples"][0]["gflops"] *= 2.0
-        path.write_text(json.dumps(document))
-        loaded = load_sweep(path, verify=False)
-        assert loaded.n_configurations == sweep.n_configurations
-
     def test_rejects_unknown_schema(self, sweep, tmp_path):
         path = save_sweep(sweep, tmp_path / "sweep.json")
         document = json.loads(path.read_text())
@@ -82,6 +74,32 @@ class TestVerification:
         path.write_text(json.dumps(document))
         with pytest.raises(ValidationError, match="unknown setup"):
             load_sweep(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["grid"].pop("step"), "has no 'step' field"),
+            (lambda d: d.update(device="Z80"), "unknown device"),
+            (lambda d: d.update(grid=[32]), "is malformed"),
+            (lambda d: d.update(samples=5), "is malformed"),
+            (lambda d: d["samples"][0].update(config=[1, 2, 3]),
+             "is malformed"),
+            (lambda d: d["samples"][0].update(gflops="fast"),
+             "is malformed"),
+        ],
+        ids=["missing-key", "unknown-device", "grid-list", "samples-int",
+             "short-config", "text-gflops"],
+    )
+    def test_malformed_document_names_the_path(
+        self, sweep, tmp_path, edit, message
+    ):
+        path = save_sweep(sweep, tmp_path / "sweep.json")
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValidationError, match=message) as info:
+            load_sweep(path)
+        assert str(path) in str(info.value)
 
 
 class TestFingerprint:
@@ -116,16 +134,6 @@ class TestFingerprint:
         path.write_text(json.dumps(document))
         with pytest.raises(TuningError, match="fingerprint"):
             load_sweep(path)
-
-    def test_mismatched_fingerprint_allowed_without_verify(
-        self, sweep, tmp_path
-    ):
-        path = save_sweep(sweep, tmp_path / "sweep.json")
-        document = json.loads(path.read_text())
-        document["fingerprint"] = "0" * 16
-        path.write_text(json.dumps(document))
-        loaded = load_sweep(path, verify=False)
-        assert loaded.best.config == sweep.best.config
 
     def test_schema_one_documents_still_load(self, sweep, tmp_path):
         # Pre-fingerprint documents fall back to GFLOP/s re-verification.

@@ -54,55 +54,13 @@ class TestTune:
             )
 
 
-class TestCandidateRestriction:
-    def test_candidates_restrict_the_sweep(self, sweep):
+class TestEmptySpace:
+    def test_empty_space_raises(self):
+        # One DM and one sample admit only a one-work-item group, which
+        # is no multiple of the HD7970's 64-wide wavefront.
         tuner = AutoTuner(hd7970(), apertif())
-        subset = [s.config for s in sweep.samples[:5]]
-        restricted = tuner.tune(DMTrialGrid(64), candidates=subset)
-        assert restricted.n_configurations == 5
-        assert {s.config for s in restricted.samples} == set(subset)
-
-    def test_restricted_sweep_matches_full_sweep_numbers(self, sweep):
-        tuner = AutoTuner(hd7970(), apertif())
-        restricted = tuner.tune(
-            DMTrialGrid(64), candidates=[sweep.best.config]
-        )
-        assert restricted.best.config == sweep.best.config
-        assert restricted.best.gflops == pytest.approx(sweep.best.gflops)
-
-    def test_duplicates_are_dropped(self, sweep):
-        tuner = AutoTuner(hd7970(), apertif())
-        config = sweep.best.config
-        restricted = tuner.tune(
-            DMTrialGrid(64), candidates=[config, config, config]
-        )
-        assert restricted.n_configurations == 1
-
-    def test_non_meaningful_candidates_filtered(self, sweep):
-        from repro.core.config import KernelConfiguration
-
-        tuner = AutoTuner(hd7970(), apertif())
-        # 1024 work-items exceeds the HD7970's 256-work-item cap.
-        bogus = KernelConfiguration(1024, 1, 1, 1)
-        restricted = tuner.tune(
-            DMTrialGrid(64), candidates=[sweep.best.config, bogus]
-        )
-        assert restricted.n_configurations == 1
-
-    def test_all_filtered_raises(self):
-        from repro.core.config import KernelConfiguration
-
-        tuner = AutoTuner(hd7970(), apertif())
-        with pytest.raises(TuningError, match="empty"):
-            tuner.tune(
-                DMTrialGrid(64),
-                candidates=[KernelConfiguration(1024, 1, 1, 1)],
-            )
-
-    def test_empty_candidates_raises(self):
-        tuner = AutoTuner(hd7970(), apertif())
-        with pytest.raises(TuningError, match="empty"):
-            tuner.tune(DMTrialGrid(64), candidates=[])
+        with pytest.raises(TuningError, match="search space is empty"):
+            tuner.tune(DMTrialGrid(1), samples=1)
 
 
 class TestSpaceAccessor:

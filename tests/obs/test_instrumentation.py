@@ -46,7 +46,7 @@ class TestTunerInstrumentation:
 class TestServiceInstrumentation:
     def test_cache_tiers_and_latency_reach_registry(self):
         with use_registry() as reg:
-            with TuningService(warm_start=False) as service:
+            with TuningService() as service:
                 service.resolve(REQUEST)
                 service.resolve(REQUEST)
                 instance = service.stats.instance
@@ -71,7 +71,7 @@ class TestServiceInstrumentation:
 
     def test_snapshot_and_registry_agree(self):
         with use_registry() as reg:
-            with TuningService(warm_start=False) as service:
+            with TuningService() as service:
                 service.resolve(REQUEST)
                 snap = service.snapshot()
                 instance = service.stats.instance

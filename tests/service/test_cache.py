@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import apertif, lofar
+from repro.astro.observation import apertif
 from repro.core.tuner import AutoTuner
 from repro.hardware.catalog import hd7970
 from repro.service.cache import DiskSweepStore, SweepLRUCache
@@ -39,13 +39,6 @@ class TestInstanceKey:
         )
         assert original.fingerprint != recalibrated.fingerprint
         assert original != recalibrated
-
-    def test_family_ignores_n_dms_only(self):
-        assert key_for(32).family() == key_for(64).family()
-        assert (
-            key_for(32).family()
-            != key_for(32, dm_step=0.5).family()
-        )
 
     def test_filename_is_safe_and_distinct(self):
         a, b = key_for(32).filename(), key_for(64).filename()
@@ -96,29 +89,6 @@ class TestSweepLRUCache:
         with pytest.raises(ValueError):
             SweepLRUCache(capacity=0)
 
-    def test_nearest_neighbor_picks_closest_dm_count(self):
-        cache = SweepLRUCache(capacity=8)
-        cache.put(key_for(16), "s16")
-        cache.put(key_for(128), "s128")
-        found = cache.nearest_neighbor(key_for(96))
-        assert found is not None
-        assert found[0].n_dms == 128
-        assert found[1] == "s128"
-
-    def test_nearest_neighbor_skips_other_families(self):
-        cache = SweepLRUCache(capacity=8)
-        lofar_key = InstanceKey.for_instance(
-            hd7970(), lofar(), DMTrialGrid(64)
-        )
-        cache.put(lofar_key, "lofar")
-        cache.put(key_for(64, dm_step=0.5), "other step")
-        assert cache.nearest_neighbor(key_for(32)) is None
-
-    def test_nearest_neighbor_excludes_exact_instance(self):
-        cache = SweepLRUCache(capacity=8)
-        cache.put(key_for(64), "same")
-        assert cache.nearest_neighbor(key_for(64)) is None
-
 
 class TestDiskSweepStore:
     @pytest.fixture(scope="class")
@@ -154,6 +124,25 @@ class TestDiskSweepStore:
         key = key_for(16)
         path = store.save(key, sweep)
         path.write_text("{not json")
+        assert store.load(key) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("device"),
+            lambda d: d.update(samples=5),
+            lambda d: d.update(fingerprint="0" * 16),
+        ],
+        ids=["missing-field", "malformed-samples", "foreign-fingerprint"],
+    )
+    def test_unloadable_document_is_deleted(self, sweep, tmp_path, edit):
+        store = DiskSweepStore(tmp_path)
+        key = key_for(16)
+        path = store.save(key, sweep)
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document))
         assert store.load(key) is None
         assert not path.exists()
 

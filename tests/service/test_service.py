@@ -1,11 +1,11 @@
 """Behavioural tests for repro.service.TuningService.
 
-Covers the PR's acceptance criteria directly:
+The service's two guarantees:
 
 * a repeated request for the same instance performs exactly one sweep
   (verified by a sweep-invocation counter), and
-* warm-start returns the same optimum as a cold full sweep on the
-  Apertif and LOFAR reference instances,
+* a cold miss runs the request's strategy, else the exhaustive sweep,
+  whatever other instances the cache holds,
 
 plus in-flight deduplication under real threads, both cache tiers,
 stale-entry invalidation, the timeout and full-pool degradation paths,
@@ -16,6 +16,7 @@ import json
 import math
 import threading
 import time
+from unittest.mock import patch
 
 import pytest
 
@@ -23,8 +24,9 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError, TuningError
-from repro.hardware.catalog import hd7970
+from repro.hardware.catalog import hd7970, k20
 from repro.service import InstanceKey, TuneRequest, TuningService
+from repro.service import service as service_module
 from repro.service.service import DEGRADED_BUDGET
 
 DEVICE = hd7970()
@@ -44,9 +46,9 @@ def counting_factory(calls: list):
 
     def factory(device, setup):
         class CountingTuner(AutoTuner):
-            def tune(self, grid, samples=None, candidates=None):
-                calls.append((grid.n_dms, candidates is None))
-                return super().tune(grid, samples, candidates)
+            def tune(self, grid, samples=None):
+                calls.append(grid.n_dms)
+                return super().tune(grid, samples)
 
         return CountingTuner(device, setup)
 
@@ -58,14 +60,20 @@ def gated_factory(started: threading.Event, release: threading.Event):
 
     def factory(device, setup):
         class GatedTuner(AutoTuner):
-            def tune(self, grid, samples=None, candidates=None):
+            def tune(self, grid, samples=None):
                 started.set()
                 assert release.wait(timeout=10.0), "test never released gate"
-                return super().tune(grid, samples, candidates)
+                return super().tune(grid, samples)
 
         return GatedTuner(device, setup)
 
     return factory
+
+
+def unqueued_service(**kwargs) -> TuningService:
+    """A service whose pool lets no sweep wait for a worker."""
+    with patch.object(service_module, "QUEUE_LIMIT", 0):
+        return TuningService(**kwargs)
 
 
 def wait_until(predicate, timeout_s: float = 5.0) -> bool:
@@ -80,9 +88,7 @@ def wait_until(predicate, timeout_s: float = 5.0) -> bool:
 class TestSingleSweepPerInstance:
     def test_repeated_get_performs_exactly_one_sweep(self):
         calls = []
-        with TuningService(
-            tuner_factory=counting_factory(calls), warm_start=False
-        ) as service:
+        with TuningService(tuner_factory=counting_factory(calls)) as service:
             responses = [
                 resolve(service, 32) for _ in range(5)
             ]
@@ -102,26 +108,38 @@ class TestSingleSweepPerInstance:
         assert first.best.config == second.best.config
 
 
-class TestWarmStart:
+class TestColdMiss:
+    """A cached neighbouring instance never changes how a miss is tuned."""
+
+    def test_exhaustive_optimum_despite_a_cached_neighbour(self):
+        with TuningService() as service:
+            service.resolve(
+                TuneRequest(setup=apertif(), n_dms=128, device=k20())
+            )
+            response = service.resolve(
+                TuneRequest(setup=apertif(), n_dms=8, device=k20())
+            )
+        assert response.source == "sweep"
+        assert response.best.config.as_tuple() == (800, 1, 1, 8)
+        assert round(response.best.gflops, 1) == 129.1
+
+    def test_named_strategy_runs_despite_a_cached_neighbour(self):
+        with TuningService() as service:
+            resolve(service, 32)
+            response = resolve(service, 64, strategy="halving")
+        assert response.source == "strategy-halving"
+        assert service.snapshot().strategy_searches == 1
+
     @pytest.mark.parametrize("make_setup", [apertif, lofar])
-    def test_warm_start_matches_cold_full_sweep(self, make_setup):
+    def test_warm_up_sweeps_every_instance(self, make_setup):
         setup = make_setup()
         with TuningService() as service:
-            responses = service.warm_up(DEVICE, setup, [32, 64])
-        cold = AutoTuner(DEVICE, setup).tune(DMTrialGrid(64))
-        warm = responses[-1]
-        assert warm.source == "warm"
-        assert warm.best.config == cold.best.config
-        assert warm.best.gflops == pytest.approx(cold.best.gflops)
-        snap = service.snapshot()
-        assert snap.warm_starts == 1
-        assert snap.warm_fallbacks == 0
-
-    def test_warm_start_can_be_disabled(self):
-        with TuningService(warm_start=False) as service:
-            responses = service.warm_up(DEVICE, apertif(), [32, 64])
+            responses = service.warm_up(DEVICE, setup, [64, 32])
+        assert [r.key.n_dms for r in responses] == [32, 64]
         assert {r.source for r in responses} == {"sweep"}
-        assert service.snapshot().warm_starts == 0
+        cold = AutoTuner(DEVICE, setup).tune(DMTrialGrid(64))
+        assert responses[-1].best.config == cold.best.config
+        assert service.snapshot().sweeps == 2
 
 
 class TestDeduplication:
@@ -238,10 +256,8 @@ class TestDegradation:
 
     def test_admission_rejection_degrades_immediately(self):
         started, release = threading.Event(), threading.Event()
-        with TuningService(
-            tuner_factory=gated_factory(started, release),
-            max_workers=1,
-            queue_limit=0,
+        with unqueued_service(
+            tuner_factory=gated_factory(started, release), max_workers=1
         ) as service:
             blocker = threading.Thread(
                 target=lambda: resolve(service, 32)
@@ -317,9 +333,7 @@ class TestSearchStrategies:
 
     def test_unknown_strategy_leaks_no_pool_slot(self):
         # The only pool slot must still be free after a bad request.
-        with TuningService(
-            max_workers=1, queue_limit=0, warm_start=False
-        ) as service:
+        with unqueued_service(max_workers=1) as service:
             with pytest.raises(TuningError):
                 service.resolve(TuneRequest(
                     setup=apertif(), n_dms=32, device=DEVICE,

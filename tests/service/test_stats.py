@@ -1,9 +1,11 @@
 """Unit tests for repro.service.stats."""
 
 import threading
+from unittest.mock import patch
 
 import pytest
 
+from repro.service import stats as stats_module
 from repro.service.stats import ServiceStats, StatsSnapshot
 
 
@@ -66,7 +68,8 @@ class TestLatencies:
         assert snap.p95_latency_s == 0.0
 
     def test_reservoir_is_bounded(self):
-        stats = ServiceStats(latency_window=4)
+        with patch.object(stats_module, "LATENCY_WINDOW", 4):
+            stats = ServiceStats()
         for value in (1.0, 1.0, 1.0, 1.0, 0.002, 0.002, 0.002, 0.002):
             stats.record_latency(value)
         # The old 1-second outliers fell out of the window.
@@ -80,7 +83,7 @@ class TestRender:
         stats.incr("dedups")
         text = stats.snapshot().render()
         for fragment in (
-            "requests", "deduplicated", "sweeps", "warm",
+            "requests", "deduplicated", "sweeps", "strategy",
             "degraded", "hit rate", "latency p50/p95",
         ):
             assert fragment in text

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -145,7 +146,8 @@ class TestService:
         assert code == 0
         out = capsys.readouterr().out
         assert "warm-up" in out
-        assert "[warm" in out  # the second instance warm-started
+        # Every instance is swept: a cached neighbour seeds nothing.
+        assert out.count("[sweep") == 2
 
     def test_store_dir_persists_sweeps(self, tmp_path, capsys):
         argv = [
@@ -347,6 +349,43 @@ class TestTuneSaveLoad:
         loaded_line = [l for l in out_loaded.splitlines() if "optimum:" in l]
         assert saved_line == loaded_line
 
+    def test_load_reports_the_sweep_not_the_flags(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        saved = ["tune", "--device", "K20", "--setup", "lofar", "--dms", "64"]
+        assert main([*saved, "--save", str(path)]) == 0
+        out_saved = capsys.readouterr().out
+        # The flags default to HD7970, Apertif and 1 024 DMs.
+        assert main(["tune", "--load", str(path)]) == 0
+        out_loaded = capsys.readouterr().out
+        assert "device : K20" in out_loaded
+        assert "setup  : LOFAR" in out_loaded
+        assert "grid   : 64 DMs, step 0.25" in out_loaded
+        # Real time is judged against LOFAR at 64 DMs, as when saved.
+        needs = [l for l in out_saved.splitlines() if "real-time" in l]
+        assert needs == [
+            l for l in out_loaded.splitlines() if "real-time" in l
+        ]
+        assert out_loaded == out_saved.split("\n", 1)[1]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read sweep at {path}: No such file"),
+            ("{not json", "sweep at {path} is not JSON"),
+            ('{"schema": 2}', "sweep at {path} has no 'device' field"),
+        ],
+        ids=["missing", "not-json", "no-field"],
+    )
+    def test_unreadable_sweep_fails_cleanly(
+        self, capsys, tmp_path, content, message
+    ):
+        path = tmp_path / "sweep.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["tune", "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path))
+
 
 class TestScenarios:
     def test_list_prints_catalogue(self, capsys):
@@ -368,8 +407,6 @@ class TestScenarios:
         assert "noise_floor" in out and "PASS" in out
 
     def test_record_then_check_with_bench(self, capsys, tmp_path):
-        import json
-
         goldens = tmp_path / "goldens"
         bench = tmp_path / "BENCH_scenarios.json"
         assert main([

@@ -85,6 +85,9 @@ RETIRED = (
     ("repro.opencl_sim", "CommandQueue"),
     ("repro.opencl_sim", "Context"),
     ("repro.opencl_sim", "SimPlatform"),
+    ("repro.service", "WarmStartReport"),
+    ("repro.service", "pruned_candidates"),
+    ("repro.service", "warm_start_tune"),
     ("repro.service.stats", "_percentile"),
 )
 

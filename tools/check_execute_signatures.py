@@ -16,14 +16,16 @@ Three checks:
 * every pinned entrypoint (``PINNED``) carries exactly the agreed
   parameter list, in order.  The pins are the facade's ``execute``,
   the kernel body it dispatches to, the :class:`SignalSource`
-  protocol, the tuning service's ``resolve`` entrypoint and its
-  :class:`TuneRequest`, and the matched-filter detector's settings, its
-  two entry points and the slab body they share; a pinned file or name
-  that goes missing is an error.  A pinned *class* is a dataclass whose
-  settable fields (annotated names not declared ``field(init=False)``)
-  are pinned the same way: ``execute(request)`` takes one
-  :class:`ExecutionRequest`, so its fields are the facade's real
-  keyword set, and a new request setting needs a visible edit here;
+  protocol, the tuning service's settings, its ``resolve`` entrypoint
+  and its :class:`TuneRequest`, the tuner's sweep, the sweep loader,
+  the fleet's service-time model, and the matched-filter detector's
+  settings, its two entry points and the slab body they share; a
+  pinned file or name that goes missing is an error.  A pinned *class*
+  is a dataclass whose settable fields (annotated names not declared
+  ``field(init=False)``) are pinned the same way: ``execute(request)``
+  takes one :class:`ExecutionRequest`, so its fields are the facade's
+  real keyword set, and a new request setting needs a visible edit
+  here;
 * no ``execute``/``generate``/``add_to``/``resolve``-family function,
   and no pinned class, in the pinned files reintroduces a banned alias
   (``ALIASES``) for one of the agreed names;
@@ -84,6 +86,13 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/astro/source.py",
         ("data", "setup", "streams"),
     ),
+    # A cold miss runs the request's strategy or the exhaustive sweep:
+    # no service setting changes how a miss is tuned, and the queue
+    # bound is the module constant QUEUE_LIMIT.
+    "TuningService.__init__": (
+        "repro/service/service.py",
+        ("store_dir", "max_workers", "timeout_s", "tuner_factory", "registry"),
+    ),
     # resolve(request) is the one request entrypoint of the tuning
     # service; a request names its instance and, optionally, a search
     # strategy, and nothing else.
@@ -94,6 +103,23 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
     "TuneRequest": (
         "repro/service/request.py",
         ("setup", "n_dms", "device", "strategy"),
+    ),
+    # The tuner sweeps the whole meaningful space, and a saved sweep
+    # always loads verified against the model: no candidate subset, no
+    # skipped check.
+    "AutoTuner.tune": (
+        "repro/core/tuner.py",
+        ("grid", "samples"),
+    ),
+    "load_sweep": (
+        "repro/core/persistence.py",
+        ("path",),
+    ),
+    # The fleet tunes each shard shape with AutoTuner directly, as
+    # DedispersionPlan.create does, not through a tuning service.
+    "ServiceTimeModel.__init__": (
+        "repro/sched/workers.py",
+        ("setup", "grid"),
     ),
     # The detector is a threshold and a bank of widths, and one body
     # folds every slab through the bank: a second path or a setting
